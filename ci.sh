@@ -53,9 +53,12 @@ rmdir "$STORE_TMP"
 # socket inside a throwaway sandbox, driven end-to-end (compile ->
 # trace -> debug -> answer -> slice) by its own selftest client, which
 # replays the golden §8 session against the server and then asks it to
-# shut down. The clean-shutdown report line only prints after the final
-# store compaction, and a report showing zero compactions fails the
-# tier.
+# shut down. Before shutting down, the selftest replays the session
+# unpooled on the now-warm server, whose create reuses the compiled
+# program; the tier fails unless that session's journal was compared
+# with the first one's and matched. The clean-shutdown report line only
+# prints after the final store compaction, and a report showing zero
+# compactions fails the tier.
 echo "==> debugging service tier (gadt-serve e2e over unix socket)"
 cargo build --release -q -p gadt-serve --bin gadt-serve
 SERVE_TMP="$(mktemp -d)"
@@ -68,8 +71,17 @@ for _ in $(seq 1 100); do
     [ -S "$SERVE_SOCK" ] && break
     sleep 0.1
 done
-./target/release/gadt-serve --selftest "unix:$SERVE_SOCK" --shutdown
+SELFTEST_LOG="$SERVE_TMP/selftest.log"
+./target/release/gadt-serve --selftest "unix:$SERVE_SOCK" --shutdown >"$SELFTEST_LOG" || {
+    cat "$SELFTEST_LOG"
+    exit 1
+}
+cat "$SELFTEST_LOG"
 wait "$SERVE_PID"
+grep -q "journal matches" "$SELFTEST_LOG" || {
+    echo "ci: the warm selftest session's journal was not compared"
+    exit 1
+}
 grep -q "clean shutdown" "$SERVE_LOG" || {
     echo "ci: server did not shut down cleanly:"
     cat "$SERVE_LOG"
@@ -82,6 +94,14 @@ if grep -q " 0 compactions" "$SERVE_LOG"; then
 fi
 grep "clean shutdown" "$SERVE_LOG"
 rm -rf "$SERVE_TMP"
+
+# Benchmark smoke tier: reduced-size runs of every perfbench workload,
+# each of which must pass its output checks and print every metric
+# BENCHMARK.json declares. A serve run fails when any session localizes
+# a different unit than its golden session, so a server that hands a
+# session the wrong compiled program fails here.
+echo "==> benchmark smoke (reduced-size perfbench runs)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Differential fuzz smoke tier: a bounded sweep through the seeded
 # corpus generator — original vs transformed output agreement plus

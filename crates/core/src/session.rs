@@ -8,6 +8,7 @@
 
 use crate::debugger::{DebugConfig, DebugOutcome, Debugger};
 use crate::oracle::ChainOracle;
+use gadt_analysis::controldep::ProgramControlDeps;
 use gadt_analysis::dyntrace::{DependenceRecorder, DynTrace};
 use gadt_exec::BatchExecutor;
 use gadt_obs::{Journal, Recorder};
@@ -19,7 +20,7 @@ use gadt_pascal::value::Value;
 use gadt_trace::{build_tree, ExecTree};
 use gadt_transform::{transform_observed, Transformed};
 use gadt_vm::{Vm, VmProgram};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The per-phase wall-clock roll-up, re-exported from `gadt-obs` where
 /// it now lives (derive one from a journal via
@@ -45,6 +46,9 @@ pub struct PreparedProgram {
     /// [`Engine::Vm`]. Compiled once, shared by every run (including all
     /// batch workers).
     vm: Option<Arc<VmProgram>>,
+    /// The transformed module's control dependences, computed on the
+    /// first traced run and reused by every later one.
+    control_deps: OnceLock<ProgramControlDeps>,
 }
 
 impl PreparedProgram {
@@ -68,6 +72,13 @@ impl PreparedProgram {
     /// The selected execution engine.
     pub fn engine(&self) -> Engine {
         self.engine
+    }
+
+    /// The transformed module's control dependences, which every traced
+    /// run records against: computed on the first call, then shared.
+    fn control_deps(&self) -> &ProgramControlDeps {
+        self.control_deps
+            .get_or_init(|| ProgramControlDeps::compute(&self.transformed.module, &self.cfg))
     }
 
     /// Runs the transformed program on the selected engine.
@@ -161,6 +172,7 @@ pub fn prepare_observed(module: &Module, rec: &mut Recorder) -> Result<PreparedP
         cfg: Arc::new(cfg),
         engine: Engine::TreeWalker,
         vm: None,
+        control_deps: OnceLock::new(),
     };
     // Select the workspace-wide default engine (the compiled VM); the
     // tree-walker remains available via `with_engine` as the
@@ -212,8 +224,7 @@ pub fn run_traced_limited(
     limits: gadt_pascal::interp::Limits,
 ) -> Result<TracedRun> {
     let module = &prepared.transformed.module;
-    let cd = gadt_analysis::controldep::ProgramControlDeps::compute(module, &prepared.cfg);
-    let mut rec = DependenceRecorder::new(&cd);
+    let mut rec = DependenceRecorder::new(prepared.control_deps());
     let outcome = prepared.execute(input.into_iter().collect(), limits, &mut rec)?;
     let trace = rec.finish();
     let tree = build_tree(module, &trace);
@@ -246,9 +257,10 @@ pub fn run_fast_limited(
 
 /// Runs the tracing phase on many inputs in parallel: each input gets
 /// its own interpreter and dependence recorder on one of `threads`
-/// workers (`0` = all cores); the control-dependence analysis is
-/// computed once and shared. Results come back in input order and are
-/// identical to per-input [`run_traced`] calls.
+/// workers (`0` = all cores). The control-dependence analysis is
+/// computed once per prepared program, on its first traced run, and
+/// shared by every later run and batch. Results come back in input
+/// order and are identical to per-input [`run_traced`] calls.
 ///
 /// # Errors
 /// Propagates the runtime error of the lowest-indexed failing input —
@@ -276,11 +288,11 @@ pub fn run_traced_batch_observed(
     rec: &mut Recorder,
 ) -> Result<Vec<TracedRun>> {
     let module = &prepared.transformed.module;
-    let cd = gadt_analysis::controldep::ProgramControlDeps::compute(module, &prepared.cfg);
+    let cd = prepared.control_deps();
     let pool = BatchExecutor::new(threads);
     let span = gadt_obs::span!(rec, "trace", inputs = inputs.len());
     let result = pool.try_run_observed(inputs, rec, |_, input, irec| {
-        let mut drec = DependenceRecorder::new(&cd);
+        let mut drec = DependenceRecorder::new(cd);
         let outcome = prepared.execute(input, Limits::default(), &mut drec)?;
         let trace = drec.finish();
         let tree = build_tree(module, &trace);
@@ -575,6 +587,32 @@ mod batch_session_tests {
                 assert_eq!(b.trace.events.len(), s.trace.events.len());
                 assert_eq!(b.tree.render(b.tree.root), s.tree.render(s.tree.root));
             }
+        }
+    }
+
+    /// A prepared program computes its control dependences on its first
+    /// traced run and reuses them: every later run, through any entry
+    /// point or engine, traces exactly what a fresh preparation does.
+    #[test]
+    fn repeated_traced_runs_match_a_fresh_preparation() {
+        for (src, input) in [
+            (SUMMER, vec![Value::Int(4)]),
+            (gadt_pascal::testprogs::SQRTEST, vec![]),
+        ] {
+            let m = compile(src).unwrap();
+            let warm = prepare(&m).unwrap();
+            let fresh = run_traced(&prepare(&m).unwrap(), input.clone()).unwrap();
+            let same = |run: &TracedRun| {
+                assert_eq!(format!("{:?}", run.trace), format!("{:?}", fresh.trace));
+                assert_eq!(format!("{:?}", run.tree), format!("{:?}", fresh.tree));
+                assert_eq!(run.output, fresh.output);
+            };
+            for _ in 0..3 {
+                same(&run_traced_limited(&warm, input.clone(), Limits::default()).unwrap());
+                same(&run_traced_batch(&warm, vec![input.clone(); 2], 2).unwrap()[1]);
+            }
+            let tree = warm.clone().with_engine(Engine::TreeWalker);
+            same(&run_traced(&tree, input.clone()).unwrap());
         }
     }
 

@@ -334,8 +334,25 @@ impl Module {
 /// # }
 /// ```
 pub fn analyze(program: Program) -> Result<Module> {
+    analyze_or_else(program, |e, _| e)
+}
+
+/// [`analyze`] with a caller-built error: on failure, `on_error` gets
+/// the diagnostic together with the rejected program, so a caller can
+/// render that program without paying for the rendering when analysis
+/// succeeds.
+///
+/// # Errors
+///
+/// `on_error`'s value for the first semantic error.
+pub fn analyze_or_else<E>(
+    program: Program,
+    on_error: impl FnOnce(Diagnostic, &Program) -> E,
+) -> Result<Module, E> {
     let mut cx = Checker::new();
-    cx.run(&program)?;
+    if let Err(e) = cx.run(&program) {
+        return Err(on_error(e, &program));
+    }
     Ok(Module {
         program,
         vars: cx.vars,

@@ -11,8 +11,10 @@
 //! compacts every shard and prints a report line. Selftest mode
 //! connects as a client and drives the paper's §8 session end to end —
 //! compile, trace, debug, answer — judging each question against a
-//! locally computed golden transcript; with `--shutdown` it stops the
-//! server afterwards (the CI serve tier's last step).
+//! locally computed golden transcript, then runs the session again
+//! unpooled on the now-warm server and requires the same slice and
+//! journal; with `--shutdown` it stops the server afterwards (the CI
+//! serve tier's last step).
 
 use gadt::debugger::DebugConfig;
 use gadt::oracle::{ChainOracle, ReferenceOracle};
@@ -139,63 +141,65 @@ fn main() -> ExitCode {
 /// question from a locally computed golden transcript (reference oracle
 /// against the fixed program). Exercises compile → trace → ask/answer →
 /// slice → journal → compact, and verifies the bug lands in
-/// `decrement`.
+/// `decrement`. A second, unpooled session of the same source then runs
+/// on the now-warm server: its `create` reuses the compiled program, and
+/// its slice and journal must equal the first session's.
 fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
     let golden = golden_transcript()?;
     let mut client = Client::connect_to(addr).map_err(|e| e.to_string())?;
     if !client.ping().map_err(|e| e.to_string())? {
         return Err("ping did not pong".into());
     }
-    let opts = SessionOptions {
-        pool: Some(true),
-        ..SessionOptions::default()
-    };
-    let sid = client
-        .create_session(testprogs::SQRTEST, &opts)
-        .map_err(|e| e.to_string())?;
-    let outputs = client.trace(sid, &[vec![]]).map_err(|e| e.to_string())?;
-    println!("selftest: session {sid}, traced output {:?}", outputs);
-
-    let mut reply = client.ask(sid, 0).map_err(|e| e.to_string())?;
-    let mut answered = 0usize;
-    loop {
-        match reply {
-            AskReply::Done {
-                localized,
-                questions,
-                slices,
-                ..
-            } => {
-                println!(
-                    "selftest: done after {questions} questions ({answered} answered here, \
-                     {slices} slices): bug in {localized:?}"
-                );
-                if localized.as_deref() != Some("decrement") {
-                    return Err(format!("expected bug in `decrement`, got {localized:?}"));
-                }
-                break;
-            }
-            AskReply::Question { ref query, .. } => {
-                let verdict = golden
-                    .get(query)
-                    .cloned()
-                    .ok_or_else(|| format!("server asked an unexpected question: {query}"))?;
-                answered += 1;
-                reply = client.answer(sid, &verdict).map_err(|e| e.to_string())?;
-            }
-        }
-    }
-
+    let cold = drive_session(&mut client, &golden, true)?;
+    println!(
+        "selftest: session {} done after {} questions ({} answered here, {} slices): \
+         bug in decrement",
+        cold.sid, cold.questions, cold.answered, cold.slices
+    );
     let (events, stmts, calls) = client
-        .slice(sid, 0, "decrement", 0)
+        .slice(cold.sid, 0, "decrement", 0)
         .map_err(|e| e.to_string())?;
     println!(
         "selftest: slice of decrement output 0: {events} events, {stmts} stmts, {calls} calls"
     );
-    let fp = client.journal_fingerprint(sid).map_err(|e| e.to_string())?;
+    let fp = client
+        .journal_fingerprint(cold.sid)
+        .map_err(|e| e.to_string())?;
     if fp.is_empty() {
         return Err("journal fingerprint is empty".into());
     }
+
+    let warm = drive_session(&mut client, &golden, false)?;
+    let warm_slice = client
+        .slice(warm.sid, 0, "decrement", 0)
+        .map_err(|e| e.to_string())?;
+    if warm_slice != (events, stmts, calls) {
+        return Err(format!(
+            "warm session's slice {warm_slice:?} differs from the cold session's"
+        ));
+    }
+    if cold.answered as u64 == cold.questions {
+        let warm_fp = client
+            .journal_fingerprint(warm.sid)
+            .map_err(|e| e.to_string())?;
+        if warm_fp != fp {
+            return Err(format!(
+                "warm session {}'s journal differs from cold session {}'s",
+                warm.sid, cold.sid
+            ));
+        }
+        println!(
+            "selftest: warm session {} journal matches cold session {}",
+            warm.sid, cold.sid
+        );
+    } else {
+        // Pooled answers journal differently from user answers.
+        println!(
+            "selftest: session {} rode the pooled store; journals not compared",
+            cold.sid
+        );
+    }
+
     let compacted = client.compact().map_err(|e| e.to_string())?;
     println!("selftest: compacted {compacted} shards");
     if compacted == 0 {
@@ -227,14 +231,24 @@ fn golden_transcript() -> Result<BTreeMap<String, gadt::Verdict>, String> {
         .collect())
 }
 
-/// One full pooled §8 session: create, trace, pump to `done`. Any
-/// question the pool cannot answer is judged from `golden`.
-fn pump_session(
+/// What [`drive_session`] reports of a finished session.
+struct Driven {
+    sid: u64,
+    questions: u64,
+    answered: usize,
+    slices: u64,
+}
+
+/// One full §8 session: create, trace, pump to `done`. Any question the
+/// pool cannot answer (or every question, without `pool`) is judged from
+/// `golden`.
+fn drive_session(
     client: &mut Client,
     golden: &BTreeMap<String, gadt::Verdict>,
-) -> Result<(), String> {
+    pool: bool,
+) -> Result<Driven, String> {
     let opts = SessionOptions {
-        pool: Some(true),
+        pool: Some(pool),
         ..SessionOptions::default()
     };
     let sid = client
@@ -242,19 +256,31 @@ fn pump_session(
         .map_err(|e| e.to_string())?;
     client.trace(sid, &[vec![]]).map_err(|e| e.to_string())?;
     let mut reply = client.ask(sid, 0).map_err(|e| e.to_string())?;
+    let mut answered = 0usize;
     loop {
         match reply {
-            AskReply::Done { localized, .. } => {
+            AskReply::Done {
+                localized,
+                questions,
+                slices,
+                ..
+            } => {
                 if localized.as_deref() != Some("decrement") {
                     return Err(format!("expected bug in `decrement`, got {localized:?}"));
                 }
-                return Ok(());
+                return Ok(Driven {
+                    sid,
+                    questions,
+                    answered,
+                    slices,
+                });
             }
             AskReply::Question { ref query, .. } => {
                 let verdict = golden
                     .get(query)
                     .cloned()
                     .ok_or_else(|| format!("server asked an unexpected question: {query}"))?;
+                answered += 1;
                 reply = client.answer(sid, &verdict).map_err(|e| e.to_string())?;
             }
         }
@@ -291,7 +317,7 @@ fn run_bench(
 
     let golden = golden_transcript()?;
     let t0 = Instant::now();
-    pump_session(&mut client, &golden)?;
+    drive_session(&mut client, &golden, true)?;
     println!(
         "bench: seeding session (user-answered) took {:.1}ms",
         t0.elapsed().as_secs_f64() * 1e3
@@ -305,7 +331,7 @@ fn run_bench(
                 s.spawn(|| -> Result<(), String> {
                     let mut c = Client::connect_to(addr).map_err(|e| e.to_string())?;
                     for _ in 0..sessions {
-                        pump_session(&mut c, &golden)?;
+                        drive_session(&mut c, &golden, true)?;
                     }
                     Ok(())
                 })

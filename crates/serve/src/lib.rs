@@ -16,6 +16,8 @@
 //!   [`gadt::DebugHandle`]s, pooled-knowledge answering, journal
 //!   streaming to subscribers, batched fsynced store appends, and
 //!   background WAL compaction;
+//! * `programs` — the compiled-program table: sessions of one exact
+//!   source text and engine share one Phase I result;
 //! * [`client`] — a typed client used by the integration suite and the
 //!   `gadt-serve --selftest` CI smoke.
 //!
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod programs;
 pub mod proto;
 pub mod server;
 

@@ -222,6 +222,25 @@ mod tests {
     }
 
     #[test]
+    fn multi_mib_frames_decode_in_linear_time() {
+        // A 4 MiB `create` source, half the default cap: decoding must not
+        // rescan the rest of the payload per character.
+        let source = "begin writeln('π ≈ 3.14'); x := \"y\" end;\n".repeat(96 * 1024);
+        assert!(source.len() > 4 << 20);
+        let msg = obj(vec![
+            ("op", Json::Str("create".into())),
+            ("source", Json::Str(source.clone())),
+        ]);
+        let started = std::time::Instant::now();
+        let back = read_frame(&mut Cursor::new(frame_bytes(&msg)), MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        let took = started.elapsed();
+        assert_eq!(str_field(&back, "source"), Some(source.as_str()));
+        assert!(took.as_secs() < 10, "read_frame took {took:?}");
+    }
+
+    #[test]
     fn outgoing_frames_respect_the_cap() {
         let big = Json::Str("x".repeat(64));
         let mut out = Vec::new();

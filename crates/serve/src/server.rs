@@ -20,13 +20,11 @@
 //! sessions; store bytes are invariant for workloads whose per-unit
 //! append sequences are fixed (appends are idempotent and canonical).
 
+use crate::programs::{self, Program, ProgramTable};
 use crate::proto::{bool_field, int_field, read_frame, str_field, write_frame, MAX_FRAME};
 use gadt::debugger::{DebugConfig, DebugResult, Strategy};
 use gadt::handle::{DebugHandle, Verdict};
-use gadt::session::{
-    prepare_observed, run_traced_batch_observed, run_traced_limited, Engine, PreparedProgram,
-    TracedRun,
-};
+use gadt::session::{run_traced_batch_observed, run_traced_limited, Engine, TracedRun};
 use gadt::stored::{answer_from_stored, answer_to_stored, STORED_SOURCE};
 use gadt_analysis::slice_dynamic::{dynamic_slice_output, SliceStats};
 use gadt_exec::BatchExecutor;
@@ -192,7 +190,7 @@ impl Acceptor {
 
 /// One parked debugging/testing session.
 struct ServeSession {
-    prepared: PreparedProgram,
+    program: Arc<Program>,
     limits: Limits,
     custom_limits: bool,
     pool: bool,
@@ -231,6 +229,8 @@ impl ConnQueue {
 struct ServerState {
     store: ShardedStore,
     sessions: Mutex<BTreeMap<u64, Arc<Mutex<ServeSession>>>>,
+    /// Compiled programs shared by the sessions of one source + engine.
+    programs: ProgramTable,
     subscribers: Mutex<Vec<Subscriber>>,
     queue: ConnQueue,
     next_session: AtomicU64,
@@ -306,6 +306,7 @@ impl Server {
         let state = Arc::new(ServerState {
             store,
             sessions: Mutex::new(BTreeMap::new()),
+            programs: ProgramTable::default(),
             subscribers: Mutex::new(Vec::new()),
             queue: ConnQueue {
                 q: Mutex::new(VecDeque::new()),
@@ -654,21 +655,17 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
     let Some(source) = str_field(msg, "source") else {
         return err_resp("missing `source` field");
     };
-    let module = match gadt_pascal::sema::compile(source) {
-        Ok(m) => m,
-        Err(e) => return err_resp(format!("compile: {e}")),
+    let program = match str_field(msg, "engine").map_or(Ok(Engine::default()), parse_engine) {
+        Ok(engine) => state.programs.get_or_compile(source, engine),
+        // A bad source's error wins over an unknown engine's.
+        Err(e) => programs::compile(source, Engine::default()).and(Err(e)),
+    };
+    let program = match program {
+        Ok(p) => p,
+        Err(e) => return err_resp(e),
     };
     let mut rec = Recorder::untimed();
-    let mut prepared = match prepare_observed(&module, &mut rec) {
-        Ok(p) => p,
-        Err(e) => return err_resp(format!("transform: {e}")),
-    };
-    if let Some(name) = str_field(msg, "engine") {
-        match parse_engine(name) {
-            Ok(e) => prepared = prepared.with_engine(e),
-            Err(e) => return err_resp(e),
-        }
-    }
+    rec.adopt(program.journal.clone(), None);
     let mut config = DebugConfig::default();
     if let Some(s) = str_field(msg, "strategy") {
         config.strategy = match Strategy::parse(s) {
@@ -694,13 +691,13 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
         limits.max_depth = n.max(0) as usize;
         custom_limits = true;
     }
-    let engine = prepared.engine();
+    let engine = program.prepared.engine();
     let sid = state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
     state.sessions_created.fetch_add(1, Ordering::Relaxed);
     state.sessions.lock().expect("sessions poisoned").insert(
         sid,
         Arc::new(Mutex::new(ServeSession {
-            prepared,
+            program,
             limits,
             custom_limits,
             pool,
@@ -756,7 +753,7 @@ fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json)
         // trace sequentially with the same per-run observation.
         let span = gadt_obs::span!(&mut sess.rec, "trace", inputs = inputs.len());
         for input in inputs {
-            match run_traced_limited(&sess.prepared, input, sess.limits) {
+            match run_traced_limited(&sess.program.prepared, input, sess.limits) {
                 Ok(run) => {
                     run.trace.observe(&mut sess.rec);
                     run.tree.observe(&mut sess.rec);
@@ -771,7 +768,7 @@ fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json)
         sess.rec.exit(span);
     } else {
         match run_traced_batch_observed(
-            &sess.prepared,
+            &sess.program.prepared,
             inputs,
             state.cfg.batch_threads,
             &mut sess.rec,
@@ -787,7 +784,7 @@ fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json)
     let engine = sess
         .runs
         .last()
-        .map_or(sess.prepared.engine(), |r| r.engine);
+        .map_or(sess.program.prepared.engine(), |r| r.engine);
     let limits = sess.runs.last().map_or(sess.limits, |r| r.limits);
     ok_resp(vec![
         ("runs", Json::Int(sess.runs.len() as i64)),
@@ -939,10 +936,11 @@ fn op_ask(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json) -
                 sess.runs.len()
             ));
         };
+        let transformed = &sess.program.prepared.transformed;
         let mut handle = DebugHandle::new(
-            Arc::new(sess.prepared.transformed.module.clone()),
+            Arc::new(transformed.module.clone()),
             Arc::new(run.trace.clone()),
-            Some(sess.prepared.transformed.mapping.clone()),
+            Some(transformed.mapping.clone()),
             run.tree.clone(),
             sess.config,
         );
@@ -1019,7 +1017,7 @@ fn op_slice(_state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json
         return err_resp("missing `unit` field");
     };
     let out_idx = int_field(msg, "output").unwrap_or(0).max(0) as usize;
-    let module = &sess.prepared.transformed.module;
+    let module = &sess.program.prepared.transformed.module;
     let Some(node) = run.tree.find_call(module, unit) else {
         return err_resp(format!("no call of `{unit}` in run {run_idx}"));
     };
@@ -1101,6 +1099,8 @@ fn op_stats(state: &ServerState) -> Json {
             "requests",
             Json::Int(state.requests.load(Ordering::Relaxed) as i64),
         ),
+        ("programs", Json::Int(state.programs.live() as i64)),
+        ("compiles", Json::Int(state.programs.compiles() as i64)),
         ("shards", Json::Int(state.store.shard_count() as i64)),
         ("answers", Json::Int(state.store.answers_len() as i64)),
         (

@@ -8,8 +8,11 @@ use gadt::oracle::{ChainOracle, ReferenceOracle};
 use gadt::session::{debug, prepare, run_traced};
 use gadt_pascal::testprogs;
 use gadt_pascal::value::Value;
-use gadt_serve::{AskReply, Client, Listen, Server, ServerAddr, ServerConfig, SessionOptions};
-use gadt_store::{ShardedStore, TempDir};
+use gadt_serve::{
+    read_frame, write_frame, AskReply, Client, Listen, Server, ServerAddr, ServerConfig,
+    SessionOptions, MAX_FRAME,
+};
+use gadt_store::{obj, Json, ShardedStore, TempDir};
 use std::collections::BTreeMap;
 
 /// The §8 golden transcript, keyed by rendered query: what a simulated
@@ -338,5 +341,233 @@ fn server_errors_are_reported_not_fatal() {
     // The connection and server are still healthy.
     assert!(client.ping().unwrap());
     drop(client);
+    handle.shutdown().unwrap();
+}
+
+fn op(name: &str, fields: Vec<(&str, Json)>) -> Json {
+    let mut all = vec![("op", Json::Str(name.into()))];
+    all.extend(fields);
+    obj(all)
+}
+
+fn answer_request(sid: i64, verdict: &Verdict) -> Json {
+    let mut fields = vec![("session", Json::Int(sid))];
+    match verdict {
+        Verdict::Correct => fields.push(("verdict", Json::Str("yes".into()))),
+        Verdict::Incorrect { wrong_output } => {
+            fields.push(("verdict", Json::Str("no".into())));
+            if let Some(k) = wrong_output {
+                fields.push(("wrong_output", Json::Int(*k as i64)));
+            }
+        }
+        Verdict::DontKnow => fields.push(("verdict", Json::Str("dont_know".into()))),
+    }
+    op("answer", fields)
+}
+
+/// One unpooled §8 session driven by raw requests: every reply as the
+/// server encoded it (the create reply without its session id, the one
+/// field that must differ), then the session journal's JSON lines.
+fn recorded_session(
+    client: &mut Client,
+    golden: &BTreeMap<String, Verdict>,
+) -> (Vec<String>, String) {
+    let created = client
+        .request(&op(
+            "create",
+            vec![
+                ("source", Json::Str(testprogs::SQRTEST.into())),
+                ("pool", Json::Bool(false)),
+            ],
+        ))
+        .unwrap();
+    let sid = created.get("session").and_then(Json::as_int).unwrap();
+    let Json::Object(fields) = &created else {
+        panic!("create reply is not an object: {created}")
+    };
+    let without_sid = Json::Object(
+        fields
+            .iter()
+            .filter(|(k, _)| k != "session")
+            .cloned()
+            .collect(),
+    );
+    let mut replies = vec![without_sid.to_string()];
+    let session = || ("session", Json::Int(sid));
+    let traced = client
+        .request(&op(
+            "trace",
+            vec![
+                session(),
+                ("inputs", Json::Array(vec![Json::Array(vec![])])),
+            ],
+        ))
+        .unwrap();
+    replies.push(traced.to_string());
+    let mut reply = client
+        .request(&op("ask", vec![session(), ("run", Json::Int(0))]))
+        .unwrap();
+    loop {
+        replies.push(reply.to_string());
+        if reply.get("done").and_then(Json::as_bool) == Some(true) {
+            assert_eq!(
+                reply.get("localized").and_then(Json::as_str),
+                Some("decrement")
+            );
+            break;
+        }
+        let query = reply
+            .get("question")
+            .and_then(|q| q.get("query"))
+            .and_then(Json::as_str)
+            .unwrap();
+        reply = client
+            .request(&answer_request(sid, &golden[query]))
+            .unwrap();
+    }
+    (replies, client.journal_fingerprint(sid as u64).unwrap())
+}
+
+fn stat(client: &mut Client, key: &str) -> i64 {
+    let stats = client.stats().unwrap();
+    stats
+        .get(key)
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| panic!("stats lacks `{key}`: {stats}"))
+}
+
+#[test]
+fn warm_creates_reply_and_journal_exactly_like_the_cold_one() {
+    let golden = golden_answers();
+    let dir = TempDir::new("serve-warm");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 2;
+    let handle = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let (cold_replies, cold_journal) = recorded_session(&mut client, &golden);
+    for warm in 1..3 {
+        let (replies, journal) = recorded_session(&mut client, &golden);
+        assert_eq!(replies, cold_replies, "warm session {warm}");
+        let lines: Vec<&str> = journal.lines().collect();
+        assert_eq!(
+            lines,
+            cold_journal.lines().collect::<Vec<_>>(),
+            "warm session {warm}"
+        );
+        // Both carry the compile journal: the transform span and its
+        // counters.
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains(r#""k":"enter","name":"transform""#)),
+            "{journal}"
+        );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains(r#""k":"counter","name":"transform.rounds""#)),
+            "{journal}"
+        );
+    }
+
+    // Three sessions of one source: one compile, one live program.
+    assert_eq!(stat(&mut client, "sessions"), 3);
+    assert_eq!(stat(&mut client, "compiles"), 1);
+    assert_eq!(stat(&mut client, "programs"), 1);
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn engines_do_not_share_a_program() {
+    let dir = TempDir::new("serve-engines");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let mut outputs = Vec::new();
+    for (engine, name) in [(None, "vm"), (Some("tree"), "tree")] {
+        let mut fields = vec![("source", Json::Str(testprogs::SQRTEST.into()))];
+        if let Some(e) = engine {
+            fields.push(("engine", Json::Str(e.into())));
+        }
+        let created = client.request(&op("create", fields)).unwrap();
+        assert_eq!(created.get("engine").and_then(Json::as_str), Some(name));
+        let sid = created.get("session").unwrap().clone();
+        let traced = client
+            .request(&op(
+                "trace",
+                vec![
+                    ("session", sid),
+                    ("inputs", Json::Array(vec![Json::Array(vec![])])),
+                ],
+            ))
+            .unwrap();
+        assert_eq!(traced.get("engine").and_then(Json::as_str), Some(name));
+        outputs.push(traced.get("outputs").unwrap().to_string());
+    }
+    assert_eq!(outputs[0], outputs[1]);
+    assert_eq!(stat(&mut client, "compiles"), 2);
+    assert_eq!(stat(&mut client, "programs"), 2);
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn failing_creates_repeat_their_error_frame_and_compile_nothing() {
+    const BAD: &str = "program; begin end.";
+    let dir = TempDir::new("serve-bad-source");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let ServerAddr::Tcp(addr) = handle.addr() else {
+        unreachable!("listening on TCP")
+    };
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut frame = |msg: Json| -> String {
+        write_frame(&mut raw, &msg, MAX_FRAME).unwrap();
+        read_frame(&mut raw, MAX_FRAME)
+            .unwrap()
+            .unwrap()
+            .to_string()
+    };
+    let error = |message: String| {
+        obj(vec![
+            ("ok", Json::Bool(false)),
+            ("error", Json::Str(message)),
+        ])
+        .to_string()
+    };
+
+    let compile_error = error(format!(
+        "compile: {}",
+        gadt_pascal::sema::compile(BAD).unwrap_err()
+    ));
+    let engine_error = error("unknown engine `jit` (vm | tree)".into());
+    let create = |source: &str, engine: Option<&str>| {
+        let mut fields = vec![("source", Json::Str(source.into()))];
+        if let Some(e) = engine {
+            fields.push(("engine", Json::Str(e.into())));
+        }
+        op("create", fields)
+    };
+    for _ in 0..3 {
+        assert_eq!(frame(create(BAD, None)), compile_error);
+        assert_eq!(frame(create(BAD, Some("tree"))), compile_error);
+        // The source's errors come before the engine's.
+        assert_eq!(frame(create(BAD, Some("jit"))), compile_error);
+        assert_eq!(frame(create(testprogs::SQRTEST, Some("jit"))), engine_error);
+    }
+    let stats = frame(op("stats", vec![]));
+    let stats = gadt_store::parse(&stats).unwrap();
+    for (key, want) in [("sessions", 0), ("programs", 0), ("compiles", 0)] {
+        assert_eq!(
+            stats.get(key).and_then(Json::as_int),
+            Some(want),
+            "{key}: {stats}"
+        );
+    }
     handle.shutdown().unwrap();
 }

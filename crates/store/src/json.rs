@@ -128,6 +128,7 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 /// through [`gadt_obs::json::validate`] for an offset and message.
 pub fn parse(input: &str) -> Option<Json> {
     let mut p = Parser {
+        src: input,
         b: input.as_bytes(),
         pos: 0,
     };
@@ -141,6 +142,7 @@ pub fn parse(input: &str) -> Option<Json> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -281,11 +283,14 @@ impl Parser<'_> {
                 }
                 c if c < 0x20 => return None,
                 _ => {
-                    // Multi-byte UTF-8: advance over the whole character.
-                    let rest = std::str::from_utf8(&self.b[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // A run of plain characters, copied as one slice. It
+                    // ends at an ASCII byte or the end of the input, so it
+                    // holds whole UTF-8 characters.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -357,7 +362,19 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", "\"open", "01x", "{} junk", "nul"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "\"open",
+            "01x",
+            "{} junk",
+            "nul",
+            "\"a\u{1}b\"",
+            "\"a\nb\"",
+            "\"π open",
+            "\"tail\\",
+        ] {
             assert_eq!(parse(bad), None, "{bad}");
         }
     }
@@ -383,6 +400,20 @@ mod tests {
         let v = Json::Str("π ≈ 3.14159 — ok".into());
         assert_eq!(parse(&v.to_string()), Some(v));
         assert_eq!(parse(r#""Aé""#), Some(Json::Str("Aé".into())));
+    }
+
+    #[test]
+    fn multi_mib_strings_parse_in_linear_time() {
+        // 3 MiB of mixed ASCII, multi-byte characters and escapes: a
+        // per-character rescan of the rest of the input would take
+        // minutes here.
+        let text = "plain ascii, π ≈ 3.14, \"quoted\", tab\t, back\\slash\n".repeat(64 * 1024);
+        assert!(text.len() > 3 << 20);
+        let line = Json::Str(text.clone()).to_string();
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&line), Some(Json::Str(text)));
+        let took = started.elapsed();
+        assert!(took.as_secs() < 10, "parse took {took:?}");
     }
 
     #[test]

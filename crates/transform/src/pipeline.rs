@@ -6,7 +6,7 @@ use crate::mapping::Mapping;
 use gadt_pascal::ast::{Ident, ParamMode, ProcDecl, Stmt, StmtKind};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
 use gadt_pascal::pretty::print_program;
-use gadt_pascal::sema::{analyze, Module};
+use gadt_pascal::sema::{analyze_or_else, Module};
 use gadt_pascal::span::Span;
 
 /// A transformed, re-analyzed program plus its construct mapping.
@@ -112,13 +112,15 @@ fn transform_inner(module: &Module, rec: &mut gadt_obs::Recorder) -> Result<Tran
     ))
 }
 
+/// Re-analyzes a transformed program. The program is printed only when
+/// analysis fails, for the message of what is then a transformation bug.
 fn reanalyze(prog: gadt_pascal::ast::Program) -> Result<Module> {
-    let printed = print_program(&prog);
-    analyze(prog).map_err(|e| {
+    analyze_or_else(prog, |e, prog| {
         Diagnostic::new(
             Stage::Sema,
             format!(
-                "transformed program failed re-analysis: {e}\n--- transformed source ---\n{printed}"
+                "transformed program failed re-analysis: {e}\n--- transformed source ---\n{}",
+                print_program(prog)
             ),
             e.span,
         )
@@ -238,6 +240,25 @@ mod tests {
     use gadt_pascal::sema::compile;
     use gadt_pascal::testprogs;
     use gadt_pascal::value::Value;
+
+    #[test]
+    fn failed_reanalysis_prints_the_rejected_program() {
+        let prog = gadt_pascal::parser::parse_program("program t; begin x := 1 end.").unwrap();
+        let printed = print_program(&prog);
+        let err = reanalyze(prog).unwrap_err();
+        assert!(
+            err.message
+                .starts_with("transformed program failed re-analysis: "),
+            "{}",
+            err.message
+        );
+        assert!(
+            err.message
+                .ends_with(&format!("\n--- transformed source ---\n{printed}")),
+            "{}",
+            err.message
+        );
+    }
 
     fn outputs_match(src: &str, inputs: Vec<Vec<i64>>) {
         let m = compile(src).expect("compile");
