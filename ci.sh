@@ -55,10 +55,11 @@ rmdir "$STORE_TMP"
 # replays the golden §8 session against the server and then asks it to
 # shut down. Before shutting down, the selftest replays the session
 # unpooled on the now-warm server, whose create reuses the compiled
-# program; the tier fails unless that session's journal was compared
-# with the first one's and matched. The clean-shutdown report line only
-# prints after the final store compaction, and a report showing zero
-# compactions fails the tier.
+# program and whose trace reuses the traced run; the tier fails unless
+# the server's compile and trace counts stayed put across that session
+# and its journal was compared with the first one's and matched. The
+# clean-shutdown report line only prints after the final store
+# compaction, and a report showing zero compactions fails the tier.
 echo "==> debugging service tier (gadt-serve e2e over unix socket)"
 cargo build --release -q -p gadt-serve --bin gadt-serve
 SERVE_TMP="$(mktemp -d)"
@@ -78,6 +79,10 @@ SELFTEST_LOG="$SERVE_TMP/selftest.log"
 }
 cat "$SELFTEST_LOG"
 wait "$SERVE_PID"
+grep -q "shared the compiled program and traced run" "$SELFTEST_LOG" || {
+    echo "ci: the warm selftest session did not share its program and run"
+    exit 1
+}
 grep -q "journal matches" "$SELFTEST_LOG" || {
     echo "ci: the warm selftest session's journal was not compared"
     exit 1

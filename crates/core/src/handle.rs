@@ -8,10 +8,11 @@
 //! * [`DebugState`] owns the traversal state — the current (possibly
 //!   pruned) execution tree, the cursor, the transcript — but borrows
 //!   nothing; callers pass the module / trace / mapping on each call.
+//!   `gadt-serve` holds one per session across requests, passing the
+//!   program and traced run that its sessions share.
 //! * [`DebugHandle`] owns everything (`Arc`ed module and trace), exposing
 //!   the no-argument [`DebugHandle::next_question`] /
-//!   [`DebugHandle::answer`] pump that `gadt-serve` holds in its session
-//!   table across requests.
+//!   [`DebugHandle::answer`] pump.
 //!
 //! The synchronous [`crate::Debugger`] is a thin driver loop over
 //! [`DebugState`]; both paths produce byte-identical transcripts (pinned

@@ -55,9 +55,14 @@ impl PreparedProgram {
     /// Selects the execution engine for every later traced run. For
     /// [`Engine::Vm`] this compiles the transformed CFG to bytecode once;
     /// the program is shared by all subsequent (and parallel) runs.
+    /// Selecting the engine already selected returns `self` unchanged,
+    /// so its compiled program is kept rather than built again.
     /// Traces, slices, and journals are byte-identical across engines.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
+        if engine == self.engine {
+            return self;
+        }
         self.engine = engine;
         self.vm = match engine {
             Engine::TreeWalker => None,
@@ -673,6 +678,23 @@ mod batch_session_tests {
         let tree = prepared.clone().with_engine(Engine::TreeWalker);
         let batch = run_traced_batch(&tree, vec![vec![Value::Int(2)]], 1).unwrap();
         assert_eq!(batch[0].engine, Engine::TreeWalker);
+    }
+
+    #[test]
+    fn selecting_the_current_engine_keeps_its_compiled_program() {
+        let prepared = prepare(&compile(SUMMER).unwrap()).unwrap();
+        assert_eq!(prepared.engine(), Engine::Vm);
+        let compiled = Arc::clone(prepared.vm.as_ref().unwrap());
+        let same = prepared.with_engine(Engine::Vm);
+        assert!(Arc::ptr_eq(&compiled, same.vm.as_ref().unwrap()));
+
+        // A real switch still recompiles.
+        let back = same.with_engine(Engine::TreeWalker).with_engine(Engine::Vm);
+        assert!(!Arc::ptr_eq(&compiled, back.vm.as_ref().unwrap()));
+        assert_eq!(
+            run_traced(&back, vec![Value::Int(3)]).unwrap().output,
+            "6\n"
+        );
     }
 
     #[test]

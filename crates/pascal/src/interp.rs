@@ -215,7 +215,7 @@ pub struct ProcRun {
 }
 
 /// Interpreter configuration limits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Maximum number of step events before aborting.
     pub max_steps: u64,

@@ -13,14 +13,15 @@
 //! compile, trace, debug, answer — judging each question against a
 //! locally computed golden transcript, then runs the session again
 //! unpooled on the now-warm server and requires the same slice and
-//! journal; with `--shutdown` it stops the server afterwards (the CI
-//! serve tier's last step).
+//! journal, with no new compile or trace; with `--shutdown` it stops
+//! the server afterwards (the CI serve tier's last step).
 
 use gadt::debugger::DebugConfig;
 use gadt::oracle::{ChainOracle, ReferenceOracle};
 use gadt::session::{debug, prepare, run_traced};
 use gadt_pascal::testprogs;
 use gadt_serve::{AskReply, Client, Listen, Server, ServerConfig, SessionOptions};
+use gadt_store::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -142,8 +143,10 @@ fn main() -> ExitCode {
 /// against the fixed program). Exercises compile → trace → ask/answer →
 /// slice → journal → compact, and verifies the bug lands in
 /// `decrement`. A second, unpooled session of the same source then runs
-/// on the now-warm server: its `create` reuses the compiled program, and
-/// its slice and journal must equal the first session's.
+/// on the now-warm server: its `create` reuses the compiled program and
+/// its `trace` the traced run, so the server's `compiles` and `traces`
+/// must not move, and its slice and journal must equal the first
+/// session's.
 fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
     let golden = golden_transcript()?;
     let mut client = Client::connect_to(addr).map_err(|e| e.to_string())?;
@@ -169,7 +172,21 @@ fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
         return Err("journal fingerprint is empty".into());
     }
 
+    let before = build_counts(&mut client)?;
     let warm = drive_session(&mut client, &golden, false)?;
+    let after = build_counts(&mut client)?;
+    if after != before {
+        return Err(format!(
+            "warm session {} compiled or traced again: (compiles, traces) went \
+             {before:?} -> {after:?}",
+            warm.sid
+        ));
+    }
+    println!(
+        "selftest: warm session {} shared the compiled program and traced run \
+         (compiles {}, traces {})",
+        warm.sid, after.0, after.1
+    );
     let warm_slice = client
         .slice(warm.sid, 0, "decrement", 0)
         .map_err(|e| e.to_string())?;
@@ -211,6 +228,18 @@ fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
     }
     println!("selftest: OK");
     Ok(())
+}
+
+/// The server's `compiles` and `traces` counters.
+fn build_counts(client: &mut Client) -> Result<(i64, i64), String> {
+    let stats = client.stats().map_err(|e| e.to_string())?;
+    let count = |key: &str| {
+        stats
+            .get(key)
+            .and_then(Json::as_int)
+            .ok_or_else(|| format!("stats lacks `{key}`: {stats}"))
+    };
+    Ok((count("compiles")?, count("traces")?))
 }
 
 /// The callback driver's §8 transcript, keyed by the rendered query.

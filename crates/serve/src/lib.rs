@@ -13,11 +13,13 @@
 //!   obs validator;
 //! * [`server`] — the accept loop, worker pool (layered on
 //!   [`gadt_exec::BatchExecutor`]), session table of resumable
-//!   [`gadt::DebugHandle`]s, pooled-knowledge answering, journal
-//!   streaming to subscribers, batched fsynced store appends, and
-//!   background WAL compaction;
+//!   [`gadt::DebugState`]s pumped over borrowed program artifacts,
+//!   pooled-knowledge answering, journal streaming to subscribers,
+//!   batched fsynced store appends, and background WAL compaction;
 //! * `programs` — the compiled-program table: sessions of one exact
-//!   source text and engine share one Phase I result;
+//!   source text and engine share one Phase I result, and sessions of
+//!   that program that trace one input row under one set of limits
+//!   share one traced run;
 //! * [`client`] — a typed client used by the integration suite and the
 //!   `gadt-serve --selftest` CI smoke.
 //!

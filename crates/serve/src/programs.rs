@@ -1,20 +1,26 @@
-//! The compiled-program table: every session of one source text on one
-//! engine shares a single Phase I result.
+//! The compiled-program table, and in each program the traced-run
+//! table: every session of one source text on one engine shares a single
+//! Phase I result, and every session of that program that traces one
+//! input row under one set of limits shares a single Phase II run.
 //!
-//! The paper's pipeline (Figure 3) transforms a program once; only
-//! tracing and querying happen per input. A `create` therefore looks its
-//! exact source text and engine up here and compiles (parse, sema, §6
-//! transform, CFG lowering, VM compile) only on a miss. Entries are
-//! [`Weak`]: a program lives exactly as long as some session holds it,
-//! so the table needs no capacity bound of its own.
+//! The paper's pipeline (Figure 3) transforms a program once and traces
+//! it once per input; only querying happens per session. A `create`
+//! therefore looks its exact source text and engine up here and
+//! compiles (parse, sema, §6 transform, CFG lowering, VM compile) only
+//! on a miss, and a `trace` looks each input row up in its program and
+//! runs only the misses. Entries in both tables are [`Weak`]: a program
+//! or a run lives exactly as long as some session holds it, so neither
+//! table needs a capacity bound of its own.
 
-use gadt::session::{prepare_observed, Engine, PreparedProgram};
+use gadt::session::{prepare_observed, run_traced_limited, Engine, PreparedProgram, TracedRun};
 use gadt_obs::{Journal, Recorder};
+use gadt_pascal::interp::Limits;
+use gadt_pascal::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-/// Phase I of one source on one engine.
+/// Phase I of one source on one engine, and the runs traced from it.
 #[derive(Debug)]
 pub(crate) struct Program {
     /// The transformed, lowered and compiled program.
@@ -23,7 +29,24 @@ pub(crate) struct Program {
     /// session's recorder adopts a copy, so a session journals the same
     /// bytes whether its `create` hit the table or missed it.
     pub(crate) journal: Journal,
+    /// Runs of this program that some session holds.
+    runs: Mutex<HashMap<RunKey, Weak<Run>>>,
 }
+
+/// Phase II of one program on one input row under one set of limits.
+#[derive(Debug)]
+pub(crate) struct Run {
+    /// The trace, its execution tree and the program's output.
+    pub(crate) traced: TracedRun,
+    /// What tracing recorded (trace and tree sizes). A session's
+    /// recorder adopts a copy inside its `trace` span, so a session
+    /// journals the same bytes whether its run was shared or traced.
+    pub(crate) journal: Journal,
+}
+
+/// A run's key within its program: the exact input row, as its `Debug`
+/// text (which tells `0.0` from `-0.0`), and the limits it ran under.
+type RunKey = (String, Limits);
 
 /// Compiles `source` for `engine`, journaling into an untimed recorder.
 ///
@@ -32,15 +55,40 @@ pub(crate) struct Program {
 pub(crate) fn compile(source: &str, engine: Engine) -> Result<Program, String> {
     let module = gadt_pascal::sema::compile(source).map_err(|e| format!("compile: {e}"))?;
     let mut rec = Recorder::untimed();
-    let mut prepared =
-        prepare_observed(&module, &mut rec).map_err(|e| format!("transform: {e}"))?;
-    if prepared.engine() != engine {
-        prepared = prepared.with_engine(engine);
-    }
+    let prepared = prepare_observed(&module, &mut rec)
+        .map_err(|e| format!("transform: {e}"))?
+        .with_engine(engine);
     Ok(Program {
         prepared,
         journal: rec.finish(),
+        runs: Mutex::default(),
     })
+}
+
+impl Program {
+    /// Traces `input` under `limits`, journaling into an untimed recorder.
+    ///
+    /// # Errors
+    /// The error frame's message: `trace: …`.
+    fn trace(&self, input: Vec<Value>, limits: Limits) -> Result<Run, String> {
+        let traced =
+            run_traced_limited(&self.prepared, input, limits).map_err(|e| format!("trace: {e}"))?;
+        let mut rec = Recorder::untimed();
+        traced.trace.observe(&mut rec);
+        traced.tree.observe(&mut rec);
+        Ok(Run {
+            traced,
+            journal: rec.finish(),
+        })
+    }
+
+    /// Runs some session still holds.
+    fn live_runs(&self) -> usize {
+        lock(&self.runs)
+            .values()
+            .filter(|w| w.strong_count() > 0)
+            .count()
+    }
 }
 
 /// Shared programs keyed by exact source text, one slot per engine.
@@ -48,6 +96,7 @@ pub(crate) fn compile(source: &str, engine: Engine) -> Result<Program, String> {
 pub(crate) struct ProgramTable {
     entries: Mutex<HashMap<String, Vec<Weak<Program>>>>,
     compiles: AtomicU64,
+    traces: AtomicU64,
 }
 
 /// The live program among `slots` that runs on `engine`.
@@ -56,6 +105,10 @@ fn live_on(slots: &[Weak<Program>], engine: Engine) -> Option<Arc<Program>> {
         .iter()
         .filter_map(Weak::upgrade)
         .find(|p| p.prepared.engine() == engine)
+}
+
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().expect("program table poisoned")
 }
 
 impl ProgramTable {
@@ -71,8 +124,7 @@ impl ProgramTable {
         source: &str,
         engine: Engine,
     ) -> Result<Arc<Program>, String> {
-        if let Some(p) = self
-            .lock()
+        if let Some(p) = lock(&self.entries)
             .get(source)
             .and_then(|slots| live_on(slots, engine))
         {
@@ -80,7 +132,7 @@ impl ProgramTable {
         }
         let built = Arc::new(compile(source, engine)?);
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.lock();
+        let mut entries = lock(&self.entries);
         // Forget programs whose last session is gone.
         entries.retain(|_, slots| {
             slots.retain(|w| w.strong_count() > 0);
@@ -94,13 +146,52 @@ impl ProgramTable {
         Ok(built)
     }
 
+    /// The shared run of `program` on `input` under `limits`. Like a
+    /// compile, a miss traces outside the lock and the first insert
+    /// wins; runs that fail never enter the table.
+    ///
+    /// # Errors
+    /// The error frame's message: `trace: …`.
+    pub(crate) fn get_or_trace(
+        &self,
+        program: &Program,
+        input: Vec<Value>,
+        limits: Limits,
+    ) -> Result<Arc<Run>, String> {
+        let key = (format!("{input:?}"), limits);
+        if let Some(run) = lock(&program.runs).get(&key).and_then(Weak::upgrade) {
+            return Ok(run);
+        }
+        let traced = Arc::new(program.trace(input, limits)?);
+        self.traces.fetch_add(1, Ordering::Relaxed);
+        let mut runs = lock(&program.runs);
+        // Forget runs whose last session is gone.
+        runs.retain(|_, w| w.strong_count() > 0);
+        let slot = runs.entry(key).or_default();
+        if let Some(first) = slot.upgrade() {
+            return Ok(first);
+        }
+        *slot = Arc::downgrade(&traced);
+        Ok(traced)
+    }
+
     /// Programs some session still holds.
     pub(crate) fn live(&self) -> usize {
-        self.lock()
+        lock(&self.entries)
             .values()
             .flatten()
             .filter(|w| w.strong_count() > 0)
             .count()
+    }
+
+    /// Runs some session still holds, over every live program.
+    pub(crate) fn live_runs(&self) -> usize {
+        lock(&self.entries)
+            .values()
+            .flatten()
+            .filter_map(Weak::upgrade)
+            .map(|p| p.live_runs())
+            .sum()
     }
 
     /// Programs built since start (hits excluded).
@@ -108,8 +199,9 @@ impl ProgramTable {
         self.compiles.load(Ordering::Relaxed)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Vec<Weak<Program>>>> {
-        self.entries.lock().expect("program table poisoned")
+    /// Runs traced since start (hits excluded).
+    pub(crate) fn traces(&self) -> u64 {
+        self.traces.load(Ordering::Relaxed)
     }
 }
 
@@ -141,7 +233,7 @@ mod tests {
             .get_or_compile(testprogs::SQRTEST, Engine::Vm)
             .unwrap();
         assert_eq!((table.live(), table.compiles()), (1, 2));
-        assert_eq!(table.lock().values().flatten().count(), 1);
+        assert_eq!(lock(&table.entries).values().flatten().count(), 1);
         drop(third);
     }
 
@@ -163,5 +255,57 @@ mod tests {
         let other = table.get_or_compile(&spaced, Engine::Vm).unwrap();
         assert!(!Arc::ptr_eq(&vm, &other));
         assert_eq!((table.live(), table.compiles()), (3, 3));
+    }
+
+    #[test]
+    fn a_shared_run_lives_until_its_last_holder_drops() {
+        let table = ProgramTable::default();
+        let program = table
+            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
+            .unwrap();
+        let limits = Limits::default();
+        let first = table.get_or_trace(&program, vec![], limits).unwrap();
+        let second = table.get_or_trace(&program, vec![], limits).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((table.live_runs(), table.traces()), (1, 1));
+
+        // Other limits are another run.
+        let bounded = Limits {
+            max_steps: 1_000_000,
+            ..limits
+        };
+        let other = table.get_or_trace(&program, vec![], bounded).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!(other.traced.output, first.traced.output);
+        assert_eq!(other.journal.fingerprint(), first.journal.fingerprint());
+        assert_eq!((table.live_runs(), table.traces()), (2, 2));
+
+        drop((first, other));
+        assert_eq!(table.live_runs(), 1, "the second holder keeps it alive");
+        drop(second);
+        assert_eq!(table.live_runs(), 0);
+
+        // The next request traces afresh, and the miss clears the dead
+        // entries.
+        let again = table.get_or_trace(&program, vec![], limits).unwrap();
+        assert_eq!((table.live_runs(), table.traces()), (1, 3));
+        assert_eq!(lock(&program.runs).len(), 1);
+        drop(again);
+    }
+
+    #[test]
+    fn failed_runs_never_enter_the_table() {
+        let table = ProgramTable::default();
+        let program = table
+            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
+            .unwrap();
+        let starved = Limits {
+            max_steps: 1,
+            ..Limits::default()
+        };
+        let err = table.get_or_trace(&program, vec![], starved).unwrap_err();
+        assert!(err.starts_with("trace: "), "{err}");
+        assert_eq!(table.traces(), 0);
+        assert!(lock(&program.runs).is_empty());
     }
 }

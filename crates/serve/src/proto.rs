@@ -128,25 +128,27 @@ fn decode(payload: &[u8]) -> io::Result<Json> {
     })
 }
 
-/// Writes one frame (prefix + canonical serialization) and flushes.
+/// Writes one frame (prefix + canonical serialization) in a single
+/// `write_all`, then flushes: on an unbuffered socket that is one
+/// syscall per frame, and the peer wakes once for it.
 ///
 /// # Errors
 /// `InvalidData` when the encoded payload exceeds `max_frame`;
 /// otherwise transport errors.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Json, max_frame: u32) -> io::Result<()> {
-    let payload = msg.to_string();
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if len > max_frame || payload.len() > u32::MAX as usize {
+    // Serialize behind four placeholder bytes, then fill in the prefix.
+    let mut frame = vec![0u8; 4];
+    write!(frame, "{msg}")?;
+    let payload = frame.len() - 4;
+    let len = u32::try_from(payload).unwrap_or(u32::MAX);
+    if len > max_frame || payload > u32::MAX as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "outgoing frame of {} bytes exceeds the {max_frame}-byte cap",
-                payload.len()
-            ),
+            format!("outgoing frame of {payload} bytes exceeds the {max_frame}-byte cap"),
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -238,6 +240,40 @@ mod tests {
         let took = started.elapsed();
         assert_eq!(str_field(&back, "source"), Some(source.as_str()));
         assert!(took.as_secs() < 10, "read_frame took {took:?}");
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_prefix_and_payload() {
+        let msgs = [
+            obj(vec![("op", Json::Str("ping".into()))]),
+            obj(vec![("source", Json::Str("π".repeat(1000)))]),
+        ];
+        let mut w = CountingWriter::default();
+        for msg in &msgs {
+            write_frame(&mut w, msg, MAX_FRAME).unwrap();
+        }
+        assert_eq!(w.writes.len(), msgs.len());
+        for (bytes, msg) in w.writes.iter().zip(&msgs) {
+            let payload = msg.to_string();
+            assert_eq!(bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&bytes[4..], payload.as_bytes());
+        }
     }
 
     #[test]

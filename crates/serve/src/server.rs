@@ -20,12 +20,13 @@
 //! sessions; store bytes are invariant for workloads whose per-unit
 //! append sequences are fixed (appends are idempotent and canonical).
 
-use crate::programs::{self, Program, ProgramTable};
+use crate::programs::{self, Program, ProgramTable, Run};
 use crate::proto::{bool_field, int_field, read_frame, str_field, write_frame, MAX_FRAME};
 use gadt::debugger::{DebugConfig, DebugResult, Strategy};
-use gadt::handle::{DebugHandle, Verdict};
-use gadt::session::{run_traced_batch_observed, run_traced_limited, Engine, TracedRun};
+use gadt::handle::{DebugState, Verdict};
+use gadt::session::Engine;
 use gadt::stored::{answer_from_stored, answer_to_stored, STORED_SOURCE};
+use gadt::strategy::AnswerProbe;
 use gadt_analysis::slice_dynamic::{dynamic_slice_output, SliceStats};
 use gadt_exec::BatchExecutor;
 use gadt_obs::Recorder;
@@ -107,9 +108,6 @@ pub struct ServerConfig {
     pub compact_interval: Duration,
     /// Maximum frame payload size.
     pub max_frame: u32,
-    /// Threads for per-request trace batches (0 = all cores). Kept at 1
-    /// by default: the connection pool is the parallelism axis.
-    pub batch_threads: usize,
 }
 
 impl ServerConfig {
@@ -124,7 +122,6 @@ impl ServerConfig {
             compact_threshold: 64,
             compact_interval: Duration::from_millis(25),
             max_frame: MAX_FRAME,
-            batch_threads: 1,
         }
     }
 }
@@ -177,9 +174,9 @@ impl Acceptor {
     fn accept(&self) -> io::Result<Stream> {
         match self {
             Acceptor::Tcp(l) => l.accept().map(|(s, _)| {
-                // A length-prefixed request/response protocol writes two
-                // small buffers per frame; without TCP_NODELAY every
-                // round-trip stalls on Nagle vs. delayed ACK.
+                // A request/response protocol of small frames: without
+                // TCP_NODELAY every round-trip stalls on Nagle vs.
+                // delayed ACK.
                 let _ = s.set_nodelay(true);
                 Stream::Tcp(s)
             }),
@@ -188,16 +185,24 @@ impl Acceptor {
     }
 }
 
-/// One parked debugging/testing session.
+/// One parked debugging/testing session. It owns no program artifact:
+/// the program and its runs are shared with every session of the same
+/// source, engine, inputs and limits, and `debug` borrows them on each
+/// request.
 struct ServeSession {
     program: Arc<Program>,
     limits: Limits,
-    custom_limits: bool,
     pool: bool,
     config: DebugConfig,
-    runs: Vec<TracedRun>,
+    runs: Vec<Arc<Run>>,
     rec: Recorder,
-    handle: Option<DebugHandle>,
+    debug: Option<Debugging>,
+}
+
+/// A session's traversal over one of its runs.
+struct Debugging {
+    run: Arc<Run>,
+    state: DebugState,
 }
 
 struct Subscriber {
@@ -544,10 +549,14 @@ fn event_frame(sid: u64, line: &str) -> Json {
 /// Pushes journal events accumulated since each subscriber's high-water
 /// mark. Called with the session lock held by the mutating worker, so
 /// subscribers observe every request's events exactly once, in order.
+/// The journal is copied only when the session has a subscriber.
 fn push_updates(state: &ServerState, sid: u64, sess: &ServeSession) {
+    let mut subs = state.subscribers.lock().expect("subscribers poisoned");
+    if !subs.iter().any(|s| s.session == sid) {
+        return;
+    }
     let snap = sess.rec.snapshot();
     let total = snap.len();
-    let mut subs = state.subscribers.lock().expect("subscribers poisoned");
     subs.retain_mut(|s| {
         if s.session != sid {
             return true;
@@ -682,14 +691,11 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
     }
     let pool = bool_field(msg, "pool").unwrap_or(true);
     let mut limits = Limits::default();
-    let mut custom_limits = false;
     if let Some(n) = int_field(msg, "max_steps") {
         limits.max_steps = n.max(0) as u64;
-        custom_limits = true;
     }
     if let Some(n) = int_field(msg, "max_depth") {
         limits.max_depth = n.max(0) as usize;
-        custom_limits = true;
     }
     let engine = program.prepared.engine();
     let sid = state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
@@ -699,12 +705,11 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
         Arc::new(Mutex::new(ServeSession {
             program,
             limits,
-            custom_limits,
             pool,
             config,
             runs: Vec::new(),
             rec,
-            handle: None,
+            debug: None,
         })),
     );
     ok_resp(vec![
@@ -742,50 +747,43 @@ fn parse_inputs(msg: &Json) -> Result<Vec<Vec<Value>>, Json> {
     Ok(inputs)
 }
 
+/// Traces each input row in order, sharing every run another session
+/// of this program already holds. A failing row fails the whole request
+/// and adds no run; the rows before it stay in the journal.
 fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json) -> Json {
     let inputs = match parse_inputs(msg) {
         Ok(i) => i,
         Err(e) => return e,
     };
-    let first = sess.runs.len();
-    if sess.custom_limits {
-        // The batch path runs under default limits; bounded sessions
-        // trace sequentially with the same per-run observation.
-        let span = gadt_obs::span!(&mut sess.rec, "trace", inputs = inputs.len());
-        for input in inputs {
-            match run_traced_limited(&sess.program.prepared, input, sess.limits) {
-                Ok(run) => {
-                    run.trace.observe(&mut sess.rec);
-                    run.tree.observe(&mut sess.rec);
-                    sess.runs.push(run);
-                }
-                Err(e) => {
-                    sess.rec.exit(span);
-                    return err_resp(format!("trace: {e}"));
-                }
+    let span = gadt_obs::span!(&mut sess.rec, "trace", inputs = inputs.len());
+    let mut runs = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        match state
+            .programs
+            .get_or_trace(&sess.program, input, sess.limits)
+        {
+            Ok(run) => {
+                sess.rec.adopt(run.journal.clone(), None);
+                runs.push(run);
+            }
+            Err(e) => {
+                sess.rec.exit(span);
+                return err_resp(e);
             }
         }
-        sess.rec.exit(span);
-    } else {
-        match run_traced_batch_observed(
-            &sess.program.prepared,
-            inputs,
-            state.cfg.batch_threads,
-            &mut sess.rec,
-        ) {
-            Ok(runs) => sess.runs.extend(runs),
-            Err(e) => return err_resp(format!("trace: {e}")),
-        }
     }
-    let outputs: Vec<Json> = sess.runs[first..]
+    sess.rec.exit(span);
+    let outputs: Vec<Json> = runs
         .iter()
-        .map(|r| Json::Str(r.output.clone()))
+        .map(|r| Json::Str(r.traced.output.clone()))
         .collect();
-    let engine = sess
+    sess.runs.extend(runs);
+    let (engine, limits) = sess
         .runs
         .last()
-        .map_or(sess.program.prepared.engine(), |r| r.engine);
-    let limits = sess.runs.last().map_or(sess.limits, |r| r.limits);
+        .map_or((sess.program.prepared.engine(), sess.limits), |r| {
+            (r.traced.engine, r.traced.limits)
+        });
     ok_resp(vec![
         ("runs", Json::Int(sess.runs.len() as i64)),
         ("outputs", Json::Array(outputs)),
@@ -843,36 +841,50 @@ fn journal_slice(rec: &mut Recorder, stats: SliceStats) {
     );
 }
 
+/// The pending question's unit and In-values: the store's key for its
+/// answer.
+fn pending_key(sess: &ServeSession) -> Option<(String, Vec<Value>)> {
+    let q = sess.debug.as_ref()?.state.next_question()?;
+    Some((
+        q.unit.clone(),
+        q.ins.iter().map(|(_, v)| v.clone()).collect(),
+    ))
+}
+
+/// Answers the pending question of `unit` as `source`, journaling the
+/// question and any slice it took exactly as the synchronous driver
+/// would. The traversal borrows the shared program and run.
+fn answer_pending(sess: &mut ServeSession, unit: &str, verdict: Verdict, source: &str) {
+    let Some(debug) = sess.debug.as_mut() else {
+        return;
+    };
+    journal_question(&mut sess.rec, unit, source, &verdict, sess.config.strategy);
+    let before = debug.state.slices_taken();
+    let transformed = &sess.program.prepared.transformed;
+    debug.state.answer(
+        &transformed.module,
+        &debug.run.traced.trace,
+        Some(&transformed.mapping),
+        verdict,
+        source,
+    );
+    if debug.state.slices_taken() > before {
+        journal_slice(&mut sess.rec, debug.state.slice_stats()[before]);
+    }
+}
+
 /// Answers every pending question the pooled store already knows,
 /// journaling each exactly as the synchronous driver would.
 fn drain_pooled(state: &ServerState, sess: &mut ServeSession) {
     if !sess.pool {
         return;
     }
-    let Some(handle) = sess.handle.as_mut() else {
-        return;
-    };
-    loop {
-        let Some((unit, ins)) = handle.next_question().map(|q| {
-            (
-                q.unit.clone(),
-                q.ins.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>(),
-            )
-        }) else {
-            return;
-        };
+    while let Some((unit, ins)) = pending_key(sess) {
         let Some(stored) = state.store.lookup_answer(&unit, &ins) else {
             return;
         };
-        let answer = answer_from_stored(stored);
         sess.rec.incr("store.hits");
-        let strategy = sess.config.strategy;
-        journal_question(&mut sess.rec, &unit, STORED_SOURCE, &answer, strategy);
-        let before = handle.slices_taken();
-        handle.answer_from(answer, STORED_SOURCE);
-        if handle.slices_taken() > before {
-            journal_slice(&mut sess.rec, handle.slice_stats()[before]);
-        }
+        answer_pending(sess, &unit, answer_from_stored(stored), STORED_SOURCE);
     }
 }
 
@@ -893,13 +905,14 @@ fn values_json(pairs: &[(String, Value)]) -> Json {
 /// The shared reply of `ask` and `answer`: the next pending question,
 /// or the finished verdict.
 fn session_reply(sess: &ServeSession) -> Json {
-    let Some(handle) = sess.handle.as_ref() else {
+    let Some(debug) = sess.debug.as_ref() else {
         return err_resp("session has no debug handle (call `ask` first)");
     };
-    if let Some(q) = handle.next_question() {
+    let state = &debug.state;
+    if let Some(q) = state.next_question() {
         ok_resp(vec![
             ("done", Json::Bool(false)),
-            ("asked", Json::Int(handle.transcript().len() as i64)),
+            ("asked", Json::Int(state.transcript().len() as i64)),
             (
                 "question",
                 obj(vec![
@@ -911,7 +924,7 @@ fn session_reply(sess: &ServeSession) -> Json {
             ),
         ])
     } else {
-        let (localized, rendering) = match handle.result() {
+        let (localized, rendering) = match state.result() {
             Some(DebugResult::BugLocalized { unit, rendering }) => {
                 (Json::Str(unit.clone()), Json::Str(rendering.clone()))
             }
@@ -919,16 +932,19 @@ fn session_reply(sess: &ServeSession) -> Json {
         };
         ok_resp(vec![
             ("done", Json::Bool(true)),
-            ("questions", Json::Int(handle.transcript().len() as i64)),
-            ("slices", Json::Int(handle.slices_taken() as i64)),
+            ("questions", Json::Int(state.transcript().len() as i64)),
+            ("slices", Json::Int(state.slices_taken() as i64)),
             ("localized", localized),
             ("rendering", rendering),
         ])
     }
 }
 
+/// Starts the session's traversal over one of its runs on the first
+/// `ask`; the only copy it makes is of the run's execution tree, which
+/// slicing prunes.
 fn op_ask(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json) -> Json {
-    if sess.handle.is_none() {
+    if sess.debug.is_none() {
         let run_idx = int_field(msg, "run").unwrap_or(0).max(0) as usize;
         let Some(run) = sess.runs.get(run_idx) else {
             return err_resp(format!(
@@ -937,19 +953,19 @@ fn op_ask(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json) -
             ));
         };
         let transformed = &sess.program.prepared.transformed;
-        let mut handle = DebugHandle::new(
-            Arc::new(transformed.module.clone()),
-            Arc::new(run.trace.clone()),
-            Some(transformed.mapping.clone()),
-            run.tree.clone(),
-            sess.config,
-        );
+        let (module, mapping) = (&transformed.module, Some(&transformed.mapping));
+        let tree = &run.traced.tree;
+        let mut debug = DebugState::new(module, mapping, tree.clone(), tree.root, sess.config);
         if sess.pool && sess.config.strategy == Strategy::KnowledgeWeighted {
-            handle = handle.with_probe(Box::new(PooledProbe {
+            let probe: Box<dyn AnswerProbe> = Box::new(PooledProbe {
                 store: state.store.clone(),
-            }));
+            });
+            debug.attach_probe(module, mapping, probe);
         }
-        sess.handle = Some(handle);
+        sess.debug = Some(Debugging {
+            run: Arc::clone(run),
+            state: debug,
+        });
     }
     drain_pooled(state, sess);
     session_reply(sess)
@@ -973,23 +989,13 @@ fn op_answer(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json
         Ok(v) => v,
         Err(e) => return e,
     };
-    let Some(handle) = sess.handle.as_mut() else {
+    if sess.debug.is_none() {
         return err_resp("session has no debug handle (call `ask` first)");
-    };
-    let Some((unit, ins)) = handle.next_question().map(|q| {
-        (
-            q.unit.clone(),
-            q.ins.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>(),
-        )
-    }) else {
+    }
+    let Some((unit, ins)) = pending_key(sess) else {
         return err_resp("session has no pending question");
     };
-    journal_question(&mut sess.rec, &unit, "user", &verdict, sess.config.strategy);
-    let before = handle.slices_taken();
-    handle.answer_from(verdict.clone(), "user");
-    if handle.slices_taken() > before {
-        journal_slice(&mut sess.rec, handle.slice_stats()[before]);
-    }
+    answer_pending(sess, &unit, verdict.clone(), "user");
     // Durability before acknowledgement: the answer is on disk (fsynced
     // on its shard) before the client sees this response.
     if let Some(stored) = answer_to_stored(&verdict) {
@@ -1018,13 +1024,13 @@ fn op_slice(_state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json
     };
     let out_idx = int_field(msg, "output").unwrap_or(0).max(0) as usize;
     let module = &sess.program.prepared.transformed.module;
-    let Some(node) = run.tree.find_call(module, unit) else {
+    let Some(node) = run.traced.tree.find_call(module, unit) else {
         return err_resp(format!("no call of `{unit}` in run {run_idx}"));
     };
-    let NodeKind::Call { call, .. } = run.tree.node(node).kind else {
+    let NodeKind::Call { call, .. } = run.traced.tree.node(node).kind else {
         return err_resp(format!("`{unit}` is not a call node"));
     };
-    let stats = dynamic_slice_output(module, &run.trace, call, out_idx).stats();
+    let stats = dynamic_slice_output(module, &run.traced.trace, call, out_idx).stats();
     sess.rec.incr("serve.slices");
     gadt_obs::event!(
         &mut sess.rec,
@@ -1101,6 +1107,8 @@ fn op_stats(state: &ServerState) -> Json {
         ),
         ("programs", Json::Int(state.programs.live() as i64)),
         ("compiles", Json::Int(state.programs.compiles() as i64)),
+        ("runs", Json::Int(state.programs.live_runs() as i64)),
+        ("traces", Json::Int(state.programs.traces() as i64)),
         ("shards", Json::Int(state.store.shard_count() as i64)),
         ("answers", Json::Int(state.store.answers_len() as i64)),
         (

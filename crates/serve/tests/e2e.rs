@@ -471,11 +471,96 @@ fn warm_creates_reply_and_journal_exactly_like_the_cold_one() {
         );
     }
 
-    // Three sessions of one source: one compile, one live program.
+    // Three sessions of one source and input: one compile and one
+    // traced run, both live.
     assert_eq!(stat(&mut client, "sessions"), 3);
     assert_eq!(stat(&mut client, "compiles"), 1);
     assert_eq!(stat(&mut client, "programs"), 1);
+    assert_eq!(stat(&mut client, "traces"), 1);
+    assert_eq!(stat(&mut client, "runs"), 1);
     drop(client);
+    handle.shutdown().unwrap();
+}
+
+/// Reads one integer `n` and prints 1 + … + n.
+const SUMMER: &str = "program t; var n, s, i: integer;
+     begin read(n); s := 0; for i := 1 to n do s := s + i; writeln(s) end.";
+
+#[test]
+fn sessions_under_other_limits_do_not_share_a_run() {
+    let dir = TempDir::new("serve-run-limits");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let bounded = SessionOptions {
+        max_steps: Some(1_000_000),
+        ..SessionOptions::default()
+    };
+    let mut outputs = Vec::new();
+    for opts in [
+        &SessionOptions::default(),
+        &bounded,
+        &SessionOptions::default(),
+    ] {
+        let sid = client.create_session(SUMMER, opts).unwrap();
+        outputs.push(client.trace(sid, &[vec![Value::Int(4)]]).unwrap());
+    }
+    assert_eq!(outputs[0], ["10\n"]);
+    assert!(outputs.iter().all(|o| *o == outputs[0]), "{outputs:?}");
+    // The third session shares the first one's run.
+    assert_eq!(stat(&mut client, "compiles"), 1);
+    assert_eq!(stat(&mut client, "traces"), 2);
+    assert_eq!(stat(&mut client, "runs"), 2);
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_failing_input_fails_the_whole_trace_and_keeps_no_run() {
+    let dir = TempDir::new("serve-run-failure");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let ServerAddr::Tcp(addr) = handle.addr() else {
+        unreachable!("listening on TCP")
+    };
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut frame = |msg: Json| -> Json {
+        write_frame(&mut raw, &msg, MAX_FRAME).unwrap();
+        read_frame(&mut raw, MAX_FRAME).unwrap().unwrap()
+    };
+    let error = |message: String| {
+        obj(vec![
+            ("ok", Json::Bool(false)),
+            ("error", Json::Str(message)),
+        ])
+        .to_string()
+    };
+
+    // The second row reads past the end of its input.
+    let prepared = prepare(&gadt_pascal::sema::compile(SUMMER).unwrap()).unwrap();
+    let read_error = error(format!("trace: {}", run_traced(&prepared, []).unwrap_err()));
+    let rows = Json::Array(vec![Json::Array(vec![Json::Int(3)]), Json::Array(vec![])]);
+    for max_steps in [None, Some(1_000_000)] {
+        let mut fields = vec![("source", Json::Str(SUMMER.into()))];
+        if let Some(n) = max_steps {
+            fields.push(("max_steps", Json::Int(n)));
+        }
+        let sid = frame(op("create", fields)).get("session").unwrap().clone();
+        let session = || ("session", sid.clone());
+        let traced = frame(op("trace", vec![session(), ("inputs", rows.clone())]));
+        assert_eq!(traced.to_string(), read_error, "max_steps {max_steps:?}");
+        let asked = frame(op("ask", vec![session(), ("run", Json::Int(0))]));
+        assert_eq!(
+            asked.to_string(),
+            error("no traced run at index 0 (0 available)".into()),
+            "max_steps {max_steps:?}"
+        );
+    }
+    let stats = frame(op("stats", vec![]));
+    assert_eq!(stats.get("runs").and_then(Json::as_int), Some(0), "{stats}");
     handle.shutdown().unwrap();
 }
 
