@@ -67,6 +67,33 @@ fn full_campaign_is_engine_invariant_at_any_thread_count() {
     }
 }
 
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Digest of the full campaign's fingerprint, every report's
+/// `render_line` (status, blamed unit, question counts, description).
+const PINNED_CAMPAIGN_FINGERPRINT: u64 = 0x1971_7ff1_5696_3d0e;
+/// Digest of the full campaign's merged journal fingerprint.
+const PINNED_CAMPAIGN_JOURNAL: u64 = 0xc0e4_c765_5ac3_8b6a;
+
+/// The other tests compare thread counts and engines with each other;
+/// this one pins the absolute result, so a faster transform, parser or
+/// analysis that changes any verdict, count or description fails here.
+#[test]
+fn full_campaign_fingerprints_are_pinned() {
+    let summary = run_full(0);
+    let fingerprint = fnv1a(&summary.fingerprint());
+    let journal = fnv1a(&summary.journal().fingerprint());
+    assert_eq!(
+        (fingerprint, journal),
+        (PINNED_CAMPAIGN_FINGERPRINT, PINNED_CAMPAIGN_JOURNAL),
+        "actual digests ({fingerprint:#018x}, {journal:#018x})"
+    );
+}
+
 /// The headline acceptance bar: ≥ 100 mutants over ≥ 3 programs, ≥ 90%
 /// exact-unit localization, and slicing strictly fewer questions than the
 /// unpruned search on at least half the localized mutants — all from one
