@@ -606,25 +606,37 @@ pub fn break_global_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
     if targets_of.is_empty() {
         return Ok((module.program.clone(), Mapping::default(), false));
     }
+    // `goto_res` iterates in hash order; the call-site dispatch chain
+    // follows each list, so put it in exit-code order.
+    for list in targets_of.values_mut() {
+        list.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.cmp(b)));
+    }
 
-    // Reject functions with exits used inside expressions.
-    for (eid, res) in &module.res {
-        if let gadt_pascal::sema::NameRes::Proc(p) = res {
-            if targets_of.contains_key(p) && module.proc(*p).is_function() {
-                // Is this resolution a call in an expression? Every
-                // ExprKind::Call/Name resolution to a proc is.
-                let _ = eid;
-                return Err(Diagnostic::new(
-                    Stage::Sema,
-                    format!(
-                        "function `{}` performs a non-local goto and is called inside an expression; \
-                         the exit-parameter transformation requires statement-position calls",
-                        module.proc(*p).name
-                    ),
-                    Span::dummy(),
-                ));
+    // Reject functions with exits used inside expressions: every
+    // resolution to a proc in an expression is such a call. Report the
+    // first in id order.
+    let called_in_expr = module
+        .res
+        .iter()
+        .filter_map(|(eid, res)| match res {
+            gadt_pascal::sema::NameRes::Proc(p)
+                if targets_of.contains_key(p) && module.proc(*p).is_function() =>
+            {
+                Some((*eid, *p))
             }
-        }
+            _ => None,
+        })
+        .min();
+    if let Some((_, p)) = called_in_expr {
+        return Err(Diagnostic::new(
+            Stage::Sema,
+            format!(
+                "function `{}` performs a non-local goto and is called inside an expression; \
+                 the exit-parameter transformation requires statement-position calls",
+                module.proc(p).name
+            ),
+            Span::dummy(),
+        ));
     }
 
     let mut mapping = Mapping::default();
@@ -660,40 +672,47 @@ pub fn break_global_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
         );
     }
 
-    // Callers needing a receiving variable, per (caller, callee).
+    // Callers needing a receiving variable, per (caller, callee). Calls
+    // are visited in id order, so the first capture error reported does
+    // not depend on hash order.
+    let mut calls: Vec<(StmtId, ProcId)> = module
+        .call_res
+        .iter()
+        .filter(|(_, callee)| targets_of.contains_key(callee))
+        .map(|(stmt, callee)| (*stmt, *callee))
+        .collect();
+    calls.sort_unstable();
     let mut caller_vars: BTreeMap<(ProcId, ProcId), String> = BTreeMap::new();
-    for (stmt, callee) in &module.call_res {
-        if targets_of.contains_key(callee) {
-            let caller = module.proc_of_stmt[stmt];
-            let cn = module.proc(*callee).name.to_ascii_lowercase();
-            caller_vars
-                .entry((caller, *callee))
-                .or_insert_with(|| format!("ec_{cn}"));
-            // Label capture check: the dispatch `goto L` in the caller
-            // must resolve to the original owner.
-            for (owner, label, _) in &targets_of[callee] {
-                let mut cur = Some(caller);
-                while let Some(p) = cur {
-                    if p == *owner {
-                        break;
-                    }
-                    if module
-                        .labels_of_proc
-                        .get(&p)
-                        .is_some_and(|ls| ls.contains(label))
-                    {
-                        return Err(Diagnostic::new(
-                            Stage::Sema,
-                            format!(
-                                "label `{label}` of `{}` is captured by an inner declaration in `{}`",
-                                module.proc(*owner).name,
-                                module.proc(p).name
-                            ),
-                            Span::dummy(),
-                        ));
-                    }
-                    cur = module.proc(p).parent;
+    for (stmt, callee) in &calls {
+        let caller = module.proc_of_stmt[stmt];
+        let cn = module.proc(*callee).name.to_ascii_lowercase();
+        caller_vars
+            .entry((caller, *callee))
+            .or_insert_with(|| format!("ec_{cn}"));
+        // Label capture check: the dispatch `goto L` in the caller
+        // must resolve to the original owner.
+        for (owner, label, _) in &targets_of[callee] {
+            let mut cur = Some(caller);
+            while let Some(p) = cur {
+                if p == *owner {
+                    break;
                 }
+                if module
+                    .labels_of_proc
+                    .get(&p)
+                    .is_some_and(|ls| ls.contains(label))
+                {
+                    return Err(Diagnostic::new(
+                        Stage::Sema,
+                        format!(
+                            "label `{label}` of `{}` is captured by an inner declaration in `{}`",
+                            module.proc(*owner).name,
+                            module.proc(p).name
+                        ),
+                        Span::dummy(),
+                    ));
+                }
+                cur = module.proc(p).parent;
             }
         }
     }
@@ -1082,6 +1101,47 @@ mod tests {
         let m = compile(src).unwrap();
         let t = crate::pipeline::transform(&m).unwrap();
         assert_eq!(run_output(&m), run_output(&t.module));
+    }
+
+    #[test]
+    fn call_site_dispatch_follows_exit_codes() {
+        // q jumps to three labels of p, so the call site gets a chain of
+        // three dispatch tests. Sema's tables iterate in hash order; the
+        // chain must not: every run prints one program, tests in code
+        // order.
+        let src = "program t; var trace: integer;
+             procedure p(n: integer);
+             label 1, 2, 3;
+               procedure q(k: integer);
+               begin
+                 trace := trace + 1;
+                 if k = 3 then goto 3;
+                 if k = 1 then goto 1;
+                 if k = 2 then goto 2;
+               end;
+             begin
+               q(n);
+               trace := trace + 10;
+               1: trace := trace + 100;
+               2: trace := trace + 1000;
+               3: trace := trace + 10000;
+             end;
+             begin trace := 0; p(2); writeln(trace) end.";
+        let mut printed = BTreeSet::new();
+        for _ in 0..50 {
+            let m = compile(src).unwrap();
+            let t = crate::pipeline::transform(&m).unwrap();
+            assert_eq!(run_output(&m), run_output(&t.module));
+            printed.insert(print_program(&t.module.program));
+        }
+        assert_eq!(printed.len(), 1, "{printed:#?}");
+        let program = printed.pop_first().unwrap();
+        let at = |code: i64| {
+            program
+                .find(&format!("if ec_q = {code} then"))
+                .unwrap_or_else(|| panic!("no dispatch for {code}:\n{program}"))
+        };
+        assert!(at(1) < at(2) && at(2) < at(3), "{program}");
     }
 
     #[test]
