@@ -112,11 +112,15 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # corpus generator — original vs transformed output agreement plus
 # slice-replay soundness for every program-level variable; the binary
 # exits non-zero and prints a minimized reproducer on any divergence.
+# Seeds 0..2000 overlap the tests' pinned windows; seeds 5000..6000 are
+# a window no test pins, so the parser, the phase-skipping transform and
+# the bitset postdominators also meet a thousand programs fresh.
 # NOTE: the workspace build above does NOT produce the corpus bins
 # (`cargo build` on the root package skips them) — build explicitly.
-echo "==> differential fuzz smoke (seeds 0..2000)"
+echo "==> differential fuzz smoke (seeds 0..2000 and 5000..6000)"
 cargo build --release -q -p gadt-corpus --bins
 ./target/release/fuzz 0 2000 --threads 0
+./target/release/fuzz 5000 1000 --threads 0
 
 # Bench-baseline tier: tree-walker vs bytecode VM on the batch-trace,
 # T-GEN batch, campaign, crash-screen and hashed-trace workloads,

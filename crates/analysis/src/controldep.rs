@@ -14,9 +14,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Postdominator sets for one procedure's CFG.
 #[derive(Debug, Clone)]
 pub struct PostDom {
-    /// `sets[b]` = blocks that postdominate block `b` (including `b`).
-    /// The virtual exit is not represented explicitly.
-    sets: Vec<BTreeSet<u32>>,
+    /// One bitset row of `words` words per block, then one for the
+    /// virtual exit (bit `n` of every row): row `b` holds the blocks
+    /// that postdominate block `b`, including `b`.
+    rows: Vec<u64>,
+    words: usize,
 }
 
 impl PostDom {
@@ -24,39 +26,89 @@ impl PostDom {
     pub fn compute(cfg: &ProcCfg) -> Self {
         let n = cfg.blocks.len();
         let exit = n; // virtual exit index
-        let all: BTreeSet<u32> = (0..=n as u32).collect();
-        let mut sets: Vec<BTreeSet<u32>> = vec![all.clone(); n + 1];
-        sets[exit] = BTreeSet::from([exit as u32]);
+        let words = (n + 1).div_ceil(64);
+        // Every row starts as the full set {0..=n}; the exit's row is
+        // {exit}. Bits past `n` stay clear, so rows compare as sets.
+        let mut full = vec![0u64; words];
+        for i in 0..=n {
+            full[i / 64] |= 1 << (i % 64);
+        }
+        let mut rows = full.repeat(n + 1);
+        rows[exit * words..].fill(0);
+        rows[exit * words + exit / 64] |= 1 << (exit % 64);
 
+        let succs: Vec<Vec<usize>> = cfg
+            .blocks
+            .iter()
+            .map(|blk| match &blk.term {
+                Terminator::Return | Terminator::NonLocalGoto { .. } => vec![exit],
+                t => t.successors().iter().map(|s| s.0 as usize).collect(),
+            })
+            .collect();
+        let mut new = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
             for b in (0..n).rev() {
-                let succs: Vec<usize> = match &cfg.blocks[b].term {
-                    Terminator::Return | Terminator::NonLocalGoto { .. } => vec![exit],
-                    t => t.successors().iter().map(|s| s.0 as usize).collect(),
-                };
-                let mut inter: Option<BTreeSet<u32>> = None;
-                for s in succs {
-                    inter = Some(match inter {
-                        None => sets[s].clone(),
-                        Some(acc) => acc.intersection(&sets[s]).copied().collect(),
-                    });
+                // The intersection of the successors' rows (empty when
+                // there are none), plus `b` itself.
+                new.fill(0);
+                if let Some((&first, rest)) = succs[b].split_first() {
+                    new.copy_from_slice(&rows[first * words..(first + 1) * words]);
+                    for &s in rest {
+                        for (w, x) in new.iter_mut().zip(&rows[s * words..(s + 1) * words]) {
+                            *w &= x;
+                        }
+                    }
                 }
-                let mut new = inter.unwrap_or_default();
-                new.insert(b as u32);
-                if new != sets[b] {
-                    sets[b] = new;
+                new[b / 64] |= 1 << (b % 64);
+                let row = &mut rows[b * words..(b + 1) * words];
+                if *row != *new {
+                    row.copy_from_slice(&new);
                     changed = true;
                 }
             }
         }
-        PostDom { sets }
+        PostDom { rows, words }
+    }
+
+    fn row(&self, b: BlockId) -> &[u64] {
+        let b = b.0 as usize;
+        &self.rows[b * self.words..(b + 1) * self.words]
     }
 
     /// Whether block `a` postdominates block `b`.
     pub fn postdominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.sets[b.0 as usize].contains(&a.0)
+        let a = a.0 as usize;
+        self.row(b)
+            .get(a / 64)
+            .is_some_and(|w| w >> (a % 64) & 1 == 1)
+    }
+
+    /// The blocks below `n` that are `s` or postdominate it but do not
+    /// strictly postdominate `a`: those control-dependent on the branch
+    /// `a` through its successor `s`, in ascending order.
+    fn dependents(&self, a: BlockId, s: BlockId, n: usize) -> impl Iterator<Item = BlockId> + '_ {
+        let bit = |b: BlockId, w: usize| {
+            if b.0 as usize / 64 == w {
+                1u64 << (b.0 % 64)
+            } else {
+                0
+            }
+        };
+        (0..self.words).flat_map(move |w| {
+            let mut word = (self.row(s)[w] | bit(s, w)) & !(self.row(a)[w] & !bit(a, w));
+            if w == n / 64 {
+                word &= (1 << (n % 64)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let i = word.trailing_zeros();
+                    word &= word - 1;
+                    BlockId(w as u32 * 64 + i)
+                })
+            })
+        })
     }
 }
 
@@ -85,12 +137,8 @@ impl ControlDeps {
             for s in [*then_bb, *else_bb] {
                 // Every block b that postdominates s but does not strictly
                 // postdominate a is control-dependent on a.
-                for b in cfg.iter().map(|(id, _)| id) {
-                    let pd_s = b == s || pdom.postdominates(b, s);
-                    let strictly_pd_a = b != a && pdom.postdominates(b, a);
-                    if pd_s && !strictly_pd_a {
-                        block_deps.entry(b).or_default().insert(a);
-                    }
+                for b in pdom.dependents(a, s, cfg.blocks.len()) {
+                    block_deps.entry(b).or_default().insert(a);
                 }
             }
         }

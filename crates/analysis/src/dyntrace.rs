@@ -14,6 +14,7 @@
 use crate::controldep::ProgramControlDeps;
 use gadt_pascal::ast::StmtId;
 use gadt_pascal::cfg::{BlockId, LoopId};
+use gadt_pascal::idhash::IdMap;
 use gadt_pascal::interp::{Event, MemLoc, Monitor};
 use gadt_pascal::sema::{Module, ProcId, VarId};
 use gadt_pascal::value::Value;
@@ -184,24 +185,28 @@ impl DynTrace {
 pub struct DependenceRecorder<'a> {
     cd: &'a ProgramControlDeps,
     trace: DynTrace,
+    // Frame, loop-instance, variable and statement ids are issued
+    // sequentially by the engine, so their maps use `IdMap`.
     /// Last definition per whole location.
-    last_def: HashMap<(u64, VarId), WholeAndElems>,
+    last_def: IdMap<(u64, VarId), WholeAndElems>,
     /// Call stack of (call id).
     call_stack: Vec<u64>,
     /// Per frame: the call event that created it.
-    frame_call_event: HashMap<u64, Option<usize>>,
+    frame_call_event: IdMap<u64, Option<usize>>,
     /// Per frame: last branch event per branch statement.
-    frame_branches: HashMap<u64, HashMap<StmtId, usize>>,
+    frame_branches: IdMap<u64, IdMap<StmtId, usize>>,
     /// The index of the most recent step event (used to attribute
     /// parameter binding at CallEnter).
     last_step: Option<usize>,
     /// Open loop instances: instance id → index in trace.loops.
-    open_loops: HashMap<u64, usize>,
+    open_loops: IdMap<u64, usize>,
 }
 
 #[derive(Debug, Clone, Default)]
 struct WholeAndElems {
     whole: Option<usize>,
+    /// Keyed by array index, a runtime value the program's input can
+    /// choose, so it keeps the flood-resistant default hasher.
     elems: HashMap<i64, usize>,
 }
 
@@ -211,12 +216,12 @@ impl<'a> DependenceRecorder<'a> {
         DependenceRecorder {
             cd,
             trace: DynTrace::default(),
-            last_def: HashMap::new(),
+            last_def: IdMap::default(),
             call_stack: Vec::new(),
-            frame_call_event: HashMap::new(),
-            frame_branches: HashMap::new(),
+            frame_call_event: IdMap::default(),
+            frame_branches: IdMap::default(),
             last_step: None,
-            open_loops: HashMap::new(),
+            open_loops: IdMap::default(),
         }
     }
 

@@ -132,7 +132,8 @@ impl Action {
 
     /// Registers one locus for `op`; returns `true` exactly when the
     /// caller should perform the mutation (apply mode, address match).
-    fn locus(&mut self, op: MutOp, unit: &str, description: String) -> bool {
+    /// Only enumerate mode renders the description.
+    fn locus(&mut self, op: MutOp, unit: &str, description: impl FnOnce() -> String) -> bool {
         let ordinal = {
             let c = self.counters.entry(op).or_insert(0);
             let o = *c;
@@ -145,7 +146,7 @@ impl Action {
                     op,
                     ordinal,
                     unit: unit.to_string(),
-                    description,
+                    description: description(),
                 });
                 false
             }
@@ -189,16 +190,16 @@ fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Actio
     }
     // Statement-level loci on assignments.
     if let StmtKind::Assign { lhs, rhs } = &s.kind {
-        let rendered = format!("{} := {}", pretty::lvalue_str(lhs), pretty::expr_str(rhs));
-        if act.locus(MutOp::DeleteAssign, unit, format!("delete `{rendered}`")) {
+        let rendered = || format!("{} := {}", pretty::lvalue_str(lhs), pretty::expr_str(rhs));
+        if act.locus(MutOp::DeleteAssign, unit, || {
+            format!("delete `{}`", rendered())
+        }) {
             s.kind = StmtKind::Empty;
             return;
         }
-        if act.locus(
-            MutOp::DuplicateAssign,
-            unit,
-            format!("duplicate `{rendered}`"),
-        ) {
+        if act.locus(MutOp::DuplicateAssign, unit, || {
+            format!("duplicate `{}`", rendered())
+        }) {
             let copy = s.clone();
             s.kind = StmtKind::Compound(vec![copy.clone(), copy]);
             return;
@@ -207,11 +208,9 @@ fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Actio
     if let StmtKind::Assign { lhs, .. } = &mut s.kind {
         if lhs.index.is_none() {
             if let Some(repl) = replacement(cands, &lhs.base.key()) {
-                if act.locus(
-                    MutOp::WrongVarRef,
-                    unit,
-                    format!("assign to `{repl}` instead of `{}`", lhs.base.name),
-                ) {
+                if act.locus(MutOp::WrongVarRef, unit, || {
+                    format!("assign to `{repl}` instead of `{}`", lhs.base.name)
+                }) {
                     lhs.base = Ident::synthetic(repl);
                     return;
                 }
@@ -226,8 +225,9 @@ fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Actio
         _ => None,
     };
     if let Some(cond) = cond_slot {
-        let desc = format!("negate `{}`", pretty::expr_str(cond));
-        if act.locus(MutOp::NegateCondition, unit, desc) {
+        if act.locus(MutOp::NegateCondition, unit, || {
+            format!("negate `{}`", pretty::expr_str(cond))
+        }) {
             negate(cond);
             return;
         }
@@ -241,49 +241,39 @@ fn expr_locus(e: &mut Expr, unit: &str, cands: &BTreeSet<String>, act: &mut Acti
         return;
     }
     enum Plan {
-        Op(BinOp),
+        Op(BinOp, BinOp),
         Lit(i64),
         Name(String),
     }
-    let planned = match &e.kind {
+    let (op, plan) = match &e.kind {
         ExprKind::Binary { op, .. } if op.is_relational() => {
-            let new = flip_rel(*op);
-            Some((
-                MutOp::RelOpFlip,
-                Plan::Op(new),
-                format!("replace `{op}` with `{new}` in `{}`", pretty::expr_str(e)),
-            ))
+            (MutOp::RelOpFlip, Plan::Op(*op, flip_rel(*op)))
         }
         ExprKind::Binary { op, .. } if is_arith(*op) => {
-            let new = swap_arith(*op);
-            Some((
-                MutOp::ArithOpSwap,
-                Plan::Op(new),
-                format!("replace `{op}` with `{new}` in `{}`", pretty::expr_str(e)),
-            ))
+            (MutOp::ArithOpSwap, Plan::Op(*op, swap_arith(*op)))
         }
-        ExprKind::IntLit(n) => Some((
-            MutOp::OffByOneConst,
-            Plan::Lit(n.wrapping_add(1)),
-            format!("replace `{n}` with `{}`", n.wrapping_add(1)),
-        )),
-        ExprKind::Name(id) => replacement(cands, &id.key()).map(|repl| {
-            let desc = format!("read `{repl}` instead of `{}`", id.name);
-            (MutOp::WrongVarRef, Plan::Name(repl), desc)
-        }),
-        _ => None,
+        ExprKind::IntLit(n) => (MutOp::OffByOneConst, Plan::Lit(n.wrapping_add(1))),
+        ExprKind::Name(id) => match replacement(cands, &id.key()) {
+            Some(repl) => (MutOp::WrongVarRef, Plan::Name(repl)),
+            None => return,
+        },
+        _ => return,
     };
-    if let Some((op, plan, desc)) = planned {
-        if act.locus(op, unit, desc) {
-            match plan {
-                Plan::Op(new) => {
-                    if let ExprKind::Binary { op, .. } = &mut e.kind {
-                        *op = new;
-                    }
+    // A literal or a name renders exactly as written.
+    let describe = || match &plan {
+        Plan::Op(old, new) => format!("replace `{old}` with `{new}` in `{}`", pretty::expr_str(e)),
+        Plan::Lit(new) => format!("replace `{}` with `{new}`", pretty::expr_str(e)),
+        Plan::Name(repl) => format!("read `{repl}` instead of `{}`", pretty::expr_str(e)),
+    };
+    if act.locus(op, unit, describe) {
+        match plan {
+            Plan::Op(_, new) => {
+                if let ExprKind::Binary { op, .. } = &mut e.kind {
+                    *op = new;
                 }
-                Plan::Lit(n) => e.kind = ExprKind::IntLit(n),
-                Plan::Name(name) => e.kind = ExprKind::Name(Ident::synthetic(name)),
             }
+            Plan::Lit(n) => e.kind = ExprKind::IntLit(n),
+            Plan::Name(name) => e.kind = ExprKind::Name(Ident::synthetic(name)),
         }
     }
 }

@@ -12,7 +12,8 @@
 //!   labels and `goto` (the transformation phase's raw material) and the
 //!   `in`/`out` parameter modes the transformation introduces;
 //! * [`sema`] — name resolution (with nested procedures and non-local
-//!   references) and type checking, producing a [`sema::Module`];
+//!   references) and type checking, producing a [`sema::Module`] whose
+//!   id-keyed side tables hash with [`idhash::IdHasher`];
 //! * [`mod@cfg`] — per-procedure control-flow graphs that both the interpreter
 //!   and the flow analyses consume;
 //! * [`interp`] — a deterministic interpreter with monitor hooks for
@@ -46,6 +47,7 @@ pub mod ast;
 pub mod ast_mut;
 pub mod cfg;
 pub mod error;
+pub mod idhash;
 pub mod interp;
 pub mod lexer;
 pub mod parser;

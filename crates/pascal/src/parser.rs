@@ -72,12 +72,29 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
+    /// Consumes the current token. The parser never backtracks, so the
+    /// token's kind is moved out rather than cloned; only the final
+    /// end-of-input token, which stays current, is copied.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
         if self.pos + 1 < self.tokens.len() {
+            let t = &mut self.tokens[self.pos];
             self.pos += 1;
+            Token {
+                kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+                span: t.span,
+            }
+        } else {
+            self.tokens[self.pos].clone()
         }
-        t
+    }
+
+    /// Consumes an identifier or string literal, moving its text out.
+    fn bump_text(&mut self) -> (String, Span) {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Ident(text) | TokenKind::StrLit(text) => (text, t.span),
+            other => unreachable!("bump_text at {}", other.describe()),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -110,10 +127,10 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<Ident> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok(Ident::new(name, t.span))
+        match self.peek() {
+            TokenKind::Ident(_) => {
+                let (name, span) = self.bump_text();
+                Ok(Ident::new(name, span))
             }
             other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
         }
@@ -227,8 +244,8 @@ impl Parser {
     }
 
     fn label_name(&mut self) -> Result<Ident> {
-        match self.peek().clone() {
-            TokenKind::IntLit(n) => {
+        match self.peek() {
+            &TokenKind::IntLit(n) => {
                 let t = self.bump();
                 Ok(Ident::new(n.to_string(), t.span))
             }
@@ -239,12 +256,12 @@ impl Parser {
 
     fn const_value(&mut self) -> Result<ConstValue> {
         let neg = self.eat(&TokenKind::Minus);
-        match self.peek().clone() {
-            TokenKind::IntLit(n) => {
+        match self.peek() {
+            &TokenKind::IntLit(n) => {
                 self.bump();
                 Ok(ConstValue::Int(if neg { -n } else { n }))
             }
-            TokenKind::RealLit(x) => {
+            &TokenKind::RealLit(x) => {
                 self.bump();
                 Ok(ConstValue::Real(if neg { -x } else { x }))
             }
@@ -256,10 +273,7 @@ impl Parser {
                 self.bump();
                 Ok(ConstValue::Bool(false))
             }
-            TokenKind::StrLit(s) if !neg => {
-                self.bump();
-                Ok(ConstValue::Str(s))
-            }
+            TokenKind::StrLit(_) if !neg => Ok(ConstValue::Str(self.bump_text().0)),
             other => Err(self.err(format!(
                 "expected constant value, found {}",
                 other.describe()
@@ -287,8 +301,8 @@ impl Parser {
 
     fn array_bound(&mut self) -> Result<ArrayBound> {
         let neg = self.eat(&TokenKind::Minus);
-        match self.peek().clone() {
-            TokenKind::IntLit(n) => {
+        match self.peek() {
+            &TokenKind::IntLit(n) => {
                 self.bump();
                 Ok(ArrayBound::Lit(if neg { -n } else { n }))
             }
@@ -338,14 +352,16 @@ impl Parser {
         } else if let TokenKind::Ident(word) = self.peek() {
             // `in` / `out` are contextual modes: they only count as a mode
             // when followed by another identifier (the first parameter name).
-            let lower = word.to_ascii_lowercase();
-            if (lower == "in" || lower == "out") && matches!(self.peek2(), TokenKind::Ident(_)) {
+            let mode = if word.eq_ignore_ascii_case("in") {
+                ParamMode::In
+            } else if word.eq_ignore_ascii_case("out") {
+                ParamMode::Out
+            } else {
+                ParamMode::Value
+            };
+            if mode != ParamMode::Value && matches!(self.peek2(), TokenKind::Ident(_)) {
                 self.bump();
-                if lower == "in" {
-                    ParamMode::In
-                } else {
-                    ParamMode::Out
-                }
+                mode
             } else {
                 ParamMode::Value
             }
@@ -405,7 +421,7 @@ impl Parser {
                 span,
             });
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Begin => {
                 self.bump();
                 let stmts = self.stmt_list(&TokenKind::End)?;
@@ -542,11 +558,15 @@ impl Parser {
                 })
             }
             TokenKind::Ident(name) => {
-                let lower = name.to_ascii_lowercase();
-                match lower.as_str() {
-                    "read" | "readln" => self.read_stmt(lower == "readln"),
-                    "write" | "writeln" => self.write_stmt(lower == "writeln"),
-                    _ => self.assign_or_call(),
+                let is = |word: &str| name.eq_ignore_ascii_case(word);
+                let (read, readln) = (is("read"), is("readln"));
+                let (write, writeln) = (is("write"), is("writeln"));
+                if read || readln {
+                    self.read_stmt(readln)
+                } else if write || writeln {
+                    self.write_stmt(writeln)
+                } else {
+                    self.assign_or_call()
                 }
             }
             // Empty statement (e.g. `begin ; end` or before `end`).
@@ -787,8 +807,8 @@ impl Parser {
 
     fn factor(&mut self) -> Result<Expr> {
         let start = self.span();
-        match self.peek().clone() {
-            TokenKind::IntLit(n) => {
+        match self.peek() {
+            &TokenKind::IntLit(n) => {
                 self.bump();
                 let id = self.expr_id();
                 Ok(Expr {
@@ -797,7 +817,7 @@ impl Parser {
                     span: start,
                 })
             }
-            TokenKind::RealLit(x) => {
+            &TokenKind::RealLit(x) => {
                 self.bump();
                 let id = self.expr_id();
                 Ok(Expr {
@@ -806,8 +826,8 @@ impl Parser {
                     span: start,
                 })
             }
-            TokenKind::StrLit(s) => {
-                self.bump();
+            TokenKind::StrLit(_) => {
+                let (s, _) = self.bump_text();
                 let id = self.expr_id();
                 Ok(Expr {
                     id,

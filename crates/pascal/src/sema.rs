@@ -13,6 +13,7 @@
 
 use crate::ast::*;
 use crate::error::{Diagnostic, Result, Stage};
+use crate::idhash::IdMap;
 use crate::span::Span;
 use crate::types::Type;
 use crate::value::Value;
@@ -187,6 +188,10 @@ pub enum NameRes {
 }
 
 /// A resolved, type-checked program.
+///
+/// The side tables are keyed by the ids the parser and sema issue
+/// sequentially, so they hash with [`IdMap`]'s fast hasher rather than
+/// SipHash; their iteration order is unspecified.
 #[derive(Debug, Clone)]
 pub struct Module {
     /// The (possibly transformed) AST.
@@ -197,26 +202,26 @@ pub struct Module {
     pub procs: Vec<ProcInfo>,
     /// Resolution of every name-like expression and lvalue, keyed by
     /// [`ExprId`].
-    pub res: HashMap<ExprId, NameRes>,
+    pub res: IdMap<ExprId, NameRes>,
     /// Type of every expression; for lvalues, the type of the target
     /// location.
-    pub expr_ty: HashMap<ExprId, Type>,
+    pub expr_ty: IdMap<ExprId, Type>,
     /// Callee of every call *statement*.
-    pub call_res: HashMap<StmtId, ProcId>,
+    pub call_res: IdMap<StmtId, ProcId>,
     /// Synthesized `for`-loop limit temporaries, keyed by the `for`
     /// statement's id.
-    pub for_temps: HashMap<StmtId, VarId>,
+    pub for_temps: IdMap<StmtId, VarId>,
     /// Synthesized `case`-scrutinee temporaries (the scrutinee is
     /// evaluated once), keyed by the `case` statement's id.
-    pub case_temps: HashMap<StmtId, VarId>,
+    pub case_temps: IdMap<StmtId, VarId>,
     /// Owning unit (procedure body) of every statement.
-    pub proc_of_stmt: HashMap<StmtId, ProcId>,
+    pub proc_of_stmt: IdMap<StmtId, ProcId>,
     /// Resolution of every `goto`: the procedure lexically owning the label
     /// and the normalized label name. A goto whose owner differs from the
     /// goto's own procedure is a *global goto* (§6).
-    pub goto_res: HashMap<StmtId, (ProcId, String)>,
+    pub goto_res: IdMap<StmtId, (ProcId, String)>,
     /// Labels declared per procedure (normalized names).
-    pub labels_of_proc: HashMap<ProcId, Vec<String>>,
+    pub labels_of_proc: IdMap<ProcId, Vec<String>>,
 }
 
 impl Module {
@@ -392,14 +397,14 @@ struct Scope {
 struct Checker {
     vars: Vec<VarInfo>,
     procs: Vec<ProcInfo>,
-    res: HashMap<ExprId, NameRes>,
-    expr_ty: HashMap<ExprId, Type>,
-    call_res: HashMap<StmtId, ProcId>,
-    for_temps: HashMap<StmtId, VarId>,
-    case_temps: HashMap<StmtId, VarId>,
-    proc_of_stmt: HashMap<StmtId, ProcId>,
-    goto_res: HashMap<StmtId, (ProcId, String)>,
-    labels_of_proc: HashMap<ProcId, Vec<String>>,
+    res: IdMap<ExprId, NameRes>,
+    expr_ty: IdMap<ExprId, Type>,
+    call_res: IdMap<StmtId, ProcId>,
+    for_temps: IdMap<StmtId, VarId>,
+    case_temps: IdMap<StmtId, VarId>,
+    proc_of_stmt: IdMap<StmtId, ProcId>,
+    goto_res: IdMap<StmtId, (ProcId, String)>,
+    labels_of_proc: IdMap<ProcId, Vec<String>>,
     scopes: Vec<Scope>,
     /// Procedure whose body is currently being checked.
     current_proc: ProcId,
@@ -424,14 +429,14 @@ impl Checker {
         Checker {
             vars: Vec::new(),
             procs: Vec::new(),
-            res: HashMap::new(),
-            expr_ty: HashMap::new(),
-            call_res: HashMap::new(),
-            for_temps: HashMap::new(),
-            case_temps: HashMap::new(),
-            proc_of_stmt: HashMap::new(),
-            goto_res: HashMap::new(),
-            labels_of_proc: HashMap::new(),
+            res: IdMap::default(),
+            expr_ty: IdMap::default(),
+            call_res: IdMap::default(),
+            for_temps: IdMap::default(),
+            case_temps: IdMap::default(),
+            proc_of_stmt: IdMap::default(),
+            goto_res: IdMap::default(),
+            labels_of_proc: IdMap::default(),
             scopes: Vec::new(),
             current_proc: MAIN_PROC,
         }

@@ -33,12 +33,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// Converts non-local variable accesses into explicit parameters.
 ///
 /// Returns the rewritten program (re-analyze it with
-/// [`gadt_pascal::sema::analyze`]) and the construct mapping.
+/// [`gadt_pascal::sema::analyze`]) and the construct mapping, or `None`
+/// when no procedure touches a non-local variable: the program is then
+/// already in the target form and nothing is cloned.
 ///
 /// # Errors
 /// Returns an error if a non-local variable's type cannot be expressed as
 /// a parameter type (never happens for the supported type system).
-pub fn convert_globals(module: &Module) -> Result<(Program, Mapping)> {
+pub fn convert_globals(module: &Module) -> Result<Option<(Program, Mapping)>> {
     let cfg = lower(module);
     let (_cg, fx) = gadt_analysis::effects::analyze(module, &cfg);
 
@@ -70,7 +72,7 @@ pub fn convert_globals(module: &Module) -> Result<(Program, Mapping)> {
         additions.insert(info.id, list);
     }
     if additions.is_empty() {
-        return Ok((module.program.clone(), Mapping::default()));
+        return Ok(None);
     }
 
     // Alias escalation: an `in` (copy) addition that is also passed by
@@ -192,7 +194,7 @@ pub fn convert_globals(module: &Module) -> Result<(Program, Mapping)> {
     }
     program.next_expr_id = ids.next_expr;
 
-    Ok((program, mapping))
+    Ok(Some((program, mapping)))
 }
 
 /// Lowercase `/`-joined path for every procedure (`""` for main).
@@ -435,7 +437,7 @@ mod tests {
 
     fn transform(src: &str) -> (Module, Module, Mapping) {
         let m = compile(src).expect("compile original");
-        let (program, mapping) = convert_globals(&m).expect("transform");
+        let (program, mapping) = convert_globals(&m).expect("transform").expect("rewrites");
         let printed = print_program(&program);
         let tm = analyze(program)
             .unwrap_or_else(|e| panic!("transformed program fails sema: {e}\n{printed}"));
@@ -444,7 +446,7 @@ mod tests {
 
     fn behaves_identically(src: &str, inputs: Vec<Vec<i64>>) {
         let m = compile(src).expect("compile");
-        let (program, _) = convert_globals(&m).expect("transform");
+        let (program, _) = convert_globals(&m).expect("transform").expect("rewrites");
         let printed = print_program(&program);
         let tm = analyze(program).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         for input in inputs {
@@ -627,9 +629,7 @@ mod tests {
     #[test]
     fn programs_without_side_effects_are_untouched() {
         let m = compile(testprogs::SQRTEST).unwrap();
-        let (program, mapping) = convert_globals(&m).unwrap();
-        assert_eq!(program, m.program);
-        assert!(mapping.added_params.is_empty());
+        assert!(convert_globals(&m).unwrap().is_none());
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod tests {
         // after transformations."
         let m = compile(testprogs::SECTION6_GLOBALS).unwrap();
         let before = m.program.stmt_count();
-        let (program, _) = convert_globals(&m).unwrap();
+        let (program, _) = convert_globals(&m).unwrap().unwrap();
         let after = program.stmt_count();
         assert!(after <= before * 2, "{before} → {after}");
     }

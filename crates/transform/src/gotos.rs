@@ -96,16 +96,19 @@ impl IdGen {
 // ----------------------------------------------------------------------
 
 /// Rewrites `while`/`repeat` loops containing gotos that exit the loop.
-/// Returns the new program, mapping additions, and whether anything
-/// changed.
-pub fn break_loop_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
+/// Returns the new program and its mapping additions, or `None` when no
+/// loop contains such a goto. That is decided on the analyzed module, by
+/// reference, before anything is cloned.
+pub fn break_loop_gotos(module: &Module) -> Result<Option<(Program, Mapping)>> {
+    if !has_loop_exit_goto(module) {
+        return Ok(None);
+    }
     let mut program = module.program.clone();
     let mut ids = IdGen {
         next_stmt: program.next_stmt_id,
         next_expr: program.next_expr_id,
     };
     let mut mapping = Mapping::default();
-    let mut changed = false;
 
     // B/C rounds alternate to a fixpoint, and phase C's call-site
     // dispatch gotos can turn previously-clean loops into candidates for
@@ -141,28 +144,14 @@ pub fn break_loop_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
     seed_counter(&program.block, &mut counter);
 
     // Per-procedure rewriting, collecting new declarations.
-    fn do_block(
-        block: &mut Block,
-        ids: &mut IdGen,
-        mapping: &mut Mapping,
-        changed: &mut bool,
-        counter: &mut usize,
-    ) {
+    fn do_block(block: &mut Block, ids: &mut IdGen, mapping: &mut Mapping, counter: &mut usize) {
         for p in &mut block.procs {
-            do_block(&mut p.block, ids, mapping, changed, counter);
+            do_block(&mut p.block, ids, mapping, counter);
         }
         let mut new_vars: Vec<String> = Vec::new();
         let mut new_labels: Vec<String> = Vec::new();
         let body = std::mem::take(&mut block.body);
-        block.body = rewrite_seq(
-            body,
-            ids,
-            mapping,
-            changed,
-            counter,
-            &mut new_vars,
-            &mut new_labels,
-        );
+        block.body = rewrite_seq(body, ids, mapping, counter, &mut new_vars, &mut new_labels);
         for v in new_vars {
             block.vars.push(VarDecl {
                 names: vec![Ident::synthetic(v)],
@@ -175,16 +164,42 @@ pub fn break_loop_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
         }
     }
 
-    do_block(
-        &mut program.block,
-        &mut ids,
-        &mut mapping,
-        &mut changed,
-        &mut counter,
-    );
+    do_block(&mut program.block, &mut ids, &mut mapping, &mut counter);
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok((program, mapping, changed))
+    Ok(Some((program, mapping)))
+}
+
+/// Whether some `while`/`repeat` loop of the program contains a goto to a
+/// label outside it: exactly when [`break_loop_gotos`] has work.
+fn has_loop_exit_goto(module: &Module) -> bool {
+    if module.goto_res.is_empty() {
+        return false;
+    }
+    let mut found = false;
+    let mut visit = |s: &Stmt| found = found || !loop_exits(s).is_empty();
+    module.program.block.walk_stmts(&mut visit);
+    module
+        .program
+        .walk_procs(&mut |_, p| p.block.walk_stmts(&mut visit));
+    found
+}
+
+/// The labels outside a `while`/`repeat` loop that gotos inside it
+/// target, in first-occurrence order (empty for other statements).
+fn loop_exits(s: &Stmt) -> Vec<String> {
+    let mut exits = Vec::new();
+    let body: &[Stmt] = match &s.kind {
+        StmtKind::While { body, .. } => std::slice::from_ref(body),
+        StmtKind::Repeat { body, .. } => body,
+        _ => return exits,
+    };
+    let mut defined = BTreeSet::new();
+    labels_defined_in(s, &mut defined);
+    for st in body {
+        exiting_gotos(st, &defined, &mut exits);
+    }
+    exits
 }
 
 /// Labels defined (as labeled statements) inside a statement.
@@ -207,31 +222,25 @@ fn exiting_gotos(s: &Stmt, defined: &BTreeSet<String>, out: &mut Vec<String>) {
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rewrite_seq(
     stmts: Vec<Stmt>,
     ids: &mut IdGen,
     mapping: &mut Mapping,
-    changed: &mut bool,
     counter: &mut usize,
     new_vars: &mut Vec<String>,
     new_labels: &mut Vec<String>,
 ) -> Vec<Stmt> {
     let mut out = Vec::new();
     for s in stmts {
-        rewrite_one(
-            s, ids, mapping, changed, counter, new_vars, new_labels, &mut out,
-        );
+        rewrite_one(s, ids, mapping, counter, new_vars, new_labels, &mut out);
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rewrite_one(
     mut s: Stmt,
     ids: &mut IdGen,
     mapping: &mut Mapping,
-    changed: &mut bool,
     counter: &mut usize,
     new_vars: &mut Vec<String>,
     new_labels: &mut Vec<String>,
@@ -241,7 +250,7 @@ fn rewrite_one(
     match &mut s.kind {
         StmtKind::Compound(inner) => {
             let taken = std::mem::take(inner);
-            *inner = rewrite_seq(taken, ids, mapping, changed, counter, new_vars, new_labels);
+            *inner = rewrite_seq(taken, ids, mapping, counter, new_vars, new_labels);
         }
         StmtKind::If {
             then_branch,
@@ -252,7 +261,6 @@ fn rewrite_one(
                 std::mem::replace(then_branch.as_mut(), empty_stmt(ids)),
                 ids,
                 mapping,
-                changed,
                 counter,
                 new_vars,
                 new_labels,
@@ -262,7 +270,6 @@ fn rewrite_one(
                     std::mem::replace(e.as_mut(), empty_stmt(ids)),
                     ids,
                     mapping,
-                    changed,
                     counter,
                     new_vars,
                     new_labels,
@@ -274,7 +281,6 @@ fn rewrite_one(
                 std::mem::replace(body.as_mut(), empty_stmt(ids)),
                 ids,
                 mapping,
-                changed,
                 counter,
                 new_vars,
                 new_labels,
@@ -282,14 +288,13 @@ fn rewrite_one(
         }
         StmtKind::Repeat { body, .. } => {
             let taken = std::mem::take(body);
-            *body = rewrite_seq(taken, ids, mapping, changed, counter, new_vars, new_labels);
+            *body = rewrite_seq(taken, ids, mapping, counter, new_vars, new_labels);
         }
         StmtKind::Labeled { stmt, .. } => {
             **stmt = nest_one(
                 std::mem::replace(stmt.as_mut(), empty_stmt(ids)),
                 ids,
                 mapping,
-                changed,
                 counter,
                 new_vars,
                 new_labels,
@@ -298,14 +303,13 @@ fn rewrite_one(
         StmtKind::Case { arms, else_arm, .. } => {
             for a in arms {
                 let taken = std::mem::replace(&mut a.stmt, empty_stmt(ids));
-                a.stmt = nest_one(taken, ids, mapping, changed, counter, new_vars, new_labels);
+                a.stmt = nest_one(taken, ids, mapping, counter, new_vars, new_labels);
             }
             if let Some(e) = else_arm {
                 **e = nest_one(
                     std::mem::replace(e.as_mut(), empty_stmt(ids)),
                     ids,
                     mapping,
-                    changed,
                     counter,
                     new_vars,
                     new_labels,
@@ -316,136 +320,116 @@ fn rewrite_one(
     }
 
     // Then handle this loop if it contains exiting gotos.
-    let is_candidate = matches!(s.kind, StmtKind::While { .. } | StmtKind::Repeat { .. });
-    if is_candidate {
-        let mut defined = BTreeSet::new();
-        labels_defined_in(&s, &mut defined);
-        let mut exits = Vec::new();
-        match &s.kind {
-            StmtKind::While { body, .. } => exiting_gotos(body, &defined, &mut exits),
-            StmtKind::Repeat { body, .. } => {
-                for st in body {
-                    exiting_gotos(st, &defined, &mut exits);
-                }
-            }
-            _ => {}
+    let exits = loop_exits(&s);
+    if exits.is_empty() {
+        out.push(s);
+        return;
+    }
+    *counter += 1;
+    let n = *counter;
+    let leave = format!("leave_{n}");
+    let whilelab = format!("whilelab_{n}");
+    new_vars.push(leave.clone());
+    new_labels.push(whilelab.clone());
+
+    // leave := 0 before the loop.
+    let init = ids.assign(&leave, 0);
+    mapping.add_synthetic(init.id, format!("leave flag init for loop {n}"));
+    out.push(init);
+
+    // Rewrite the loop itself.
+    match &mut s.kind {
+        StmtKind::While { cond, body } => {
+            let old_cond = std::mem::replace(cond, ids.int(0));
+            let test = ids.eq_test(&leave, 0);
+            let cid = ids.expr();
+            *cond = Expr {
+                id: cid,
+                kind: ExprKind::Binary {
+                    op: BinOp::And,
+                    lhs: Box::new(old_cond),
+                    rhs: Box::new(test),
+                },
+                span: Span::dummy(),
+            };
+            let old_body = std::mem::replace(body.as_mut(), empty_stmt(ids));
+            let rewritten = replace_exit_gotos(old_body, &exits, &leave, &whilelab, ids, mapping);
+            let lab_stmt = labeled_empty(&whilelab, ids);
+            let cmp_id = ids.stmt();
+            mapping.add_synthetic(cmp_id, format!("loop {n} body wrapper"));
+            **body = Stmt {
+                id: cmp_id,
+                kind: StmtKind::Compound(vec![rewritten, lab_stmt]),
+                span: Span::dummy(),
+            };
         }
-        if !exits.is_empty() {
-            *changed = true;
-            *counter += 1;
-            let n = *counter;
-            let leave = format!("leave_{n}");
-            let whilelab = format!("whilelab_{n}");
-            new_vars.push(leave.clone());
-            new_labels.push(whilelab.clone());
-
-            // leave := 0 before the loop.
-            let init = ids.assign(&leave, 0);
-            mapping.add_synthetic(init.id, format!("leave flag init for loop {n}"));
-            out.push(init);
-
-            // Rewrite the loop itself.
-            match &mut s.kind {
-                StmtKind::While { cond, body } => {
-                    let old_cond = std::mem::replace(cond, ids.int(0));
-                    let test = ids.eq_test(&leave, 0);
-                    let cid = ids.expr();
-                    *cond = Expr {
-                        id: cid,
-                        kind: ExprKind::Binary {
-                            op: BinOp::And,
-                            lhs: Box::new(old_cond),
-                            rhs: Box::new(test),
-                        },
-                        span: Span::dummy(),
-                    };
-                    let old_body = std::mem::replace(body.as_mut(), empty_stmt(ids));
-                    let rewritten =
-                        replace_exit_gotos(old_body, &exits, &leave, &whilelab, ids, mapping);
-                    let lab_stmt = labeled_empty(&whilelab, ids);
-                    let cmp_id = ids.stmt();
-                    mapping.add_synthetic(cmp_id, format!("loop {n} body wrapper"));
-                    **body = Stmt {
-                        id: cmp_id,
-                        kind: StmtKind::Compound(vec![rewritten, lab_stmt]),
-                        span: Span::dummy(),
-                    };
-                }
-                StmtKind::Repeat { cond, body } => {
-                    let old_cond = std::mem::replace(cond, ids.int(0));
-                    // repeat … until cond or (leave <> 0)
-                    let lhs_leave = ids.name(&leave);
-                    let zero = ids.int(0);
-                    let ne_id = ids.expr();
-                    let ne = Expr {
-                        id: ne_id,
-                        kind: ExprKind::Binary {
-                            op: BinOp::Ne,
-                            lhs: Box::new(lhs_leave),
-                            rhs: Box::new(zero),
-                        },
-                        span: Span::dummy(),
-                    };
-                    let cid = ids.expr();
-                    *cond = Expr {
-                        id: cid,
-                        kind: ExprKind::Binary {
-                            op: BinOp::Or,
-                            lhs: Box::new(old_cond),
-                            rhs: Box::new(ne),
-                        },
-                        span: Span::dummy(),
-                    };
-                    let taken = std::mem::take(body);
-                    let mut rewritten: Vec<Stmt> = taken
-                        .into_iter()
-                        .map(|st| replace_exit_gotos(st, &exits, &leave, &whilelab, ids, mapping))
-                        .collect();
-                    rewritten.push(labeled_empty(&whilelab, ids));
-                    *body = rewritten;
-                }
-                _ => unreachable!(),
-            }
-            out.push(s);
-
-            // Dispatch after the loop.
-            for (j, label) in exits.iter().enumerate() {
-                let test = ids.eq_test(&leave, j as i64 + 1);
-                let g = ids.goto(label);
-                let if_id = ids.stmt();
-                mapping.add_synthetic(if_id, format!("loop {n} exit dispatch to {label}"));
-                out.push(Stmt {
-                    id: if_id,
-                    kind: StmtKind::If {
-                        cond: test,
-                        then_branch: Box::new(g),
-                        else_branch: None,
-                    },
-                    span: Span::dummy(),
-                });
-            }
-            return;
+        StmtKind::Repeat { cond, body } => {
+            let old_cond = std::mem::replace(cond, ids.int(0));
+            // repeat … until cond or (leave <> 0)
+            let lhs_leave = ids.name(&leave);
+            let zero = ids.int(0);
+            let ne_id = ids.expr();
+            let ne = Expr {
+                id: ne_id,
+                kind: ExprKind::Binary {
+                    op: BinOp::Ne,
+                    lhs: Box::new(lhs_leave),
+                    rhs: Box::new(zero),
+                },
+                span: Span::dummy(),
+            };
+            let cid = ids.expr();
+            *cond = Expr {
+                id: cid,
+                kind: ExprKind::Binary {
+                    op: BinOp::Or,
+                    lhs: Box::new(old_cond),
+                    rhs: Box::new(ne),
+                },
+                span: Span::dummy(),
+            };
+            let taken = std::mem::take(body);
+            let mut rewritten: Vec<Stmt> = taken
+                .into_iter()
+                .map(|st| replace_exit_gotos(st, &exits, &leave, &whilelab, ids, mapping))
+                .collect();
+            rewritten.push(labeled_empty(&whilelab, ids));
+            *body = rewritten;
         }
+        _ => unreachable!(),
     }
     out.push(s);
+
+    // Dispatch after the loop.
+    for (j, label) in exits.iter().enumerate() {
+        let test = ids.eq_test(&leave, j as i64 + 1);
+        let g = ids.goto(label);
+        let if_id = ids.stmt();
+        mapping.add_synthetic(if_id, format!("loop {n} exit dispatch to {label}"));
+        out.push(Stmt {
+            id: if_id,
+            kind: StmtKind::If {
+                cond: test,
+                then_branch: Box::new(g),
+                else_branch: None,
+            },
+            span: Span::dummy(),
+        });
+    }
 }
 
 /// Rewrites a single nested statement position (possibly expanding into a
 /// compound).
-#[allow(clippy::too_many_arguments)]
 fn nest_one(
     s: Stmt,
     ids: &mut IdGen,
     mapping: &mut Mapping,
-    changed: &mut bool,
     counter: &mut usize,
     new_vars: &mut Vec<String>,
     new_labels: &mut Vec<String>,
 ) -> Stmt {
     let mut out = Vec::new();
-    rewrite_one(
-        s, ids, mapping, changed, counter, new_vars, new_labels, &mut out,
-    );
+    rewrite_one(s, ids, mapping, counter, new_vars, new_labels, &mut out);
     if out.len() == 1 {
         out.pop().expect("one statement")
     } else {
@@ -557,13 +541,23 @@ fn replace_exit_gotos(
 // ----------------------------------------------------------------------
 
 /// Breaks non-local gotos into exit-condition parameters plus local gotos
-/// at the call sites (one cascading round; iterate until unchanged).
+/// at the call sites (one cascading round; iterate until it returns
+/// `None`). Returns the new program and its mapping additions, or `None`
+/// when every goto is local; that check comes before any clone and before
+/// the label table is built.
 ///
 /// # Errors
 /// * a function performing a non-local goto is called inside an
 ///   expression (no statement position for the dispatch);
 /// * a caller declares a label that captures the target's name.
-pub fn break_global_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
+pub fn break_global_gotos(module: &Module) -> Result<Option<(Program, Mapping)>> {
+    if module
+        .goto_res
+        .iter()
+        .all(|(stmt, (owner, _))| module.proc_of_stmt[stmt] == *owner)
+    {
+        return Ok(None);
+    }
     // Globally stable label codes: every user-visible label of the program
     // gets a fixed integer, so cascading rounds (recursion, mutual
     // recursion) assign the same exit-condition value to the same label
@@ -602,9 +596,6 @@ pub fn break_global_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
             list.push((*owner, label.clone(), code));
         }
         goto_stmts.insert(*stmt, (q, code));
-    }
-    if targets_of.is_empty() {
-        return Ok((module.program.clone(), Mapping::default(), false));
     }
     // `goto_res` iterates in hash order; the call-site dispatch chain
     // follows each list, so put it in exit-code order.
@@ -922,7 +913,7 @@ pub fn break_global_gotos(module: &Module) -> Result<(Program, Mapping, bool)> {
     program.block = block;
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok((program, mapping, true))
+    Ok(Some((program, mapping)))
 }
 
 #[cfg(test)]
@@ -944,8 +935,7 @@ mod tests {
     #[test]
     fn loop_goto_rewrite_matches_paper_scheme() {
         let m = compile(testprogs::SECTION6_LOOP_GOTO).unwrap();
-        let (prog, mapping, changed) = break_loop_gotos(&m).unwrap();
-        assert!(changed);
+        let (prog, mapping) = break_loop_gotos(&m).unwrap().expect("rewrites");
         let printed = print_program(&prog);
         assert!(printed.contains("leave_1"), "{printed}");
         assert!(printed.contains("whilelab_1"), "{printed}");
@@ -967,10 +957,7 @@ mod tests {
              begin i := 0; while i < 3 do begin s := s + i; i := i + 1 end end.",
         )
         .unwrap();
-        let (prog, _, changed) = break_loop_gotos(&m).unwrap();
-        assert!(!changed);
-        // Structure identical (id counters may advance during rewriting).
-        assert_eq!(prog.block, m.program.block);
+        assert!(break_loop_gotos(&m).unwrap().is_none());
     }
 
     #[test]
@@ -988,9 +975,8 @@ mod tests {
              end.",
         )
         .unwrap();
-        let (_, _, changed) = break_loop_gotos(&m).unwrap();
         assert!(
-            !changed,
+            break_loop_gotos(&m).unwrap().is_none(),
             "goto targeting a label inside the loop is internal"
         );
     }
@@ -1008,8 +994,7 @@ mod tests {
                9: writeln(s)
              end.";
         let m = compile(src).unwrap();
-        let (prog, _, changed) = break_loop_gotos(&m).unwrap();
-        assert!(changed);
+        let (prog, _) = break_loop_gotos(&m).unwrap().expect("rewrites");
         let printed = print_program(&prog);
         let tm = analyze(prog).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         assert_eq!(run_output(&m), run_output(&tm));
@@ -1018,8 +1003,7 @@ mod tests {
     #[test]
     fn global_goto_gets_exit_parameter() {
         let m = compile(testprogs::SECTION6_GOTO).unwrap();
-        let (prog, mapping, changed) = break_global_gotos(&m).unwrap();
-        assert!(changed);
+        let (prog, mapping) = break_global_gotos(&m).unwrap().expect("rewrites");
         let printed = print_program(&prog);
         assert!(printed.contains("out exitcond_q: integer"), "{printed}");
         assert!(printed.contains("exitcond_q := 0"), "{printed}");
@@ -1039,9 +1023,37 @@ mod tests {
     #[test]
     fn no_global_gotos_means_no_change() {
         let m = compile(testprogs::SQRTEST).unwrap();
-        let (prog, _, changed) = break_global_gotos(&m).unwrap();
-        assert!(!changed);
-        assert_eq!(prog, m.program);
+        assert!(break_global_gotos(&m).unwrap().is_none());
+    }
+
+    #[test]
+    fn local_gotos_leave_both_phases_nothing_to_do() {
+        // A goto that leaves a loop is phase B's work but not phase C's.
+        let m = compile(testprogs::SECTION6_LOOP_GOTO).unwrap();
+        assert!(!m.goto_res.is_empty());
+        assert!(break_global_gotos(&m).unwrap().is_none());
+        // A local goto outside any loop is neither phase's work.
+        let m = compile(
+            "program t; label 9; var x: integer;
+             procedure p(n: integer);
+             label 5;
+             begin
+               if n > 0 then goto 5;
+               x := n;
+               5: x := x + 1
+             end;
+             begin
+               x := 0; p(1);
+               while x < 3 do x := x + 1;
+               if x > 2 then goto 9;
+               x := 10;
+               9: writeln(x)
+             end.",
+        )
+        .unwrap();
+        assert_eq!(m.goto_res.len(), 2);
+        assert!(break_loop_gotos(&m).unwrap().is_none());
+        assert!(break_global_gotos(&m).unwrap().is_none());
     }
 
     #[test]
@@ -1173,10 +1185,9 @@ mod tests {
         let mut rounds = 0;
         loop {
             let module = analyze(cur.clone()).unwrap();
-            let (next, _, changed) = break_global_gotos(&module).unwrap();
-            if !changed {
+            let Some((next, _)) = break_global_gotos(&module).unwrap() else {
                 break;
-            }
+            };
             cur = next;
             rounds += 1;
             assert!(rounds < 6, "cascade must terminate");

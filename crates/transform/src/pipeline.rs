@@ -80,21 +80,21 @@ pub fn transform_observed(module: &Module, rec: &mut gadt_obs::Recorder) -> Resu
 }
 
 fn transform_inner(module: &Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
-    let (prog, mut mapping) = crate::globals::convert_globals(module)?;
-    let mut m = reanalyze(prog)?;
+    let (mut m, mut mapping) = match crate::globals::convert_globals(module)? {
+        Some((prog, mapping)) => (reanalyze(prog)?, mapping),
+        None => (module.clone(), Mapping::default()),
+    };
     for _round in 0..16 {
         rec.incr("transform.rounds");
-        let (prog_b, map_b, changed_b) = break_loop_gotos(&m)?;
-        if changed_b {
-            mapping.merge(map_b);
-            m = reanalyze(prog_b)?;
+        let mut fixpoint = true;
+        for phase in [break_loop_gotos, break_global_gotos] {
+            if let Some((prog, map)) = phase(&m)? {
+                mapping.merge(map);
+                m = reanalyze(prog)?;
+                fixpoint = false;
+            }
         }
-        let (prog_c, map_c, changed_c) = break_global_gotos(&m)?;
-        if changed_c {
-            mapping.merge(map_c);
-            m = reanalyze(prog_c)?;
-        }
-        if !changed_b && !changed_c {
+        if fixpoint {
             // Verify the §6 postconditions.
             debug_assert!(
                 m.goto_res

@@ -23,11 +23,11 @@
 
 use gadt_pascal::ast::{BinOp, StmtId, UnOp};
 use gadt_pascal::cfg::{BlockId, CallArg, InstrKind, LoopId, Place, ProgramCfg, RExpr, Terminator};
+use gadt_pascal::idhash::IdMap;
 use gadt_pascal::sema::{Intrinsic, Module, ProcId, VarId, VarKind, MAIN_PROC};
 use gadt_pascal::span::Span;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
-use std::collections::HashMap;
 
 /// A compile-time-resolved variable reference.
 #[derive(Debug, Clone, Copy)]
@@ -188,7 +188,7 @@ fn is_cmp(op: BinOp) -> bool {
 pub(crate) struct VmProc {
     /// Slot of each variable owned by the proc (slots are dense indices
     /// in `vars_of` order).
-    pub slot_of: HashMap<VarId, u32>,
+    pub slot_of: IdMap<VarId, u32>,
     /// Zero-initialized frame prototype (cloned per activation).
     pub zeros: Vec<Value>,
     /// Parameters in declaration order.
@@ -333,7 +333,7 @@ struct ProcCompiler<'a> {
 impl<'a> ProcCompiler<'a> {
     fn new(module: &'a Module, cfg: &'a ProgramCfg, proc: ProcId) -> Self {
         let info = module.proc(proc);
-        let mut slot_of = HashMap::new();
+        let mut slot_of = IdMap::default();
         let mut zeros = Vec::new();
         for v in module.vars_of(proc) {
             slot_of.insert(v.id, zeros.len() as u32);
