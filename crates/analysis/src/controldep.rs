@@ -72,43 +72,10 @@ impl PostDom {
         PostDom { rows, words }
     }
 
-    fn row(&self, b: BlockId) -> &[u64] {
-        let b = b.0 as usize;
-        &self.rows[b * self.words..(b + 1) * self.words]
-    }
-
     /// Whether block `a` postdominates block `b`.
     pub fn postdominates(&self, a: BlockId, b: BlockId) -> bool {
-        let a = a.0 as usize;
-        self.row(b)
-            .get(a / 64)
-            .is_some_and(|w| w >> (a % 64) & 1 == 1)
-    }
-
-    /// The blocks below `n` that are `s` or postdominate it but do not
-    /// strictly postdominate `a`: those control-dependent on the branch
-    /// `a` through its successor `s`, in ascending order.
-    fn dependents(&self, a: BlockId, s: BlockId, n: usize) -> impl Iterator<Item = BlockId> + '_ {
-        let bit = |b: BlockId, w: usize| {
-            if b.0 as usize / 64 == w {
-                1u64 << (b.0 % 64)
-            } else {
-                0
-            }
-        };
-        (0..self.words).flat_map(move |w| {
-            let mut word = (self.row(s)[w] | bit(s, w)) & !(self.row(a)[w] & !bit(a, w));
-            if w == n / 64 {
-                word &= (1 << (n % 64)) - 1;
-            }
-            std::iter::from_fn(move || {
-                (word != 0).then(|| {
-                    let i = word.trailing_zeros();
-                    word &= word - 1;
-                    BlockId(w as u32 * 64 + i)
-                })
-            })
-        })
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        a / 64 < self.words && self.rows[b * self.words + a / 64] >> (a % 64) & 1 == 1
     }
 }
 
@@ -137,8 +104,12 @@ impl ControlDeps {
             for s in [*then_bb, *else_bb] {
                 // Every block b that postdominates s but does not strictly
                 // postdominate a is control-dependent on a.
-                for b in pdom.dependents(a, s, cfg.blocks.len()) {
-                    block_deps.entry(b).or_default().insert(a);
+                for b in cfg.iter().map(|(id, _)| id) {
+                    let pd_s = b == s || pdom.postdominates(b, s);
+                    let strictly_pd_a = b != a && pdom.postdominates(b, a);
+                    if pd_s && !strictly_pd_a {
+                        block_deps.entry(b).or_default().insert(a);
+                    }
                 }
             }
         }

@@ -557,18 +557,11 @@ impl Parser {
                     span: start.merge(self.prev_span()),
                 })
             }
-            TokenKind::Ident(name) => {
-                let is = |word: &str| name.eq_ignore_ascii_case(word);
-                let (read, readln) = (is("read"), is("readln"));
-                let (write, writeln) = (is("write"), is("writeln"));
-                if read || readln {
-                    self.read_stmt(readln)
-                } else if write || writeln {
-                    self.write_stmt(writeln)
-                } else {
-                    self.assign_or_call()
-                }
-            }
+            TokenKind::Ident(name) if name.eq_ignore_ascii_case("read") => self.read_stmt(false),
+            TokenKind::Ident(name) if name.eq_ignore_ascii_case("readln") => self.read_stmt(true),
+            TokenKind::Ident(name) if name.eq_ignore_ascii_case("write") => self.write_stmt(false),
+            TokenKind::Ident(name) if name.eq_ignore_ascii_case("writeln") => self.write_stmt(true),
+            TokenKind::Ident(_) => self.assign_or_call(),
             // Empty statement (e.g. `begin ; end` or before `end`).
             TokenKind::Semicolon | TokenKind::End => {
                 let id = self.stmt_id();

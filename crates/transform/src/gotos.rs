@@ -14,6 +14,12 @@
 //! followed by `if exitcond = k then goto L`. If the label is owned
 //! further out, the caller's new goto is itself non-local and a later
 //! round transforms the caller — exactly the paper's cascading scheme.
+//! The dispatch chain after a call tests the exit codes in ascending
+//! order.
+//!
+//! Both phases return `None` when they have nothing to rewrite: phase B
+//! when no loop contains a goto to a label outside it, phase C when every
+//! goto is local. The pipeline iterates B and C until both return `None`.
 
 use crate::mapping::{AddedParam, ExitInfo, Mapping, ParamOrigin};
 use gadt_pascal::ast::*;

@@ -25,6 +25,13 @@
 //!   `save_outgoing_values`); in this implementation actual tracing is
 //!   performed by interpreter monitors, so these calls are display-only.
 //!
+//! Each phase returns `Option<(Program, Mapping)>`: the rewritten
+//! program and what it added to the mapping, or `None` when the phase
+//! has nothing to rewrite. A phase decides that by walking the analyzed
+//! module by reference before it clones anything, so a program without
+//! non-locals or gotos costs the pipeline one effects analysis and a few
+//! walks, not three AST copies and a re-analysis.
+//!
 //! Every transformation is semantics-preserving; the test suite checks
 //! this differentially (original vs transformed on the same inputs).
 

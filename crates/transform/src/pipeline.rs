@@ -28,6 +28,8 @@ pub struct Transformed {
 ///
 /// phases B and C alternate until a fixpoint, because each can expose
 /// work for the other (the paper's "handled by a later transformation").
+/// A phase with nothing to rewrite returns `None` and costs no clone;
+/// the fixpoint is a round in which both do.
 ///
 /// # Errors
 /// * semantic errors in intermediate programs (a transformation bug —
