@@ -4,12 +4,13 @@
 //! The digests were taken before those layers were tuned for speed.
 //! They cover what users and later phases see: the transformed program
 //! as printed, its original↔transformed mapping, every parse
-//! diagnostic (message and span), and the control dependences the
-//! slicers consume. A change to any pin changes observable behaviour;
+//! diagnostic (message and span), the control dependences the slicers
+//! consume, and every campaign mutant as printed. A change to any pin changes observable behaviour;
 //! bump one only on purpose and say why in the CHANGELOG.
 
 use gadt_repro::analysis::controldep::{ControlDeps, PostDom};
-use gadt_repro::corpus::{generate_batch, GenConfig, Lcg};
+use gadt_repro::corpus::{corpus_subjects, generate_batch, CorpusCampaignConfig, GenConfig, Lcg};
+use gadt_repro::mutate::{apply, enumerate_sites};
 use gadt_repro::pascal::cfg::{lower, ProcCfg, Terminator};
 use gadt_repro::pascal::parser::parse_program;
 use gadt_repro::pascal::pretty::print_program;
@@ -334,4 +335,38 @@ fn control_deps_match_the_reference_computation() {
     for p in generate_batch(0, 2000, &GenConfig::default(), 2) {
         check_source(&format!("seed {}", p.seed), &p.source);
     }
+}
+
+/// Digest of `print_program(apply(..))` over every mutant of the fixtures
+/// and of the benchmark campaign's subjects (generator seeds 5–7).
+/// Mutants bring shapes transformed programs rarely have: empty
+/// statements, duplicated assignments in compounds and `not` conditions.
+const PINNED_PRINTED_MUTANTS: u64 = 0x3e5a_d3bd_de37_edbb;
+
+#[test]
+fn printed_mutants_are_pinned() {
+    let mut subjects: Vec<(String, String)> = testprogs::ALL
+        .iter()
+        .map(|(name, src)| ((*name).to_string(), (*src).to_string()))
+        .collect();
+    let campaign = corpus_subjects(&CorpusCampaignConfig {
+        start_seed: 5,
+        programs: 3,
+        ..CorpusCampaignConfig::default()
+    });
+    subjects.extend(campaign.into_iter().map(|p| (p.name, p.source)));
+    let mut hash = digest(b"");
+    let mut mutants = 0;
+    for (name, src) in &subjects {
+        let ast = parse_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for site in enumerate_sites(&ast) {
+            let mutant = apply(&ast, &site).expect("enumerated site applies");
+            let line = format!("{name} {} {}\n", site.op, site.ordinal);
+            hash = fnv1a(hash, line.as_bytes());
+            hash = fnv1a(hash, print_program(&mutant).as_bytes());
+            mutants += 1;
+        }
+    }
+    assert!(mutants > 883, "only {mutants} mutants");
+    assert_eq!(hash, PINNED_PRINTED_MUTANTS, "actual digest {hash:#018x}");
 }

@@ -4,21 +4,28 @@
 //! same error, byte for byte — on **both** engines.
 //!
 //! Subjects: every curated paper fixture, every committed
-//! corpus-regression reproducer, a 2000-seed generated-corpus sweep, and
-//! isolated procedure runs. A separate test pins campaign invariance:
+//! corpus-regression reproducer, a 2000-seed generated-corpus sweep,
+//! every mutant of the benchmark campaign's subjects (runaways
+//! included), and isolated procedure runs. A separate test pins
+//! campaign invariance:
 //! the two-stage kill check (fast crash screen → traced run) must leave
 //! kill verdicts and `CampaignSummary` fingerprints unchanged at 1, 2,
 //! and 8 worker threads.
 
 use gadt_corpus::gen::{generate, GenConfig};
-use gadt_mutate::{run_campaign, CampaignConfig, CampaignProgram};
+use gadt_corpus::{corpus_subjects, CorpusCampaignConfig};
+use gadt_mutate::{apply, enumerate_sites, run_campaign, CampaignConfig, CampaignProgram};
 use gadt_pascal::cfg::lower;
-use gadt_pascal::interp::{Limits, NoopMonitor};
+use gadt_pascal::interp::{Limits, NoopMonitor, Outcome};
+use gadt_pascal::parser::parse_program;
+use gadt_pascal::pretty::print_program;
 use gadt_pascal::sema::{compile, Module, MAIN_PROC};
 use gadt_pascal::testprogs;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
+use gadt_transform::transform;
 use gadt_vm::{CallSemantics, Engine, PreparedEngine};
+use std::collections::BTreeMap;
 
 /// Shared input queue: enough values to satisfy any fixture's `read`s.
 fn input() -> Vec<Value> {
@@ -51,13 +58,14 @@ fn subjects() -> Vec<(String, String)> {
 }
 
 /// Asserts that `run_fast` and `run_with(NoopMonitor)` agree on one
-/// prepared engine — outcome fields or error text, byte for byte.
+/// prepared engine — outcome fields or error text, byte for byte — and
+/// returns the fast result as text, for comparisons across engines.
 fn assert_fast_matches_monitored(
     name: &str,
     engine: &PreparedEngine<'_>,
     input: &[Value],
     limits: Limits,
-) {
+) -> String {
     let fast = engine.run_fast(input.to_vec(), limits);
     let slow = engine.run_with(input.to_vec(), limits, &mut NoopMonitor);
     match (&fast, &slow) {
@@ -80,6 +88,16 @@ fn assert_fast_matches_monitored(
             engine.engine()
         ),
     }
+    match fast {
+        Ok(o) => result_text(&o),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// An outcome as text, globals in name order.
+fn result_text(o: &Outcome) -> String {
+    let globals: BTreeMap<_, _> = o.globals.iter().collect();
+    format!("steps {}\n{:?}\n{globals:?}", o.steps, o.output_text())
 }
 
 #[test]
@@ -175,6 +193,64 @@ fn fast_path_matches_monitored_on_generated_corpus() {
             );
         }
     }
+}
+
+/// Every mutant of the benchmark campaign's subjects (generator seeds
+/// 5–7), printed and compiled as the campaign does, with its subject's
+/// input. Stillborn mutants are left out.
+fn campaign_mutants() -> Vec<(String, String, Vec<Value>)> {
+    let subjects = corpus_subjects(&CorpusCampaignConfig {
+        start_seed: 5,
+        programs: 3,
+        ..CorpusCampaignConfig::default()
+    });
+    let mut mutants = Vec::new();
+    for p in subjects {
+        let ast = parse_program(&p.source).expect("subject parses");
+        for site in enumerate_sites(&ast) {
+            let mutant = apply(&ast, &site).expect("enumerated site applies");
+            let name = format!("{} {} #{}", p.name, site.op, site.ordinal);
+            mutants.push((name, print_program(&mutant), p.input.clone()));
+        }
+    }
+    mutants
+}
+
+/// The campaign's crash screen on every one of its mutants, runaways
+/// included: the fast path agrees with the monitored run on both
+/// engines, and the two engines agree with each other, on the mutant as
+/// compiled and on its §6 transform (what the campaign screens). The
+/// budget is a tenth of the campaign's, enough for every runaway to
+/// run away: the VM stops those that repeat a state early, with the
+/// same error.
+#[test]
+fn fast_path_matches_monitored_on_campaign_mutants() {
+    let limits = Limits {
+        max_steps: 20_000,
+        max_depth: 64,
+    };
+    let (mut runs, mut runaways) = (0, 0);
+    for (name, src, input) in campaign_mutants() {
+        let Ok(module) = compile(&src) else { continue };
+        let transformed = transform(&module).ok().map(|t| t.module);
+        for (tag, m) in [
+            ("", Some(&module)),
+            (" (transformed)", transformed.as_ref()),
+        ] {
+            let Some(m) = m else { continue };
+            let cfg = lower(m);
+            let name = format!("{name}{tag}");
+            let [tree, vm] = [Engine::TreeWalker, Engine::Vm].map(|eng| {
+                let engine = PreparedEngine::new(m, &cfg, eng);
+                assert_fast_matches_monitored(&name, &engine, &input, limits)
+            });
+            assert_eq!(tree, vm, "{name}: engines diverge");
+            runs += 1;
+            runaways += usize::from(vm.contains("step limit of 20000 exceeded"));
+        }
+    }
+    assert!(runs > 1700, "only {runs} mutant runs");
+    assert!(runaways >= 42, "only {runaways} runaway runs");
 }
 
 /// The campaign's two-stage kill check (monitor-free crash screen, then
