@@ -9,8 +9,14 @@
 //! first-access lists are recorded on the *top* frame, and missing
 //! variables in the non-local write walk default to `0`), because the
 //! differential harness compares engines bug-for-bug.
+//!
+//! The monitor-free instantiation adds two things the traced one does
+//! not need: a [`CycleGuard`] that ends a run at its first repeated
+//! machine state, and integer kernels in front of the shared operator
+//! semantics.
 
 use crate::compile::{Op, SlotRef, StoreTy, VmProc, VmProgram};
+use gadt_pascal::ast::BinOp;
 use gadt_pascal::cfg::{BlockId, LoopId};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
 use gadt_pascal::interp::{
@@ -19,6 +25,7 @@ use gadt_pascal::interp::{
 };
 use gadt_pascal::sema::{Module, ProcId, VarId, MAIN_PROC};
 use gadt_pascal::span::Span;
+use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use std::collections::{HashMap, VecDeque};
 
@@ -26,8 +33,14 @@ fn rt_err(msg: impl Into<String>, span: Span) -> Diagnostic {
     Diagnostic::new(Stage::Runtime, msg, span)
 }
 
+/// The error of a run that exhausts its step budget: what the step
+/// counter reports, and what the cycle guard reports early.
+fn step_limit_exceeded(max_steps: u64) -> Diagnostic {
+    rt_err(format!("step limit of {max_steps} exceeded"), Span::dummy())
+}
+
 /// An absolute storage location: frame-stack index + slot + element.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct VmLoc {
     frame_idx: usize,
     slot: u32,
@@ -39,7 +52,7 @@ struct VmLoc {
 }
 
 /// Saved caller state for a frame return.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ReturnCtx {
     proc: ProcId,
     ip: usize,
@@ -47,6 +60,7 @@ struct ReturnCtx {
     span: Span,
 }
 
+#[derive(Clone)]
 struct VmFrame {
     id: u64,
     call: u64,
@@ -73,11 +87,152 @@ struct VmFrame {
 }
 
 /// Argument record accumulated between `BeginCall` and `DoCall`.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct PendingCall {
     entry_args: Vec<(VarId, Value)>,
     params: Vec<(u32, Value)>,
     bindings: Vec<(VarId, VmLoc)>,
+}
+
+/// Brent's cycle detection over the monitor-free machine state.
+///
+/// The fast path is deterministic: what it does next depends only on the
+/// state below. So once the machine holds a state it already held, with
+/// at least one step in between, the segment between the two ran without
+/// error and repeats until the step budget runs out. The guard returns
+/// that step-limit error at once; the run ends as it would have, sooner,
+/// and its output is discarded with the error, as it always was.
+///
+/// **Hooks.** The guard looks at the state after every jump or branch
+/// whose target is at or before the jumping op, and after every `goto`
+/// lands. Elsewhere `ip` only moves forward within a frame and calls only
+/// push frames, so every repeated state passes through a hook.
+///
+/// **Compared: everything a later op can read.**
+/// - `proc` and `ip`: the next op;
+/// - the operand stack, and each pending call's `params` and `bindings`,
+///   which `DoCall` consumes;
+/// - the remaining input length: input only shrinks from the front, so
+///   the length fixes what `read` returns next;
+/// - `cur_span`: errors and return contexts carry it;
+/// - per frame: `proc`, `static_link`, `slots`, `extras` and `bindings`
+///   (variable resolution and the isolated run's results), `ret` (where
+///   `Ret` resumes) and `stack_base` (where a goto landing truncates).
+///
+/// **Left out: what no fast-path op reads.** The output only grows and is
+/// never read back. The step counter must only have grown. The frame,
+/// call and loop-instance counters name events, which the fast path does
+/// not fire. `uses_stack`, and each frame's `id`, `call`, `loop_stack`,
+/// `nl_reads`, `nl_written`, `ref_read`, `ref_written`, `site_stmt` and
+/// `uses_top`, feed only the traced path, and pending calls'
+/// `entry_args` only its events.
+///
+/// Values compare exactly ([`same_value`]): reals by bit pattern, arrays
+/// element by element with their bounds.
+///
+/// **Cost.** One snapshot and two counters: each hook compares against
+/// the snapshot, cheap fields first (`proc`, `ip`, frame count, input and
+/// stack length, steps), stopping at the first difference. When the hooks
+/// since the snapshot reach the current power of two, the hook takes a
+/// new snapshot into the same buffers and doubles the power. A run that
+/// enters a cycle of `λ` hooks after `μ` hooks stops within about
+/// `μ + 2λ` hooks, and a run that never repeats takes a logarithmic
+/// number of snapshots.
+struct CycleGuard {
+    /// Hooks since the snapshot was taken.
+    hooks: u64,
+    /// Hooks between this snapshot and the next; 0 until the run's first
+    /// hook takes one.
+    power: u64,
+    snap: Snapshot,
+}
+
+/// The compared state of one hook (see [`CycleGuard`]). Frames and
+/// pending calls are stored whole; only their compared fields are read.
+struct Snapshot {
+    proc: ProcId,
+    ip: usize,
+    steps: u64,
+    input_len: usize,
+    cur_span: Span,
+    stack: Vec<Value>,
+    pending: Vec<PendingCall>,
+    frames: Vec<VmFrame>,
+}
+
+/// Exact value equality for the cycle guard. `Value`'s derived
+/// `PartialEq` will not do: there `0.0 == -0.0`, which print differently,
+/// and a NaN never equals itself.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::Char(x), Value::Char(y)) => x == y,
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Array(x), Value::Array(y)) => x.lo == y.lo && same_values(&x.elems, &y.elems),
+        _ => false,
+    }
+}
+
+fn same_values(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_value(x, y))
+}
+
+/// The compared fields of a pending call.
+fn same_pending(a: &PendingCall, b: &PendingCall) -> bool {
+    a.bindings == b.bindings
+        && a.params.len() == b.params.len()
+        && a.params
+            .iter()
+            .zip(&b.params)
+            .all(|((sa, va), (sb, vb))| sa == sb && same_value(va, vb))
+}
+
+/// The compared fields of a frame, scalars before slots.
+fn same_frame(a: &VmFrame, b: &VmFrame) -> bool {
+    a.proc == b.proc
+        && a.static_link == b.static_link
+        && a.stack_base == b.stack_base
+        && a.ret == b.ret
+        && a.extras == b.extras
+        && a.bindings == b.bindings
+        && same_values(&a.slots, &b.slots)
+}
+
+/// The integer cases of [`eval_binary_op`]. `None` for an operator that
+/// does not take two integers to an integer or boolean (`/`, `and`,
+/// `or`), and for an overflow or a division by zero: `eval_binary_op`
+/// then runs and reports the error in its own words.
+#[inline]
+fn int_binary(op: BinOp, x: i64, y: i64) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Int(x.checked_add(y)?),
+        Sub => Value::Int(x.checked_sub(y)?),
+        Mul => Value::Int(x.checked_mul(y)?),
+        Div => Value::Int(x.checked_div(y)?),
+        Mod => Value::Int(x.checked_rem(y)?),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        FDiv | And | Or => return None,
+    })
+}
+
+/// [`eval_binary_op`] behind the integer kernel: the fast path's
+/// operator application.
+#[inline]
+fn fast_binary(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
+    if let (Value::Int(x), Value::Int(y)) = (&a, &b) {
+        if let Some(r) = int_binary(op, *x, *y) {
+            return Ok(r);
+        }
+    }
+    eval_binary_op(op, a, b, span)
 }
 
 /// One VM execution. Create via [`Vm::new`], feed input, then call
@@ -98,6 +253,7 @@ pub struct Vm<'m> {
     next_loop_instance: u64,
     steps: u64,
     cur_span: Span,
+    guard: CycleGuard,
 }
 
 impl<'m> std::fmt::Debug for Vm<'m> {
@@ -127,6 +283,20 @@ impl<'m> Vm<'m> {
             next_loop_instance: 0,
             steps: 0,
             cur_span: Span::dummy(),
+            guard: CycleGuard {
+                hooks: 0,
+                power: 0,
+                snap: Snapshot {
+                    proc: MAIN_PROC,
+                    ip: 0,
+                    steps: 0,
+                    input_len: 0,
+                    cur_span: Span::dummy(),
+                    stack: Vec::new(),
+                    pending: Vec::new(),
+                    frames: Vec::new(),
+                },
+            },
         }
     }
 
@@ -151,6 +321,10 @@ impl<'m> Vm<'m> {
         self.next_call = 0;
         self.next_loop_instance = 0;
         self.cur_span = Span::dummy();
+        // The snapshot's buffers stay for reuse; `power == 0` marks them
+        // stale.
+        self.guard.hooks = 0;
+        self.guard.power = 0;
     }
 
     /// Runs the whole program (the `run_with` entry point).
@@ -167,6 +341,10 @@ impl<'m> Vm<'m> {
     /// and read/write-set bookkeeping statically compiled out. Use when
     /// only the *result* of a run matters (kill checks, differential
     /// output comparison, verdict-only batches).
+    ///
+    /// A run whose machine state repeats can only end by exhausting its
+    /// step budget; it returns that step-limit error as soon as the
+    /// repeat shows (see [`CycleGuard`]).
     pub fn run(&mut self) -> Result<Outcome> {
         self.run_impl::<false>(&mut NoopMonitor)
     }
@@ -214,7 +392,8 @@ impl<'m> Vm<'m> {
 
     /// Monitor-free fast path for isolated procedure runs: identical
     /// `ProcRun`/error results to [`Vm::run_proc_with`] with all event
-    /// machinery statically compiled out.
+    /// machinery statically compiled out. Like [`Vm::run`], it returns
+    /// the step-limit error early when the machine state repeats.
     pub fn run_proc(&mut self, proc: ProcId, args: Vec<Value>) -> Result<ProcRun> {
         self.run_proc_impl::<false>(proc, args, &mut NoopMonitor)
     }
@@ -637,12 +816,85 @@ impl<'m> Vm<'m> {
     fn bump_step(&mut self) -> Result<()> {
         self.steps += 1;
         if self.steps > self.limits.max_steps {
-            return Err(rt_err(
-                format!("step limit of {} exceeded", self.limits.max_steps),
-                Span::dummy(),
-            ));
+            return Err(step_limit_exceeded(self.limits.max_steps));
         }
         Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // The cycle guard (monitor-free runs only)
+    // ------------------------------------------------------------------
+
+    /// A [`CycleGuard`] hook at `(proc, ip)`: the step-limit error when
+    /// the machine is back in the snapshot's state, else maybe a new
+    /// snapshot.
+    #[inline]
+    fn cycle_hook(&mut self, proc: ProcId, ip: usize) -> Result<()> {
+        if self.guard.power != 0 && self.repeats(proc, ip) {
+            return Err(step_limit_exceeded(self.limits.max_steps));
+        }
+        self.guard.hooks += 1;
+        if self.guard.hooks >= self.guard.power {
+            self.snapshot(proc, ip);
+        }
+        Ok(())
+    }
+
+    /// Whether the machine at `(proc, ip)` holds the snapshot's state,
+    /// with at least one step since.
+    fn repeats(&self, proc: ProcId, ip: usize) -> bool {
+        let s = &self.guard.snap;
+        if s.proc != proc
+            || s.ip != ip
+            || s.frames.len() != self.frames.len()
+            || s.input_len != self.input.len()
+            || s.stack.len() != self.stack.len()
+            || s.steps == self.steps
+        {
+            return false;
+        }
+        s.cur_span == self.cur_span
+            && same_values(&s.stack, &self.stack)
+            && s.pending.len() == self.pending.len()
+            && s.pending
+                .iter()
+                .zip(&self.pending)
+                .all(|(a, b)| same_pending(a, b))
+            // The innermost frames first: their locals change most.
+            && s.frames
+                .iter()
+                .zip(&self.frames)
+                .rev()
+                .all(|(a, b)| same_frame(a, b))
+    }
+
+    #[cold]
+    fn snapshot(&mut self, proc: ProcId, ip: usize) {
+        let g = &mut self.guard;
+        g.hooks = 0;
+        g.power = (g.power * 2).max(1);
+        let s = &mut g.snap;
+        s.proc = proc;
+        s.ip = ip;
+        s.steps = self.steps;
+        s.input_len = self.input.len();
+        s.cur_span = self.cur_span;
+        s.stack.clone_from(&self.stack);
+        s.pending.clone_from(&self.pending);
+        s.frames.clone_from(&self.frames);
+    }
+
+    /// The integer a fast-path read of `loc` yields, or `None` where the
+    /// read must take the general path (a non-integer, or an index out
+    /// of bounds, whose error that path reports).
+    #[inline]
+    fn int_at(&self, loc: VmLoc) -> Option<i64> {
+        let base = &self.frames[loc.frame_idx].slots[loc.slot as usize];
+        match (loc.elem, base) {
+            (None, Value::Int(n)) => Some(*n),
+            (Some(i), Value::Array(a)) => a.get(i)?.as_int(),
+            _ => None,
+        }
     }
 
     fn fire_step(
@@ -792,7 +1044,11 @@ impl<'m> Vm<'m> {
     /// Monomorphized over `TRACE`: the `false` instantiation compiles
     /// out every event construction, uses-buffer push, and read/write
     /// bookkeeping while keeping step counting, limits, and all runtime
-    /// errors byte-identical to the monitored run.
+    /// errors byte-identical to the monitored run. It alone runs the
+    /// [`CycleGuard`] hooks and the integer kernels ([`int_binary`]):
+    /// two-integer operands and integer stores skip the general
+    /// operator and coercion code, and everything else, every overflow
+    /// and every division by zero included, still goes through it.
     fn exec<const TRACE: bool>(
         &mut self,
         start: ProcId,
@@ -838,6 +1094,17 @@ impl<'m> Vm<'m> {
                 }
                 Op::LoadLoadBin { a, b, op } => {
                     let la = self.resolve(&vproc.slotrefs[*a as usize]);
+                    if !TRACE {
+                        let lb = self.resolve(&vproc.slotrefs[*b as usize]);
+                        let r = self
+                            .int_at(la)
+                            .zip(self.int_at(lb))
+                            .and_then(|(x, y)| int_binary(*op, x, y));
+                        if let Some(r) = r {
+                            self.stack.push(r);
+                            continue;
+                        }
+                    }
                     if TRACE {
                         let ml = self.memloc(la);
                         self.uses_stack.last_mut().expect("uses").push(ml);
@@ -854,6 +1121,14 @@ impl<'m> Vm<'m> {
                 }
                 Op::LoadConstBin { sr, k, op } => {
                     let loc = self.resolve(&vproc.slotrefs[*sr as usize]);
+                    if !TRACE {
+                        if let Value::Int(y) = vproc.consts[*k as usize] {
+                            if let Some(r) = self.int_at(loc).and_then(|x| int_binary(*op, x, y)) {
+                                self.stack.push(r);
+                                continue;
+                            }
+                        }
+                    }
                     if TRACE {
                         let ml = self.memloc(loc);
                         self.uses_stack.last_mut().expect("uses").push(ml);
@@ -871,7 +1146,11 @@ impl<'m> Vm<'m> {
                 Op::Binary(op) => {
                     let b = self.stack.pop().expect("operand");
                     let a = self.stack.pop().expect("operand");
-                    let r = eval_binary_op(*op, a, b, self.cur_span)?;
+                    let r = if TRACE {
+                        eval_binary_op(*op, a, b, self.cur_span)?
+                    } else {
+                        fast_binary(*op, a, b, self.cur_span)?
+                    };
                     self.stack.push(r);
                 }
                 Op::IntrinsicCall(which) => {
@@ -988,7 +1267,11 @@ impl<'m> Vm<'m> {
                         self.resolve(&vproc.slotrefs[*sr as usize])
                     };
                     let value = self.stack.pop().expect("store value");
-                    let value = self.coerce(value, &vproc.store_tys[*ty as usize])?;
+                    let store_ty = &vproc.store_tys[*ty as usize];
+                    let value = match (&value, store_ty) {
+                        (Value::Int(_), StoreTy::Direct(Type::Integer)) if !TRACE => value,
+                        _ => self.coerce(value, store_ty)?,
+                    };
                     if TRACE {
                         let def = self.memloc(loc);
                         self.write_loc::<true>(loc, value, self.cur_span)?;
@@ -1054,7 +1337,11 @@ impl<'m> Vm<'m> {
                         let target = BlockId(*b);
                         self.transfer_loops(target, monitor);
                     }
-                    ip = vproc.block_start[*b as usize];
+                    let to = vproc.block_start[*b as usize];
+                    if !TRACE && to < ip {
+                        self.cycle_hook(proc, to)?;
+                    }
+                    ip = to;
                 }
                 Op::BranchIf {
                     then_bb,
@@ -1079,7 +1366,11 @@ impl<'m> Vm<'m> {
                     if TRACE {
                         self.transfer_loops(target, monitor);
                     }
-                    ip = vproc.block_start[b as usize];
+                    let to = vproc.block_start[b as usize];
+                    if !TRACE && to < ip {
+                        self.cycle_hook(proc, to)?;
+                    }
+                    ip = to;
                 }
                 Op::CmpBranch {
                     op,
@@ -1089,7 +1380,11 @@ impl<'m> Vm<'m> {
                 } => {
                     let b = self.stack.pop().expect("operand");
                     let a = self.stack.pop().expect("operand");
-                    let r = eval_binary_op(*op, a, b, self.cur_span)?;
+                    let r = if TRACE {
+                        eval_binary_op(*op, a, b, self.cur_span)?
+                    } else {
+                        fast_binary(*op, a, b, self.cur_span)?
+                    };
                     let taken = r
                         .as_bool()
                         .ok_or_else(|| rt_err("branch condition is not boolean", Span::dummy()))?;
@@ -1107,7 +1402,11 @@ impl<'m> Vm<'m> {
                     if TRACE {
                         self.transfer_loops(target, monitor);
                     }
-                    ip = vproc.block_start[t as usize];
+                    let to = vproc.block_start[t as usize];
+                    if !TRACE && to < ip {
+                        self.cycle_hook(proc, to)?;
+                    }
+                    ip = to;
                 }
                 Op::Ret => {
                     if TRACE {
@@ -1162,6 +1461,9 @@ impl<'m> Vm<'m> {
                         self.land::<TRACE>(target, monitor);
                         let lp = self.top().proc;
                         reload!(lp, self.program.proc(lp).block_start[target.0 as usize]);
+                        if !TRACE {
+                            self.cycle_hook(proc, ip)?;
+                        }
                         continue;
                     }
                     loop {
@@ -1193,6 +1495,9 @@ impl<'m> Vm<'m> {
                             self.land::<TRACE>(target, monitor);
                             let lp = self.top().proc;
                             reload!(lp, self.program.proc(lp).block_start[target.0 as usize]);
+                            if !TRACE {
+                                self.cycle_hook(proc, ip)?;
+                            }
                             break;
                         }
                         if TRACE {
@@ -1242,5 +1547,219 @@ impl<'m> Vm<'m> {
             StoreTy::Direct(t) => coerce_store(value, t, self.cur_span),
             StoreTy::ElemOfNonArray => Err(rt_err("indexing a non-array variable", self.cur_span)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gadt_pascal::cfg::lower;
+    use gadt_pascal::sema::compile;
+
+    const BUDGET: u64 = 100_000;
+
+    /// Runs `src` on the fast path and then monitored, on one `Vm`, and
+    /// returns both results as text plus the fast run's step count.
+    fn fast_and_monitored(src: &str, input: &[i64]) -> (String, String, u64) {
+        let module = compile(src).expect("compiles");
+        let cfg = lower(&module);
+        let program = VmProgram::compile(&module, &cfg);
+        let mut vm = Vm::new(&module, &program);
+        vm.set_limits(Limits {
+            max_steps: BUDGET,
+            ..Limits::default()
+        });
+        let text = |r: Result<Outcome>| match r {
+            Ok(o) => format!("ok {} {:?}", o.steps, o.output_text()),
+            Err(e) => format!("error: {e}"),
+        };
+        vm.set_input(input.iter().map(|&n| Value::Int(n)));
+        let fast = text(vm.run());
+        let fast_steps = vm.steps;
+        vm.set_input(input.iter().map(|&n| Value::Int(n)));
+        let monitored = text(vm.run_with(&mut NoopMonitor));
+        (fast, monitored, fast_steps)
+    }
+
+    /// A runaway the guard must stop within `within` steps, with the
+    /// monitored run's error.
+    fn assert_stops_early(src: &str, within: u64) {
+        let (fast, monitored, steps) = fast_and_monitored(src, &[]);
+        assert_eq!(fast, monitored, "{src}");
+        assert!(fast.contains("step limit of 100000 exceeded"), "{fast}");
+        assert!(steps <= within, "stopped after {steps} steps: {src}");
+    }
+
+    #[test]
+    fn stalled_loop_counters_stop_early() {
+        assert_stops_early(
+            "program t; var i, s: integer;
+             begin i := 0; s := 0; while i < 10 do s := i * 2; writeln(s) end.",
+            100,
+        );
+        assert_stops_early(
+            "program t; var i, s: integer;
+             begin i := 0; repeat s := s + i until i > 5; writeln(s) end.",
+            100,
+        );
+    }
+
+    #[test]
+    fn drifting_counter_runs_the_whole_budget() {
+        let (fast, monitored, steps) = fast_and_monitored(
+            "program t; var i: integer; begin i := 0; while i >= 0 do i := i + 1 end.",
+            &[],
+        );
+        assert_eq!(fast, monitored);
+        assert!(fast.contains("step limit of 100000 exceeded"), "{fast}");
+        assert_eq!(steps, BUDGET + 1);
+    }
+
+    #[test]
+    fn goto_loops_stop_early() {
+        // A local goto lowers to a backward jump.
+        assert_stops_early(
+            "program t; label 1; var i: integer;
+             begin i := 0; 1: i := i * 1; goto 1 end.",
+            100,
+        );
+        // A non-local goto passes no backward jump: the landing is the
+        // only hook on the cycle.
+        assert_stops_early(
+            "program t; label 1; var i: integer;
+             procedure p; begin i := i + 0; goto 1 end;
+             begin i := 0; 1: p end.",
+            100,
+        );
+    }
+
+    #[test]
+    fn loop_inside_an_argument_stops_early() {
+        // While `f` spins, the operand stack holds `2` and a pending call
+        // of `p` holds its first argument.
+        assert_stops_early(
+            "program t; var x: integer;
+             function f(n: integer): integer; var k: integer;
+             begin k := 0; while k < n do k := k * 1; f := k end;
+             procedure p(a, b: integer); begin x := a + b end;
+             begin p(1, 2 + f(3)); writeln(x) end.",
+            100,
+        );
+    }
+
+    #[test]
+    fn a_loop_reading_input_ends_with_input_exhausted() {
+        let input = [7; 50];
+        let (fast, monitored, _) = fast_and_monitored(
+            "program t; var x: integer; begin while true do read(x) end.",
+            &input,
+        );
+        assert_eq!(fast, monitored);
+        assert!(fast.contains("input exhausted"), "{fast}");
+    }
+
+    #[test]
+    fn a_second_run_starts_with_a_clean_guard() {
+        // With the first run's snapshot still armed, the second run's
+        // first hook would match it after more steps and stop a run that
+        // terminates.
+        let src = "program t; var n, w, i: integer;
+             begin
+               read(n);
+               if n > 0 then begin w := 1; w := 2; w := 3 end;
+               n := 0; w := 0; i := 0;
+               while i < 1 do i := i + 1;
+               writeln(i)
+             end.";
+        let module = compile(src).expect("compiles");
+        let cfg = lower(&module);
+        let program = VmProgram::compile(&module, &cfg);
+        let mut vm = Vm::new(&module, &program);
+        for n in [0, 5] {
+            vm.set_input([Value::Int(n)]);
+            let out = vm.run().expect("terminates");
+            assert_eq!(out.output_text(), "1\n");
+            assert_ne!(vm.guard.power, 0, "the loop's hook took a snapshot");
+        }
+        vm.reset();
+        assert_eq!((vm.guard.hooks, vm.guard.power), (0, 0));
+    }
+
+    #[test]
+    fn kernels_match_the_shared_operator_semantics() {
+        use BinOp::*;
+        let ints = [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 3, i64::MAX];
+        let mut values: Vec<Value> = ints.iter().map(|&n| Value::Int(n)).collect();
+        values.extend([Value::Real(2.5), Value::Real(-0.0), Value::Bool(true)]);
+        let text = |r: Result<Value>| match r {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        for op in [
+            Add, Sub, Mul, FDiv, Div, Mod, And, Or, Eq, Ne, Lt, Le, Gt, Ge,
+        ] {
+            for a in &values {
+                for b in &values {
+                    let span = Span::dummy();
+                    assert_eq!(
+                        text(fast_binary(op, a.clone(), b.clone(), span)),
+                        text(eval_binary_op(op, a.clone(), b.clone(), span)),
+                        "{a:?} {op} {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each kernel site (`Binary`, `LoadLoadBin`, `LoadConstBin`,
+    /// `CmpBranch`) on the fast path gives the monitored run's result,
+    /// and every error keeps `eval_binary_op`'s message.
+    #[test]
+    fn kernel_edge_cases_keep_their_messages() {
+        let big = "a := 4611686018427387904";
+        let min = "m := 0 - 4611686018427387904; m := m - 4611686018427387904";
+        let cases = [
+            (
+                format!("{big}; b := a; c := a + b"),
+                "integer overflow in `+`",
+            ),
+            (format!("{min}; m := m - 1"), "integer overflow in `-`"),
+            (
+                format!("{big}; c := (a + 0) * (a - 1)"),
+                "integer overflow in `*`",
+            ),
+            (format!("{big}; b := 0; c := a div b"), "division by zero"),
+            ("a := 5; c := a mod 0".to_string(), "division by zero"),
+            (
+                format!("{min}; b := 0 - 1; c := m div b"),
+                "integer overflow in `div`",
+            ),
+            (
+                format!("{min}; b := 0 - 1; c := m mod b"),
+                "integer overflow in `mod`",
+            ),
+            (
+                format!("{big}; if a * 2 > 0 then c := 1"),
+                "integer overflow in `*`",
+            ),
+        ];
+        for (body, message) in cases {
+            let src = format!("program t; var a, b, c, m: integer; begin {body}; writeln(c) end.");
+            let (fast, monitored, _) = fast_and_monitored(&src, &[]);
+            assert_eq!(fast, monitored, "{body}");
+            assert!(fast.contains(message), "{body}: {fast}");
+        }
+        let (fast, monitored, _) = fast_and_monitored(
+            "program t; var a, b: integer; r: real;
+             begin a := -7; b := 2; r := a + 1.5; writeln(r);
+               r := 1.5 * a; writeln(r); r := a / b; writeln(r);
+               writeln(a div b, a mod b, -a mod b);
+               if a < 2.5 then writeln(1); if b = 2.0 then writeln(2);
+               if a <> b then writeln(3); if a + 1 < b * 2 then writeln(4)
+             end.",
+            &[],
+        );
+        assert_eq!(fast, monitored);
+        assert!(fast.starts_with("ok "), "{fast}");
     }
 }

@@ -117,7 +117,8 @@ pub trait CallSemantics {
     /// final globals, and errors to [`CallSemantics::run_with`] with a
     /// no-op monitor, but engines may skip all observation machinery.
     /// Use when only the *result* matters (kill checks, differential
-    /// output comparison).
+    /// output comparison). On the VM a run whose machine state repeats
+    /// returns its step-limit error early, as soon as the repeat shows.
     ///
     /// # Errors
     /// Same conditions as [`CallSemantics::run_with`].
@@ -127,7 +128,8 @@ pub trait CallSemantics {
 
     /// Monitor-free isolated procedure run (the verdict-only T-GEN
     /// path); result-identical to [`CallSemantics::run_proc_with`] with
-    /// a no-op monitor.
+    /// a no-op monitor, and like [`CallSemantics::run_fast`] it returns
+    /// a repeating run's step-limit error early on the VM.
     ///
     /// # Errors
     /// Same conditions as [`CallSemantics::run_proc_with`].
