@@ -25,8 +25,7 @@ use std::fmt::Write as _;
 /// # }
 /// ```
 pub fn print_program(program: &Program) -> String {
-    let keep_all = |_: StmtId| true;
-    Printer::full(&keep_all).program(program)
+    Printer::new(None).program(program)
 }
 
 /// Renders the program restricted to the statements in `keep`.
@@ -35,53 +34,76 @@ pub fn print_program(program: &Program) -> String {
 /// any contained statement is kept. Procedures with no kept statements are
 /// dropped, as are variable declarations not referenced by kept code.
 pub fn print_slice(program: &Program, keep: &BTreeSet<StmtId>) -> String {
-    let pred = |id: StmtId| keep.contains(&id);
-    Printer::new(&pred).program(program)
+    let keep = |id: StmtId| keep.contains(&id);
+    let mut used = BTreeSet::new();
+    collect_used_names(program, &keep, &mut used);
+    Printer::new(Some(Slice { keep: &keep, used })).program(program)
 }
 
-struct Printer<'k> {
+/// What a slice print keeps: statements, and the names kept code uses.
+struct Slice<'k> {
     keep: &'k dyn Fn(StmtId) -> bool,
+    /// Normalized names referenced by kept statements; declarations of
+    /// other names are dropped.
+    used: BTreeSet<String>,
+}
+
+/// Writes everything into one buffer, `out`.
+struct Printer<'k> {
     out: String,
     indent: usize,
-    /// Whether unreferenced declarations and statement-free procedures
-    /// are dropped (slice printing). Full-program printing keeps every
-    /// declaration so printing is lossless up to empty statements.
-    prune_decls: bool,
+    /// `None` prints the whole program, every declaration kept, so
+    /// printing is lossless up to empty statements.
+    slice: Option<Slice<'k>>,
 }
 
 impl<'k> Printer<'k> {
-    fn new(keep: &'k dyn Fn(StmtId) -> bool) -> Self {
+    fn new(slice: Option<Slice<'k>>) -> Self {
         Printer {
-            keep,
             out: String::new(),
             indent: 0,
-            prune_decls: true,
+            slice,
         }
     }
 
-    fn full(keep: &'k dyn Fn(StmtId) -> bool) -> Self {
-        Printer {
-            prune_decls: false,
-            ..Printer::new(keep)
-        }
-    }
-
-    fn line(&mut self, s: &str) {
+    /// Starts a line at the current indentation.
+    fn open(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("  ");
         }
-        self.out.push_str(s);
+    }
+
+    /// Ends the line with `term`.
+    fn close(&mut self, term: &str) {
+        self.out.push_str(term);
         self.out.push('\n');
     }
 
-    fn keeps_name(&self, used: &BTreeSet<String>, key: &str) -> bool {
-        !self.prune_decls || used.contains(key)
+    fn line(&mut self, s: &str) {
+        self.open();
+        self.close(s);
     }
 
+    fn keeps_name(&self, name: &Ident) -> bool {
+        self.slice
+            .as_ref()
+            .is_none_or(|slice| slice.used.contains(&name.key()))
+    }
+
+    fn keeps_any(&self, names: &[Ident]) -> bool {
+        names.iter().any(|n| self.keeps_name(n))
+    }
+
+    /// Whether `s` prints: some statement in it is kept and not empty.
     fn kept(&self, s: &Stmt) -> bool {
+        let Some(slice) = &self.slice else {
+            // Every statement is kept: the walk below would accept `s`
+            // itself unless it is empty, and an empty one has no children.
+            return !matches!(s.kind, StmtKind::Empty);
+        };
         let mut any = false;
         s.walk(&mut |st| {
-            if (self.keep)(st.id) && !matches!(st.kind, StmtKind::Empty) {
+            if (slice.keep)(st.id) && !matches!(st.kind, StmtKind::Empty) {
                 any = true;
             }
         });
@@ -89,12 +111,11 @@ impl<'k> Printer<'k> {
     }
 
     fn program(mut self, p: &Program) -> String {
-        // Names referenced by kept statements (for declaration pruning).
-        let mut used = BTreeSet::new();
-        collect_used_names(p, self.keep, &mut used);
-
-        self.line(&format!("program {};", p.name));
-        self.block(&p.block, &used, true);
+        self.open();
+        self.out.push_str("program ");
+        self.out.push_str(&p.name.name);
+        self.close(";");
+        self.block(&p.block);
         // Replace trailing "end" of the outer block with "end."
         while self.out.ends_with('\n') {
             self.out.pop();
@@ -103,71 +124,79 @@ impl<'k> Printer<'k> {
         self.out
     }
 
-    fn block(&mut self, b: &Block, used: &BTreeSet<String>, _is_program: bool) {
-        let used_labels: Vec<&Ident> = b
-            .labels
-            .iter()
-            .filter(|l| self.keeps_name(used, &l.key()))
-            .collect();
-        if !used_labels.is_empty() {
-            let names: Vec<String> = used_labels.iter().map(|l| l.name.clone()).collect();
-            self.line(&format!("label {};", names.join(", ")));
+    /// Writes the kept names of `names`, comma-separated.
+    fn names(&mut self, names: &[Ident]) {
+        let mut first = true;
+        for name in names {
+            if self.keeps_name(name) {
+                if !first {
+                    self.out.push_str(", ");
+                }
+                self.out.push_str(&name.name);
+                first = false;
+            }
         }
-        let used_consts: Vec<&ConstDecl> = b
-            .consts
-            .iter()
-            .filter(|c| self.keeps_name(used, &c.name.key()))
-            .collect();
-        if !used_consts.is_empty() {
+    }
+
+    fn block(&mut self, b: &Block) {
+        if self.keeps_any(&b.labels) {
+            self.open();
+            self.out.push_str("label ");
+            self.names(&b.labels);
+            self.close(";");
+        }
+        if b.consts.iter().any(|c| self.keeps_name(&c.name)) {
             self.line("const");
             self.indent += 1;
-            for c in used_consts {
-                let v = match &c.value {
-                    ConstValue::Int(n) => n.to_string(),
-                    ConstValue::Real(x) => format!("{x:?}"),
-                    ConstValue::Bool(b) => b.to_string(),
-                    ConstValue::Str(s) => format!("'{}'", s.replace('\'', "''")),
-                };
-                self.line(&format!("{} = {};", c.name, v));
+            for c in &b.consts {
+                if !self.keeps_name(&c.name) {
+                    continue;
+                }
+                self.open();
+                self.out.push_str(&c.name.name);
+                self.out.push_str(" = ");
+                write_const(&mut self.out, &c.value);
+                self.close(";");
             }
             self.indent -= 1;
         }
-        let used_types: Vec<&TypeDecl> = b
-            .types
-            .iter()
-            .filter(|t| self.keeps_name(used, &t.name.key()))
-            .collect();
-        if !used_types.is_empty() {
+        if b.types.iter().any(|t| self.keeps_name(&t.name)) {
             self.line("type");
             self.indent += 1;
-            for t in used_types {
-                self.line(&format!("{} = {};", t.name, type_str(&t.ty)));
+            for t in &b.types {
+                if !self.keeps_name(&t.name) {
+                    continue;
+                }
+                self.open();
+                self.out.push_str(&t.name.name);
+                self.out.push_str(" = ");
+                write_type(&mut self.out, &t.ty);
+                self.close(";");
             }
             self.indent -= 1;
         }
-        let mut var_lines = Vec::new();
-        for g in &b.vars {
-            let names: Vec<String> = g
-                .names
-                .iter()
-                .filter(|n| self.keeps_name(used, &n.key()))
-                .map(|n| n.name.clone())
-                .collect();
-            if !names.is_empty() {
-                var_lines.push(format!("{}: {};", names.join(", "), type_str(&g.ty)));
-            }
-        }
-        if !var_lines.is_empty() {
+        if b.vars.iter().any(|g| self.keeps_any(&g.names)) {
             self.line("var");
             self.indent += 1;
-            for l in var_lines {
-                self.line(&l);
+            for g in &b.vars {
+                if !self.keeps_any(&g.names) {
+                    continue;
+                }
+                self.open();
+                self.names(&g.names);
+                self.out.push_str(": ");
+                write_type(&mut self.out, &g.ty);
+                self.close(";");
             }
             self.indent -= 1;
         }
         for proc in &b.procs {
-            if !self.prune_decls || self.proc_is_kept(proc) {
-                self.proc_decl(proc, used);
+            if self
+                .slice
+                .as_ref()
+                .is_none_or(|slice| proc_is_kept(slice.keep, proc))
+            {
+                self.proc_decl(proc);
             }
         }
         self.line("begin");
@@ -177,50 +206,43 @@ impl<'k> Printer<'k> {
         self.line("end");
     }
 
-    fn proc_is_kept(&self, p: &ProcDecl) -> bool {
-        let mut any = false;
-        p.block.walk_stmts(&mut |s| {
-            if (self.keep)(s.id) && !matches!(s.kind, StmtKind::Empty) {
-                any = true;
-            }
-        });
-        if any {
-            return true;
-        }
-        p.block.procs.iter().any(|q| self.proc_is_kept(q))
-    }
-
-    fn proc_decl(&mut self, p: &ProcDecl, used: &BTreeSet<String>) {
-        let mut header = String::new();
-        let kw = if p.is_function() {
-            "function"
+    fn proc_decl(&mut self, p: &ProcDecl) {
+        self.open();
+        self.out.push_str(if p.is_function() {
+            "function "
         } else {
-            "procedure"
-        };
-        let _ = write!(header, "{kw} {}", p.name);
+            "procedure "
+        });
+        self.out.push_str(&p.name.name);
         if !p.params.is_empty() {
-            header.push('(');
+            self.out.push('(');
             for (i, g) in p.params.iter().enumerate() {
                 if i > 0 {
-                    header.push_str("; ");
+                    self.out.push_str("; ");
                 }
-                let mode = match g.mode {
+                self.out.push_str(match g.mode {
                     ParamMode::Value => "",
                     ParamMode::Var => "var ",
                     ParamMode::In => "in ",
                     ParamMode::Out => "out ",
-                };
-                let names: Vec<String> = g.names.iter().map(|n| n.name.clone()).collect();
-                let _ = write!(header, "{mode}{}: {}", names.join(", "), type_str(&g.ty));
+                });
+                for (j, n) in g.names.iter().enumerate() {
+                    if j > 0 {
+                        self.out.push_str(", ");
+                    }
+                    self.out.push_str(&n.name);
+                }
+                self.out.push_str(": ");
+                write_type(&mut self.out, &g.ty);
             }
-            header.push(')');
+            self.out.push(')');
         }
         if let Some(rt) = &p.return_type {
-            let _ = write!(header, ": {}", type_str(rt));
+            self.out.push_str(": ");
+            write_type(&mut self.out, rt);
         }
-        header.push(';');
-        self.line(&header);
-        self.block(&p.block, used, false);
+        self.close(";");
+        self.block(&p.block);
         // block() ends with "end"; append the declaration semicolon.
         while self.out.ends_with('\n') {
             self.out.pop();
@@ -229,10 +251,40 @@ impl<'k> Printer<'k> {
     }
 
     fn stmt_seq(&mut self, stmts: &[Stmt]) {
-        let kept: Vec<&Stmt> = stmts.iter().filter(|s| self.kept(s)).collect();
-        for (i, s) in kept.iter().enumerate() {
-            let last = i + 1 == kept.len();
-            self.stmt(s, !last);
+        let Some(last) = stmts.iter().rposition(|s| self.kept(s)) else {
+            return;
+        };
+        for (i, s) in stmts[..=last].iter().enumerate() {
+            if self.kept(s) {
+                self.stmt(s, i < last);
+            }
+        }
+    }
+
+    /// Writes `args` comma-separated.
+    fn exprs(&mut self, args: &[Expr]) {
+        for (i, a) in args.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            write_expr(&mut self.out, a, 0);
+        }
+    }
+
+    /// Writes a line `{head}{e}{tail}`.
+    fn expr_line(&mut self, head: &str, e: &Expr, tail: &str) {
+        self.open();
+        self.out.push_str(head);
+        write_expr(&mut self.out, e, 0);
+        self.close(tail);
+    }
+
+    /// Writes `s`, or an empty `begin end` when nothing in it is kept.
+    fn kept_or_empty(&mut self, s: &Stmt, semi: bool) {
+        if self.kept(s) {
+            self.stmt(s, semi);
+        } else {
+            self.line(if semi { "begin end;" } else { "begin end" });
         }
     }
 
@@ -241,38 +293,48 @@ impl<'k> Printer<'k> {
         match &s.kind {
             StmtKind::Empty => {}
             StmtKind::Assign { lhs, rhs } => {
-                self.line(&format!("{} := {}{term}", lvalue_str(lhs), expr_str(rhs)));
+                self.open();
+                write_lvalue(&mut self.out, lhs);
+                self.out.push_str(" := ");
+                write_expr(&mut self.out, rhs, 0);
+                self.close(term);
             }
             StmtKind::Call { name, args } => {
-                if args.is_empty() {
-                    self.line(&format!("{name}{term}"));
-                } else {
-                    let a: Vec<String> = args.iter().map(expr_str).collect();
-                    self.line(&format!("{name}({}){term}", a.join(", ")));
+                self.open();
+                self.out.push_str(&name.name);
+                if !args.is_empty() {
+                    self.out.push('(');
+                    self.exprs(args);
+                    self.out.push(')');
                 }
+                self.close(term);
             }
             StmtKind::Compound(stmts) => {
                 self.line("begin");
                 self.indent += 1;
                 self.stmt_seq(stmts);
                 self.indent -= 1;
-                self.line(&format!("end{term}"));
+                self.open();
+                self.out.push_str("end");
+                self.close(term);
             }
             StmtKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                self.line(&format!("if {} then", expr_str(cond)));
+                self.expr_line("if ", cond, " then");
                 self.indent += 1;
                 let then_kept = self.kept(then_branch);
                 let else_kept = else_branch.as_ref().is_some_and(|e| self.kept(e));
                 if then_kept {
                     self.stmt(then_branch, !else_kept && semi);
-                } else if else_kept {
-                    self.line("begin end");
                 } else {
-                    self.line(&format!("begin end{term}"));
+                    self.line(if else_kept || !semi {
+                        "begin end"
+                    } else {
+                        "begin end;"
+                    });
                 }
                 self.indent -= 1;
                 if else_kept {
@@ -287,43 +349,39 @@ impl<'k> Printer<'k> {
                 arms,
                 else_arm,
             } => {
-                self.line(&format!("case {} of", expr_str(scrutinee)));
+                self.expr_line("case ", scrutinee, " of");
                 self.indent += 1;
                 // Dropped arms stay as empty arms: removing a label would
                 // reroute its values to the else branch and change the
                 // slice's behaviour.
                 for arm in arms {
-                    let labels: Vec<String> = arm.labels.iter().map(const_str).collect();
-                    self.line(&format!("{}:", labels.join(", ")));
-                    self.indent += 1;
-                    if self.kept(&arm.stmt) {
-                        self.stmt(&arm.stmt, true);
-                    } else {
-                        self.line("begin end;");
+                    self.open();
+                    for (i, c) in arm.labels.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        write_const(&mut self.out, c);
                     }
+                    self.close(":");
+                    self.indent += 1;
+                    self.kept_or_empty(&arm.stmt, true);
                     self.indent -= 1;
                 }
                 if let Some(e) = else_arm {
                     self.line("else");
                     self.indent += 1;
-                    if self.kept(e) {
-                        self.stmt(e, true);
-                    } else {
-                        self.line("begin end;");
-                    }
+                    self.kept_or_empty(e, true);
                     self.indent -= 1;
                 }
                 self.indent -= 1;
-                self.line(&format!("end{term}"));
+                self.open();
+                self.out.push_str("end");
+                self.close(term);
             }
             StmtKind::While { cond, body } => {
-                self.line(&format!("while {} do", expr_str(cond)));
+                self.expr_line("while ", cond, " do");
                 self.indent += 1;
-                if self.kept(body) {
-                    self.stmt(body, semi);
-                } else {
-                    self.line(&format!("begin end{term}"));
-                }
+                self.kept_or_empty(body, semi);
                 self.indent -= 1;
             }
             StmtKind::Repeat { body, cond } => {
@@ -331,7 +389,10 @@ impl<'k> Printer<'k> {
                 self.indent += 1;
                 self.stmt_seq(body);
                 self.indent -= 1;
-                self.line(&format!("until {}{term}", expr_str(cond)));
+                self.open();
+                self.out.push_str("until ");
+                write_expr(&mut self.out, cond, 0);
+                self.close(term);
             }
             StmtKind::For {
                 var,
@@ -340,136 +401,215 @@ impl<'k> Printer<'k> {
                 to,
                 body,
             } => {
-                let d = match dir {
-                    ForDir::To => "to",
-                    ForDir::Downto => "downto",
-                };
-                self.line(&format!(
-                    "for {var} := {} {d} {} do",
-                    expr_str(from),
-                    expr_str(to)
-                ));
+                self.open();
+                self.out.push_str("for ");
+                self.out.push_str(&var.name);
+                self.out.push_str(" := ");
+                write_expr(&mut self.out, from, 0);
+                self.out.push_str(match dir {
+                    ForDir::To => " to ",
+                    ForDir::Downto => " downto ",
+                });
+                write_expr(&mut self.out, to, 0);
+                self.close(" do");
                 self.indent += 1;
-                if self.kept(body) {
-                    self.stmt(body, semi);
-                } else {
-                    self.line(&format!("begin end{term}"));
-                }
+                self.kept_or_empty(body, semi);
                 self.indent -= 1;
             }
-            StmtKind::Goto(l) => self.line(&format!("goto {l}{term}")),
+            StmtKind::Goto(l) => {
+                self.open();
+                self.out.push_str("goto ");
+                self.out.push_str(&l.name);
+                self.close(term);
+            }
             StmtKind::Labeled { label, stmt } => {
-                self.line(&format!("{label}:"));
-                if self.kept(stmt) {
-                    self.stmt(stmt, semi);
-                } else {
-                    self.line(&format!("begin end{term}"));
-                }
+                self.open();
+                self.out.push_str(&label.name);
+                self.close(":");
+                self.kept_or_empty(stmt, semi);
             }
             StmtKind::Read { args, newline } => {
-                let kw = if *newline { "readln" } else { "read" };
-                let a: Vec<String> = args.iter().map(lvalue_str).collect();
-                self.line(&format!("{kw}({}){term}", a.join(", ")));
+                self.open();
+                self.out
+                    .push_str(if *newline { "readln(" } else { "read(" });
+                for (i, lv) in args.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(", ");
+                    }
+                    write_lvalue(&mut self.out, lv);
+                }
+                self.out.push(')');
+                self.close(term);
             }
             StmtKind::Write { args, newline } => {
-                let kw = if *newline { "writeln" } else { "write" };
-                if args.is_empty() {
-                    self.line(&format!("{kw}{term}"));
-                } else {
-                    let a: Vec<String> = args.iter().map(expr_str).collect();
-                    self.line(&format!("{kw}({}){term}", a.join(", ")));
+                self.open();
+                self.out
+                    .push_str(if *newline { "writeln" } else { "write" });
+                if !args.is_empty() {
+                    self.out.push('(');
+                    self.exprs(args);
+                    self.out.push(')');
                 }
+                self.close(term);
             }
         }
     }
+}
+
+/// Whether a slice keeps a non-empty statement of `p` or of a procedure
+/// nested in it.
+fn proc_is_kept(keep: &dyn Fn(StmtId) -> bool, p: &ProcDecl) -> bool {
+    let mut any = false;
+    p.block.walk_stmts(&mut |s| {
+        if keep(s.id) && !matches!(s.kind, StmtKind::Empty) {
+            any = true;
+        }
+    });
+    any || p.block.procs.iter().any(|q| proc_is_kept(keep, q))
 }
 
 /// Renders a constant value as a literal.
 pub fn const_str(c: &ConstValue) -> String {
+    let mut out = String::new();
+    write_const(&mut out, c);
+    out
+}
+
+fn write_const(out: &mut String, c: &ConstValue) {
     match c {
-        ConstValue::Int(n) => n.to_string(),
-        ConstValue::Real(x) => format!("{x:?}"),
-        ConstValue::Bool(b) => b.to_string(),
-        ConstValue::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        ConstValue::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        ConstValue::Real(x) => {
+            let _ = write!(out, "{x:?}");
+        }
+        ConstValue::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        ConstValue::Str(s) => write_quoted(out, s),
     }
+}
+
+/// Writes `s` as a quoted literal, doubling embedded quotes.
+fn write_quoted(out: &mut String, s: &str) {
+    out.push('\'');
+    for c in s.chars() {
+        if c == '\'' {
+            out.push('\'');
+        }
+        out.push(c);
+    }
+    out.push('\'');
 }
 
 /// Renders a type expression.
 pub fn type_str(t: &TypeExpr) -> String {
+    let mut out = String::new();
+    write_type(&mut out, t);
+    out
+}
+
+fn write_type(out: &mut String, t: &TypeExpr) {
     match t {
-        TypeExpr::Named(n) => n.name.clone(),
+        TypeExpr::Named(n) => out.push_str(&n.name),
         TypeExpr::Array { lo, hi, elem, .. } => {
-            format!(
-                "array[{}..{}] of {}",
-                bound_str(lo),
-                bound_str(hi),
-                type_str(elem)
-            )
+            out.push_str("array[");
+            write_bound(out, lo);
+            out.push_str("..");
+            write_bound(out, hi);
+            out.push_str("] of ");
+            write_type(out, elem);
         }
     }
 }
 
-fn bound_str(b: &ArrayBound) -> String {
+fn write_bound(out: &mut String, b: &ArrayBound) {
     match b {
-        ArrayBound::Lit(n) => n.to_string(),
-        ArrayBound::Const(c) => c.name.clone(),
+        ArrayBound::Lit(n) => {
+            let _ = write!(out, "{n}");
+        }
+        ArrayBound::Const(c) => out.push_str(&c.name),
     }
 }
 
 /// Renders an lvalue.
 pub fn lvalue_str(lv: &LValue) -> String {
-    match &lv.index {
-        None => lv.base.name.clone(),
-        Some(i) => format!("{}[{}]", lv.base, expr_str(i)),
+    let mut out = String::new();
+    write_lvalue(&mut out, lv);
+    out
+}
+
+fn write_lvalue(out: &mut String, lv: &LValue) {
+    out.push_str(&lv.base.name);
+    if let Some(i) = &lv.index {
+        out.push('[');
+        write_expr(out, i, 0);
+        out.push(']');
     }
 }
 
 /// Renders an expression with minimal parentheses (full parenthesization
 /// of nested binary operations, which always re-parses correctly).
 pub fn expr_str(e: &Expr) -> String {
-    expr_prec(e, 0)
+    let mut out = String::new();
+    write_expr(&mut out, e, 0);
+    out
 }
 
-fn expr_prec(e: &Expr, parent: u8) -> String {
+/// Writes `e` as an operand of an operator of precedence `parent`
+/// (0 at the top: relational; 1 adding; 2 multiplying; 3 under a unary),
+/// parenthesized where it binds more loosely.
+fn write_expr(out: &mut String, e: &Expr, parent: u8) {
     match &e.kind {
-        ExprKind::IntLit(n) => n.to_string(),
-        ExprKind::RealLit(x) => {
-            if x.fract() == 0.0 {
-                format!("{x:.1}")
-            } else {
-                format!("{x}")
-            }
+        ExprKind::IntLit(n) => {
+            let _ = write!(out, "{n}");
         }
-        ExprKind::BoolLit(b) => b.to_string(),
-        ExprKind::StrLit(s) => format!("'{}'", s.replace('\'', "''")),
-        ExprKind::Name(n) => n.name.clone(),
-        ExprKind::Index { base, index } => format!("{base}[{}]", expr_prec(index, 0)),
+        ExprKind::RealLit(x) => {
+            let _ = if x.fract() == 0.0 {
+                write!(out, "{x:.1}")
+            } else {
+                write!(out, "{x}")
+            };
+        }
+        ExprKind::BoolLit(b) => {
+            let _ = write!(out, "{b}");
+        }
+        ExprKind::StrLit(s) => write_quoted(out, s),
+        ExprKind::Name(n) => out.push_str(&n.name),
+        ExprKind::Index { base, index } => {
+            out.push_str(&base.name);
+            out.push('[');
+            write_expr(out, index, 0);
+            out.push(']');
+        }
         ExprKind::Call { name, args } => {
-            let a: Vec<String> = args.iter().map(|x| expr_prec(x, 0)).collect();
-            format!("{name}({})", a.join(", "))
+            out.push_str(&name.name);
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(out, a, 0);
+            }
+            out.push(')');
         }
         ExprKind::Unary { op, operand } => {
-            let inner = expr_prec(operand, 3);
             // A sign is only legal at the head of a simple expression
             // (where it binds the whole leading term), so `-x` must be
             // parenthesized in *any* operand position: `a + -x` does not
             // parse, and `-x * y` re-parses as `-(x * y)`. `not` is a
             // factor operator and only needs parens under another unary.
-            match op {
-                UnOp::Neg => {
-                    if parent > 0 {
-                        format!("(-{inner})")
-                    } else {
-                        format!("-{inner}")
-                    }
-                }
-                UnOp::Not => {
-                    if parent > 2 {
-                        format!("(not {inner})")
-                    } else {
-                        format!("not {inner}")
-                    }
-                }
+            let (sign, parens) = match op {
+                UnOp::Neg => ("-", parent > 0),
+                UnOp::Not => ("not ", parent > 2),
+            };
+            if parens {
+                out.push('(');
+            }
+            out.push_str(sign);
+            write_expr(out, operand, 3);
+            if parens {
+                out.push(')');
             }
         }
         ExprKind::Binary { op, lhs, rhs } => {
@@ -478,13 +618,15 @@ fn expr_prec(e: &Expr, parent: u8) -> String {
                 BinOp::Add | BinOp::Sub | BinOp::Or => 1,
                 _ => 0, // relational
             };
-            let l = expr_prec(lhs, prec);
-            let r = expr_prec(rhs, prec + 1);
-            let s = format!("{l} {op} {r}");
-            if prec < parent {
-                format!("({s})")
-            } else {
-                s
+            let parens = prec < parent;
+            if parens {
+                out.push('(');
+            }
+            write_expr(out, lhs, prec);
+            let _ = write!(out, " {op} ");
+            write_expr(out, rhs, prec + 1);
+            if parens {
+                out.push(')');
             }
         }
     }

@@ -92,38 +92,44 @@ impl TokenKind {
     /// Returns the keyword kind for `ident` if it is a reserved word.
     pub fn keyword(ident: &str) -> Option<TokenKind> {
         use TokenKind::*;
-        let lower = ident.to_ascii_lowercase();
-        Some(match lower.as_str() {
-            "program" => Program,
-            "label" => Label,
-            "const" => Const,
-            "type" => Type,
-            "var" => Var,
-            "procedure" => Procedure,
-            "function" => Function,
-            "begin" => Begin,
-            "case" => Case,
-            "end" => End,
-            "if" => If,
-            "then" => Then,
-            "else" => Else,
-            "while" => While,
-            "do" => Do,
-            "repeat" => Repeat,
-            "until" => Until,
-            "for" => For,
-            "to" => To,
-            "downto" => Downto,
-            "goto" => Goto,
-            "of" => Of,
-            "array" => Array,
-            "div" => Div,
-            "mod" => Mod,
-            "and" => And,
-            "or" => Or,
-            "not" => Not,
-            "true" => True,
-            "false" => False,
+        // Lowercase into a stack buffer as long as the longest keyword,
+        // `procedure`: anything longer is no keyword.
+        let mut buf = [0u8; 9];
+        let lower = buf.get_mut(..ident.len())?;
+        for (l, b) in lower.iter_mut().zip(ident.bytes()) {
+            *l = b.to_ascii_lowercase();
+        }
+        Some(match &*lower {
+            b"program" => Program,
+            b"label" => Label,
+            b"const" => Const,
+            b"type" => Type,
+            b"var" => Var,
+            b"procedure" => Procedure,
+            b"function" => Function,
+            b"begin" => Begin,
+            b"case" => Case,
+            b"end" => End,
+            b"if" => If,
+            b"then" => Then,
+            b"else" => Else,
+            b"while" => While,
+            b"do" => Do,
+            b"repeat" => Repeat,
+            b"until" => Until,
+            b"for" => For,
+            b"to" => To,
+            b"downto" => Downto,
+            b"goto" => Goto,
+            b"of" => Of,
+            b"array" => Array,
+            b"div" => Div,
+            b"mod" => Mod,
+            b"and" => And,
+            b"or" => Or,
+            b"not" => Not,
+            b"true" => True,
+            b"false" => False,
             _ => return None,
         })
     }
@@ -215,6 +221,10 @@ mod tests {
         assert_eq!(TokenKind::keyword("Begin"), Some(TokenKind::Begin));
         assert_eq!(TokenKind::keyword("begin"), Some(TokenKind::Begin));
         assert_eq!(TokenKind::keyword("beginx"), None);
+        assert_eq!(TokenKind::keyword("PROCEDURE"), Some(TokenKind::Procedure));
+        assert_eq!(TokenKind::keyword("procedures"), None);
+        assert_eq!(TokenKind::keyword(""), None);
+        assert_eq!(TokenKind::keyword("bégin"), None);
     }
 
     #[test]
