@@ -127,7 +127,9 @@ cargo build --release -q -p gadt-corpus --bins
 # single worker with interleaved tree/vm sampling. The binary exits
 # non-zero when the VM is slower than the tree-walker on batch tracing,
 # when the campaign speedup falls below 1.3x (the monitor-free crash
-# screen plus the compiled engine must keep paying for themselves), or
+# screen plus the compiled engine must keep paying for themselves; the
+# VM's screen also stops CHURN's stalled-counter mutants at their first
+# repeated state, where the tree-walker runs the whole budget), or
 # when any workload drops below 0.8x its committed figure in
 # BENCH_vm.json — the slack absorbs machine noise, not structural
 # regressions. The fresh measurement goes to a scratch file; the

@@ -154,7 +154,11 @@ end.
 /// A bounded mutation campaign (golden runs + every mutant's crash
 /// screen → transform → trace → double debug pipeline) on each engine.
 /// The step budget gives runaway mutants ~16x the golden run's steps —
-/// the regime where the monitor-free crash screen pays off.
+/// the regime where the monitor-free crash screen pays off. CHURN's
+/// mutants keep the 1 000 000-step budget: on the VM the screen's cycle
+/// guard stops a mutant whose loop counter stalls at its first repeated
+/// machine state, while the tree-walker burns the whole budget, so the
+/// speedup here also measures the guard.
 fn campaign_workload(h: &Harness) -> Workload {
     let programs = vec![CampaignProgram::new("churn", CHURN)];
     let units = 24usize;
