@@ -132,7 +132,8 @@ struct PendingCall {
 ///
 /// **Cost.** One snapshot and two counters: each hook compares against
 /// the snapshot, cheap fields first (`proc`, `ip`, frame count, input and
-/// stack length, steps), stopping at the first difference. When the hooks
+/// stack length, steps), array slots last, stopping at the first
+/// difference. When the hooks
 /// since the snapshot reach the current power of two, the hook takes a
 /// new snapshot into the same buffers and doubles the power. A run that
 /// enters a cycle of `λ` hooks after `μ` hooks stops within about
@@ -189,7 +190,8 @@ fn same_pending(a: &PendingCall, b: &PendingCall) -> bool {
             .all(|((sa, va), (sb, vb))| sa == sb && same_value(va, vb))
 }
 
-/// The compared fields of a frame, scalars before slots.
+/// The compared fields of a frame, with its scalar slots; the guard
+/// compares array slots last ([`same_slots`]).
 fn same_frame(a: &VmFrame, b: &VmFrame) -> bool {
     a.proc == b.proc
         && a.static_link == b.static_link
@@ -197,7 +199,18 @@ fn same_frame(a: &VmFrame, b: &VmFrame) -> bool {
         && a.ret == b.ret
         && a.extras == b.extras
         && a.bindings == b.bindings
-        && same_values(&a.slots, &b.slots)
+        && a.slots.len() == b.slots.len()
+        && same_slots(&a.slots, &b.slots, false)
+}
+
+/// Compares the array slots (`arrays`) or the other slots of two slot
+/// lists of equal length. Scalars go first: a drifting loop counter
+/// shows at once, where walking an unchanged array at every hook would
+/// make a loop over it quadratic.
+fn same_slots(a: &[Value], b: &[Value], arrays: bool) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| matches!(x, Value::Array(_)) != arrays || same_value(x, y))
 }
 
 /// The integer cases of [`eval_binary_op`]. `None` for an operator that
@@ -853,19 +866,17 @@ impl<'m> Vm<'m> {
         {
             return false;
         }
+        // The innermost frames first: their locals change most.
+        let frames = || s.frames.iter().zip(&self.frames).rev();
         s.cur_span == self.cur_span
+            && frames().all(|(a, b)| same_frame(a, b))
             && same_values(&s.stack, &self.stack)
             && s.pending.len() == self.pending.len()
             && s.pending
                 .iter()
                 .zip(&self.pending)
                 .all(|(a, b)| same_pending(a, b))
-            // The innermost frames first: their locals change most.
-            && s.frames
-                .iter()
-                .zip(&self.frames)
-                .rev()
-                .all(|(a, b)| same_frame(a, b))
+            && frames().all(|(a, b)| same_slots(&a.slots, &b.slots, true))
     }
 
     #[cold]
