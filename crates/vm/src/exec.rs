@@ -130,23 +130,29 @@ struct PendingCall {
 /// Values compare exactly ([`same_value`]): reals by bit pattern, arrays
 /// element by element with their bounds.
 ///
-/// **Cost.** One snapshot and two counters: each hook compares against
-/// the snapshot, cheap fields first (`proc`, `ip`, frame count, input and
-/// stack length, steps), array slots last, stopping at the first
-/// difference. When the hooks
+/// **Cost.** One snapshot and two counters. The first snapshot waits
+/// for [`FIRST_SNAPSHOT`] hooks, so a short run pays only the counter.
+/// From then on each hook compares against the snapshot, cheap fields
+/// first (`proc`, `ip`, frame count, input and stack length, steps),
+/// array slots last, stopping at the first difference. When the hooks
 /// since the snapshot reach the current power of two, the hook takes a
 /// new snapshot into the same buffers and doubles the power. A run that
 /// enters a cycle of `λ` hooks after `μ` hooks stops within about
-/// `μ + 2λ` hooks, and a run that never repeats takes a logarithmic
-/// number of snapshots.
+/// `max(μ, FIRST_SNAPSHOT) + 2λ` hooks, and a run that never repeats
+/// takes a logarithmic number of snapshots.
 struct CycleGuard {
-    /// Hooks since the snapshot was taken.
+    /// Hooks since the snapshot was taken, or since the run began.
     hooks: u64,
     /// Hooks between this snapshot and the next; 0 until the run's first
-    /// hook takes one.
+    /// snapshot.
     power: u64,
     snap: Snapshot,
 }
+
+/// Hooks before a run's first snapshot. A snapshot copies every frame,
+/// which cost a T-GEN case of a few loop iterations about a tenth of its
+/// time; a runaway pays only this many more hooks before it stops.
+const FIRST_SNAPSHOT: u64 = 64;
 
 /// The compared state of one hook (see [`CycleGuard`]). Frames and
 /// pending calls are stored whole; only their compared fields are read.
@@ -843,10 +849,16 @@ impl<'m> Vm<'m> {
     /// snapshot.
     #[inline]
     fn cycle_hook(&mut self, proc: ProcId, ip: usize) -> Result<()> {
-        if self.guard.power != 0 && self.repeats(proc, ip) {
+        self.guard.hooks += 1;
+        if self.guard.power == 0 {
+            if self.guard.hooks >= FIRST_SNAPSHOT {
+                self.snapshot(proc, ip);
+            }
+            return Ok(());
+        }
+        if self.repeats(proc, ip) {
             return Err(step_limit_exceeded(self.limits.max_steps));
         }
-        self.guard.hooks += 1;
         if self.guard.hooks >= self.guard.power {
             self.snapshot(proc, ip);
         }
@@ -1606,12 +1618,12 @@ mod tests {
         assert_stops_early(
             "program t; var i, s: integer;
              begin i := 0; s := 0; while i < 10 do s := i * 2; writeln(s) end.",
-            100,
+            1_000,
         );
         assert_stops_early(
             "program t; var i, s: integer;
              begin i := 0; repeat s := s + i until i > 5; writeln(s) end.",
-            100,
+            1_000,
         );
     }
 
@@ -1627,12 +1639,23 @@ mod tests {
     }
 
     #[test]
+    fn a_loop_that_changes_only_an_array_is_no_repeat() {
+        let (fast, monitored, _) = fast_and_monitored(
+            "program t; var a: array[1..3] of integer; k: integer;
+             begin k := 0; while a[3] < 200 do a[3] := a[3] + 1; writeln(a[3]) end.",
+            &[],
+        );
+        assert_eq!(fast, monitored);
+        assert!(fast.ends_with("\"200\\n\""), "{fast}");
+    }
+
+    #[test]
     fn goto_loops_stop_early() {
         // A local goto lowers to a backward jump.
         assert_stops_early(
             "program t; label 1; var i: integer;
              begin i := 0; 1: i := i * 1; goto 1 end.",
-            100,
+            1_000,
         );
         // A non-local goto passes no backward jump: the landing is the
         // only hook on the cycle.
@@ -1640,7 +1663,7 @@ mod tests {
             "program t; label 1; var i: integer;
              procedure p; begin i := i + 0; goto 1 end;
              begin i := 0; 1: p end.",
-            100,
+            1_000,
         );
     }
 
@@ -1654,13 +1677,13 @@ mod tests {
              begin k := 0; while k < n do k := k * 1; f := k end;
              procedure p(a, b: integer); begin x := a + b end;
              begin p(1, 2 + f(3)); writeln(x) end.",
-            100,
+            1_000,
         );
     }
 
     #[test]
     fn a_loop_reading_input_ends_with_input_exhausted() {
-        let input = [7; 50];
+        let input = [7; 500];
         let (fast, monitored, _) = fast_and_monitored(
             "program t; var x: integer; begin while true do read(x) end.",
             &input,
@@ -1671,26 +1694,29 @@ mod tests {
 
     #[test]
     fn a_second_run_starts_with_a_clean_guard() {
-        // With the first run's snapshot still armed, the second run's
-        // first hook would match it after more steps and stop a run that
+        // The first run ends with a snapshot at `i = 95`. The second run
+        // starts its loop at 94 after other steps: with that snapshot
+        // still armed, its first hook would match it and stop a run that
         // terminates.
         let src = "program t; var n, w, i: integer;
              begin
                read(n);
                if n > 0 then begin w := 1; w := 2; w := 3 end;
-               n := 0; w := 0; i := 0;
-               while i < 1 do i := i + 1;
+               w := 0; i := n; n := 0;
+               while i < 100 do i := i + 1;
                writeln(i)
              end.";
         let module = compile(src).expect("compiles");
         let cfg = lower(&module);
         let program = VmProgram::compile(&module, &cfg);
         let mut vm = Vm::new(&module, &program);
-        for n in [0, 5] {
+        for n in [0, 94] {
             vm.set_input([Value::Int(n)]);
             let out = vm.run().expect("terminates");
-            assert_eq!(out.output_text(), "1\n");
-            assert_ne!(vm.guard.power, 0, "the loop's hook took a snapshot");
+            assert_eq!(out.output_text(), "100\n");
+            if n == 0 {
+                assert_ne!(vm.guard.power, 0, "the first run took snapshots");
+            }
         }
         vm.reset();
         assert_eq!((vm.guard.hooks, vm.guard.power), (0, 0));
@@ -1762,7 +1788,7 @@ mod tests {
         }
         let (fast, monitored, _) = fast_and_monitored(
             "program t; var a, b: integer; r: real;
-             begin a := -7; b := 2; r := a + 1.5; writeln(r);
+             begin a := -7; b := 2; r := a; writeln(r); r := a + 1.5; writeln(r);
                r := 1.5 * a; writeln(r); r := a / b; writeln(r);
                writeln(a div b, a mod b, -a mod b);
                if a < 2.5 then writeln(1); if b = 2.0 then writeln(2);
