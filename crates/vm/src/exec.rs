@@ -150,8 +150,8 @@ struct CycleGuard {
 }
 
 /// Hooks before a run's first snapshot. A snapshot copies every frame,
-/// which cost a T-GEN case of a few loop iterations about a tenth of its
-/// time; a runaway pays only this many more hooks before it stops.
+/// a real cost for short runs such as T-GEN cases of a few loop
+/// iterations; a runaway pays only this many more hooks before it stops.
 const FIRST_SNAPSHOT: u64 = 64;
 
 /// The compared state of one hook (see [`CycleGuard`]). Frames and
