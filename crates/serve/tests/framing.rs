@@ -145,3 +145,97 @@ fn interleaved_clients_share_one_server() {
     let report = handle.shutdown().unwrap();
     assert!(report.requests >= 30);
 }
+
+/// One JSON grammar, four readers. Each row is a payload and what the
+/// grammar makes of it: `None` accepts it, `Some((at, what))` rejects it
+/// with that byte offset and message. The offsets and messages of the
+/// rows the `gadt-obs` validator already rejected were taken from it
+/// before the two parsers became one.
+const GRAMMAR: &[(&str, Option<(usize, &str)>)] = &[
+    ("{}", None),
+    ("[1, 2.5, -3e4]", None),
+    (
+        r#"{"k":"enter","name":"a b","fields":{"x":true,"y":null}}"#,
+        None,
+    ),
+    (r#""just a string""#, None),
+    ("  42  ", None),
+    ("01", None),
+    (r#""Aé π/\/""#, None),
+    (r#""\u00e9\u001F\uFFFD""#, None),
+    ("", Some((0, "expected a JSON value"))),
+    ("{", Some((1, "expected `\"`"))),
+    ("{\"a\":}", Some((5, "expected a JSON value"))),
+    ("[1,]", Some((3, "expected a JSON value"))),
+    ("\"unterminated", Some((13, "unterminated string"))),
+    ("01x", Some((2, "trailing characters after JSON value"))),
+    (
+        "{} trailing",
+        Some((3, "trailing characters after JSON value")),
+    ),
+    ("{\"a\"\u{1}:1}", Some((4, "expected `:`"))),
+    ("\"open", Some((5, "unterminated string"))),
+    ("{} junk", Some((3, "trailing characters after JSON value"))),
+    ("nul", Some((0, "expected `null`"))),
+    ("\"a\u{1}b\"", Some((2, "control character in string"))),
+    ("\"a\nb\"", Some((2, "control character in string"))),
+    ("\"π open", Some((8, "unterminated string"))),
+    ("\"tail\\", Some((6, "invalid escape"))),
+    (r#""\u+041""#, Some((3, "invalid \\u escape"))),
+    (r#"{"a":"\u+00e9"}"#, Some((8, "invalid \\u escape"))),
+    (r#""\ud800""#, Some((3, "surrogate \\u escape"))),
+    (r#""\uDFFF""#, Some((3, "surrogate \\u escape"))),
+    (r#"["\ud83d\ude00"]"#, Some((4, "surrogate \\u escape"))),
+];
+
+#[test]
+fn validator_parser_frames_and_recovery_share_one_json_grammar() {
+    use std::io::Cursor;
+    for &(text, want) in GRAMMAR {
+        let want = want.map(|(at, what)| (at, what.to_string()));
+        assert_eq!(
+            gadt_obs::json::validate(text).err(),
+            want,
+            "validate {text:?}"
+        );
+        assert_eq!(
+            gadt_store::parse(text).is_some(),
+            want.is_none(),
+            "gadt_store::parse {text:?}"
+        );
+
+        // A frame carrying the payload (an empty payload is a
+        // zero-length frame, refused before any JSON is read).
+        if !text.is_empty() {
+            let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+            bytes.extend_from_slice(text.as_bytes());
+            let read = proto::read_frame(&mut Cursor::new(bytes), proto::MAX_FRAME);
+            match &want {
+                None => assert!(read.unwrap().is_some(), "read_frame {text:?}"),
+                Some((at, what)) => assert_eq!(
+                    read.unwrap_err().to_string(),
+                    format!("frame payload fails JSON validation at byte {at}: {what}"),
+                    "read_frame {text:?}"
+                ),
+            }
+        }
+
+        // A WAL line holding the payload as a verdict: recovery keeps it
+        // exactly when the grammar accepts the payload.
+        let dir = TempDir::new("serve-json-grammar");
+        {
+            let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
+            drop(store);
+        }
+        let wal = dir.path().join("wal.jsonl");
+        let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+        writeln!(file, r#"{{"k":"verdict","key":"row","payload":{text}}}"#).unwrap();
+        drop(file);
+        let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
+        assert_eq!(
+            store.recovery().wal_records,
+            usize::from(want.is_none()),
+            "recovery {text:?}"
+        );
+    }
+}

@@ -101,6 +101,18 @@ fn golden_sqrtest_session_pins_exact_counters() {
     assert_eq!(journal.events_named("question").count(), 7);
 }
 
+/// The golden session's whole journal, every event and counter, pinned
+/// by a digest of its fingerprint (the timing-free serialization). On a
+/// mismatch the assertion prints the fingerprint it got.
+#[test]
+fn golden_journal_fingerprint_is_pinned() {
+    let fp = golden_sqrtest_journal().fingerprint();
+    let digest = fp.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    assert_eq!(format!("{digest:016x}"), "cd7164445a82af4e", "{fp}");
+}
+
 /// Every journal line must be valid JSON (checked by the std-only
 /// validator — no serde in the tree).
 #[test]
