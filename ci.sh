@@ -49,6 +49,23 @@ if [ -n "$leftover" ]; then
 fi
 rmdir "$STORE_TMP"
 
+# Examples tier: the batch_trace walkthrough traces 32 inputs through
+# the facade's parallel batch path. Its per-input lines (output and
+# trace size of every eighth input) must be identical at 1 and 8 worker
+# threads; the thread-count header and the timing lines may differ.
+echo "==> examples (batch_trace at 1 and 8 threads)"
+cargo build --release -q --example batch_trace
+EX_ONE="$(./target/release/examples/batch_trace 1 | grep '^  input')"
+EX_EIGHT="$(./target/release/examples/batch_trace 8 | grep '^  input')"
+if [ -z "$EX_ONE" ] || [ "$EX_ONE" != "$EX_EIGHT" ]; then
+    echo "ci: batch_trace per-input lines differ between 1 and 8 threads:"
+    echo "$EX_ONE"
+    echo "---"
+    echo "$EX_EIGHT"
+    exit 1
+fi
+echo "$EX_ONE"
+
 # Debugging-service tier: the release gadt-serve binary on a unix
 # socket inside a throwaway sandbox, driven end-to-end (compile ->
 # trace -> debug -> answer -> slice) by its own selftest client, which

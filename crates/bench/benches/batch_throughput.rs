@@ -8,7 +8,8 @@
 //! single-core host the parallel figures approximate the sequential
 //! ones (scheduler overhead aside); the ≥2× target needs 4+ cores.
 
-use gadt::session::{prepare, run_traced, run_traced_batch};
+use gadt::obs::Recorder;
+use gadt::session::{prepare, run_traced, run_traced_batch, Engine};
 use gadt_analysis::dyntrace::record_trace;
 use gadt_analysis::slice_batch::dynamic_slice_batch;
 use gadt_analysis::slice_dynamic::dynamic_slice_output;
@@ -49,7 +50,18 @@ fn main() {
         cases::run_cases(&m, "arrsum", &tc, &oracle).unwrap()
     });
     let par = h.bench(&format!("tgen/run_cases/par{threads}/{}", tc.len()), || {
-        cases::run_cases_batch(threads, &m, "arrsum", &tc, &oracle).unwrap()
+        let mut rec = Recorder::disabled();
+        cases::run_cases_batch(
+            threads,
+            Engine::default(),
+            &m,
+            "arrsum",
+            &tc,
+            &oracle,
+            None,
+            &mut rec,
+        )
+        .unwrap()
     });
     speedup_line(
         "T-GEN cases",
@@ -108,7 +120,15 @@ fn main() {
     });
     let par = h.bench(
         &format!("session/run_traced_batch/par{threads}/{}", inputs.len()),
-        || run_traced_batch(&prepared, inputs.clone(), threads).unwrap(),
+        || {
+            run_traced_batch(
+                &prepared,
+                inputs.clone(),
+                threads,
+                &mut Recorder::disabled(),
+            )
+            .unwrap()
+        },
     );
     speedup_line(
         "traced inputs",

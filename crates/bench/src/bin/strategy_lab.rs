@@ -32,7 +32,7 @@
 
 use gadt::debugger::{DebugConfig, DebugResult, Strategy};
 use gadt::oracle::{ChainOracle, CountingOracle, ReferenceOracle};
-use gadt::session::{debug_observed_with_probe, prepare, run_traced};
+use gadt::session::{debug_observed, prepare, run_traced};
 use gadt::{AnswerProbe, StoreProbe, StoredKnowledgeOracle};
 use gadt_bench::genprog::{generate, mutate, GenConfig};
 use gadt_mutate::campaign::{run_campaign, CampaignConfig, CampaignProgram};
@@ -191,7 +191,7 @@ fn replay_leg() -> Vec<ReplayRow> {
                 ReferenceOracle::new(&fixed, []).unwrap(),
             ));
             chain.persist_answers_to(store.clone());
-            let out = debug_observed_with_probe(
+            let out = debug_observed(
                 &prepared,
                 &run,
                 &mut chain,
@@ -209,7 +209,7 @@ fn replay_leg() -> Vec<ReplayRow> {
             chain.push_front(StoredKnowledgeOracle::new(store.clone()));
             let probe = (row.strategy == Strategy::KnowledgeWeighted)
                 .then(|| Box::new(StoreProbe::new(store.clone())) as Box<dyn AnswerProbe>);
-            let out = debug_observed_with_probe(
+            let out = debug_observed(
                 &prepared,
                 &run,
                 &mut chain,

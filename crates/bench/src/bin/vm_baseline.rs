@@ -13,7 +13,8 @@
 //!   no workload's speedup may fall below `0.8 ×` its committed figure
 //!   (the slack absorbs machine noise, not structural regressions).
 
-use gadt::session::{prepare, run_fast_limited, run_traced_batch, Engine};
+use gadt::obs::Recorder;
+use gadt::session::{prepare, run_traced_batch, Engine};
 use gadt_bench::genprog::{generate, GenConfig};
 use gadt_bench::timing::Harness;
 use gadt_mutate::campaign::{run_campaign, CampaignConfig, CampaignProgram};
@@ -58,8 +59,8 @@ fn trace_workload(h: &Harness) -> Workload {
     let (t, v) = h.bench_pair(
         "trace_batch/tree",
         "trace_batch/vm",
-        || run_traced_batch(&tree, inputs.clone(), 1).unwrap(),
-        || run_traced_batch(&vm, inputs.clone(), 1).unwrap(),
+        || run_traced_batch(&tree, inputs.clone(), 1, &mut Recorder::disabled()).unwrap(),
+        || run_traced_batch(&vm, inputs.clone(), 1, &mut Recorder::disabled()).unwrap(),
     );
     Workload {
         name: "trace_batch",
@@ -80,13 +81,26 @@ fn tgen_workload(h: &Harness) -> Workload {
     for _ in 0..16 {
         tc.extend(base.iter().cloned());
     }
-    let oracle = |ins: &[Value], r: &gadt_pascal::interp::ProcRun| cases::arrsum_oracle(ins, r);
+    let batch = |engine| {
+        let mut rec = Recorder::disabled();
+        cases::run_cases_batch(
+            1,
+            engine,
+            &m,
+            "arrsum",
+            &tc,
+            &cases::arrsum_oracle,
+            None,
+            &mut rec,
+        )
+        .unwrap()
+    };
 
     let (t, v) = h.bench_pair(
         "tgen_batch/tree",
         "tgen_batch/vm",
-        || cases::run_cases_batch_on(Engine::TreeWalker, 1, &m, "arrsum", &tc, &oracle).unwrap(),
-        || cases::run_cases_batch_on(Engine::Vm, 1, &m, "arrsum", &tc, &oracle).unwrap(),
+        || batch(Engine::TreeWalker),
+        || batch(Engine::Vm),
     );
     Workload {
         name: "tgen_batch",
@@ -186,7 +200,7 @@ fn campaign_workload(h: &Harness) -> Workload {
 }
 
 /// The campaign's monitor-free crash screen in isolation: repeated
-/// `run_fast_limited` calls on one prepared program — no monitor, no
+/// `PreparedProgram::execute_fast` calls on one prepared program — no monitor, no
 /// dependence recorder, no tree build. This is the inner loop every
 /// mutant pays before (or instead of) tracing.
 fn campaign_fast_workload(h: &Harness) -> Workload {
@@ -206,12 +220,12 @@ fn campaign_fast_workload(h: &Harness) -> Workload {
         "campaign_fast/vm",
         || {
             for _ in 0..units {
-                run_fast_limited(&tree, Vec::new(), limits).unwrap();
+                tree.execute_fast(Vec::new(), limits).unwrap();
             }
         },
         || {
             for _ in 0..units {
-                run_fast_limited(&vm, Vec::new(), limits).unwrap();
+                vm.execute_fast(Vec::new(), limits).unwrap();
             }
         },
     );

@@ -90,12 +90,14 @@ impl Harness {
             per_iter: median,
             iters,
         };
+        // `n=` is iterations per sample × samples taken.
         println!(
-            "{:<44} {:>12}/iter  ({:.1} iters/s, n={})",
+            "{:<44} {:>12}/iter  ({:.1} iters/s, n={}×{})",
             timing.name,
             format_duration(median),
             timing.per_sec(),
-            iters
+            iters,
+            self.samples.max(1)
         );
         timing
     }

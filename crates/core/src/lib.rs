@@ -75,9 +75,8 @@ pub use oracle::{
 };
 pub use retry::{debug_with_retry, RetryOutcome};
 pub use session::{
-    debug, debug_observed, debug_observed_with_probe, prepare, prepare_observed, quick_debug,
-    run_traced, run_traced_limited, trace_batch, BatchTraced, PhaseTimings, PreparedProgram,
-    TracedRun,
+    debug, debug_observed, prepare, prepare_observed, run_traced, run_traced_batch,
+    run_traced_limited, PhaseTimings, PreparedProgram, TracedRun,
 };
 pub use stored::{StoreProbe, StoredKnowledgeOracle, STORED_SOURCE};
 pub use strategy::{AnswerProbe, Knowledge, TraversalStrategy};

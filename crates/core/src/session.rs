@@ -1,17 +1,25 @@
 //! The full GADT pipeline (§5, Figure 3): transformation → tracing →
 //! debugging with assertions, test-case lookup, slicing, and a final
-//! user-level oracle. Batch entry points ([`run_traced_batch`],
-//! [`trace_batch`]) trace many inputs in parallel; the `*_observed`
-//! variants additionally record spans and counters into a
-//! [`gadt_obs::Recorder`], from whose journal the historical
-//! [`PhaseTimings`] roll-up is derived.
+//! user-level oracle.
+//!
+//! Each phase has one body, which takes every knob explicitly:
+//! [`prepare_observed`], [`run_traced_limited`] and [`debug_observed`].
+//! [`prepare`], [`run_traced`] and [`debug`] are shorthands that pass
+//! the defaults: no journal, default [`Limits`], no answer probe.
+//! [`run_traced_batch`] traces many inputs in parallel through
+//! [`run_traced`]. A journal's [`PhaseTimings`] roll-up gives each
+//! phase's wall-clock time.
+//!
+//! For a whole pipeline in one expression (compile, transform, trace a
+//! batch, debug, with one journal and an optional store) use the
+//! `gadt-repro` facade, `Gadt::compile(src)?.transform()?.trace(inputs)?`.
 
 use crate::debugger::{DebugConfig, DebugOutcome, Debugger};
 use crate::oracle::ChainOracle;
 use gadt_analysis::controldep::ProgramControlDeps;
 use gadt_analysis::dyntrace::{DependenceRecorder, DynTrace};
 use gadt_exec::BatchExecutor;
-use gadt_obs::{Journal, Recorder};
+use gadt_obs::Recorder;
 use gadt_pascal::cfg::{lower, ProgramCfg};
 use gadt_pascal::error::Result;
 use gadt_pascal::interp::{Interpreter, Limits, Monitor, Outcome};
@@ -221,12 +229,10 @@ pub fn run_traced(
 /// # Errors
 /// Propagates runtime errors of the subject program, including limit
 /// exhaustion.
-///
-/// [`Limits`]: gadt_pascal::interp::Limits
 pub fn run_traced_limited(
     prepared: &PreparedProgram,
     input: impl IntoIterator<Item = Value>,
-    limits: gadt_pascal::interp::Limits,
+    limits: Limits,
 ) -> Result<TracedRun> {
     let module = &prepared.transformed.module;
     let mut rec = DependenceRecorder::new(prepared.control_deps());
@@ -242,30 +248,18 @@ pub fn run_traced_limited(
     })
 }
 
-/// Monitor-free, limit-bounded run — the mutation campaign's kill-check
-/// screen: only the outcome (output, step count, final globals) or the
-/// runtime error is produced, with no trace, tree, or event stream. On
-/// [`Engine::Vm`] the observation machinery is statically compiled out;
-/// results are byte-identical to a monitored [`run_traced_limited`]
-/// run's outcome on either engine.
+/// Runs the tracing phase on many inputs in parallel: each input goes
+/// through [`run_traced`] on one of `threads` workers (`0` = all cores).
+/// The control-dependence analysis is computed once per prepared
+/// program, on its first traced run, and shared by every later run and
+/// batch. Results come back in input order and are identical to
+/// per-input [`run_traced`] calls.
 ///
-/// # Errors
-/// Propagates runtime errors of the subject program, including limit
-/// exhaustion.
-pub fn run_fast_limited(
-    prepared: &PreparedProgram,
-    input: impl IntoIterator<Item = Value>,
-    limits: Limits,
-) -> Result<Outcome> {
-    prepared.execute_fast(input.into_iter().collect(), limits)
-}
-
-/// Runs the tracing phase on many inputs in parallel: each input gets
-/// its own interpreter and dependence recorder on one of `threads`
-/// workers (`0` = all cores). The control-dependence analysis is
-/// computed once per prepared program, on its first traced run, and
-/// shared by every later run and batch. Results come back in input
-/// order and are identical to per-input [`run_traced`] calls.
+/// The batch runs inside a `trace` span tagged with the input count.
+/// Once the pool returns, every successful run's trace sizes
+/// (`trace.runs`, `trace.events`, …) and execution-tree size
+/// (`tree.nodes`) are recorded in input order, so the journal is the
+/// same at any thread count.
 ///
 /// # Errors
 /// Propagates the runtime error of the lowest-indexed failing input —
@@ -274,121 +268,16 @@ pub fn run_traced_batch(
     prepared: &PreparedProgram,
     inputs: Vec<Vec<Value>>,
     threads: usize,
-) -> Result<Vec<TracedRun>> {
-    run_traced_batch_observed(prepared, inputs, threads, &mut Recorder::disabled())
-}
-
-/// [`run_traced_batch`] with instrumentation: the batch runs inside a
-/// `trace` span tagged with the input count; every input records its
-/// trace sizes (`trace.runs`, `trace.events`, …) and execution-tree size
-/// (`tree.nodes`) into a per-input recorder, merged back in input order
-/// so the journal is thread-count invariant.
-///
-/// # Errors
-/// Same as [`run_traced_batch`].
-pub fn run_traced_batch_observed(
-    prepared: &PreparedProgram,
-    inputs: Vec<Vec<Value>>,
-    threads: usize,
     rec: &mut Recorder,
 ) -> Result<Vec<TracedRun>> {
-    let module = &prepared.transformed.module;
-    let cd = prepared.control_deps();
-    let pool = BatchExecutor::new(threads);
     let span = gadt_obs::span!(rec, "trace", inputs = inputs.len());
-    let result = pool.try_run_observed(inputs, rec, |_, input, irec| {
-        let mut drec = DependenceRecorder::new(cd);
-        let outcome = prepared.execute(input, Limits::default(), &mut drec)?;
-        let trace = drec.finish();
-        let tree = build_tree(module, &trace);
-        trace.observe(irec);
-        tree.observe(irec);
-        Ok(TracedRun {
-            trace,
-            tree,
-            output: outcome.output_text().to_string(),
-            engine: prepared.engine(),
-            limits: Limits::default(),
-        })
-    });
+    let runs = BatchExecutor::new(threads).run(inputs, |_, input| run_traced(prepared, input));
+    for run in runs.iter().flatten() {
+        run.trace.observe(rec);
+        run.tree.observe(rec);
+    }
     rec.exit(span);
-    result
-}
-
-/// The result of a timed batch session: Phase I output, one traced run
-/// per input, the observability journal of both phases, and the
-/// per-phase timings derived from it.
-#[derive(Debug)]
-pub struct BatchTraced {
-    /// Phase I output (shared by every run).
-    pub prepared: PreparedProgram,
-    /// One traced run per input, in input order.
-    pub runs: Vec<TracedRun>,
-    /// The structured journal of the transform and trace phases: spans,
-    /// per-run trace/tree size counters, and transform round counts.
-    pub journal: Journal,
-    /// Wall-clock per phase, derived from `journal` (`debug` is zero;
-    /// fill it via [`debug_timed`] when a debugging phase follows).
-    pub timings: PhaseTimings,
-}
-
-/// Batch entry point: transforms `module` once, then traces every input
-/// of the batch in parallel on `threads` workers (`0` = all cores),
-/// recording per-phase wall-clock timings.
-///
-/// # Errors
-/// Propagates transformation errors and the first (by input index)
-/// runtime error.
-///
-/// # Examples
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use gadt_pascal::{sema::compile, value::Value};
-/// let m = compile(
-///     "program t; var n, s, i: integer;
-///      begin read(n); s := 0; for i := 1 to n do s := s + i; writeln(s) end.",
-/// )?;
-/// let inputs: Vec<Vec<Value>> = (1..=8).map(|n| vec![Value::Int(n)]).collect();
-/// let batch = gadt::session::trace_batch(&m, inputs, 0)?;
-/// assert_eq!(batch.runs.len(), 8);
-/// assert_eq!(batch.runs[3].output, "10\n"); // 1+2+3+4
-/// assert!(batch.timings.total() > std::time::Duration::ZERO);
-/// assert_eq!(batch.journal.counter("trace.runs"), 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn trace_batch(
-    module: &Module,
-    inputs: Vec<Vec<Value>>,
-    threads: usize,
-) -> Result<BatchTraced> {
-    let mut rec = Recorder::new();
-    let prepared = prepare_observed(module, &mut rec)?;
-    let runs = run_traced_batch_observed(&prepared, inputs, threads, &mut rec)?;
-    let journal = rec.finish();
-    let timings = journal.phase_timings();
-    Ok(BatchTraced {
-        prepared,
-        runs,
-        journal,
-        timings,
-    })
-}
-
-/// Like [`debug`] but also measures the phase's wall-clock, recording it
-/// into `timings.debug` (accumulating across calls, so a batch of debug
-/// sessions sums into one Phase III figure).
-pub fn debug_timed(
-    prepared: &PreparedProgram,
-    run: &TracedRun,
-    oracle: &mut ChainOracle<'_>,
-    config: DebugConfig,
-    timings: &mut PhaseTimings,
-) -> DebugOutcome {
-    let mut rec = Recorder::new();
-    let outcome = debug_observed(prepared, run, oracle, config, &mut rec);
-    timings.debug += rec.finish().phase_timings().debug;
-    outcome
+    runs.into_iter().collect()
 }
 
 /// Phase III: debugs a traced run with the given oracle chain.
@@ -403,30 +292,28 @@ pub fn debug(
     oracle: &mut ChainOracle<'_>,
     config: DebugConfig,
 ) -> DebugOutcome {
-    debug_observed(prepared, run, oracle, config, &mut Recorder::disabled())
+    debug_observed(
+        prepared,
+        run,
+        oracle,
+        config,
+        None,
+        &mut Recorder::disabled(),
+    )
 }
 
-/// [`debug`] with instrumentation: the session runs inside a `debug`
-/// span (tagged with the slicing setting), and every question lands in
-/// the journal as a `question` point event with `unit`/`source`/`answer`
-/// fields plus the counters `debug.questions` and
-/// `debug.questions.by_source.<slug>`; every accepted prune adds a
-/// `slice` event and `debug.slices`.
+/// [`debug`] with an optional answer probe and instrumentation.
+///
+/// The probe feeds pooled knowledge to knowledge-aware traversal
+/// strategies (see [`crate::strategy::AnswerProbe`]): it weighs nodes
+/// during question selection without consuming oracle turns.
+///
+/// The session runs inside a `debug` span (tagged with the slicing
+/// setting), and every question lands in the journal as a `question`
+/// point event with `unit`/`source`/`answer` fields plus the counters
+/// `debug.questions` and `debug.questions.by_source.<slug>`; every
+/// accepted prune adds a `slice` event and `debug.slices`.
 pub fn debug_observed(
-    prepared: &PreparedProgram,
-    run: &TracedRun,
-    oracle: &mut ChainOracle<'_>,
-    config: DebugConfig,
-    rec: &mut Recorder,
-) -> DebugOutcome {
-    debug_observed_with_probe(prepared, run, oracle, config, None, rec)
-}
-
-/// [`debug_observed`] with an optional pooled-knowledge probe for
-/// knowledge-aware traversal strategies (see
-/// [`crate::strategy::AnswerProbe`]): the probe weighs nodes during
-/// question selection without consuming oracle turns.
-pub fn debug_observed_with_probe(
     prepared: &PreparedProgram,
     run: &TracedRun,
     oracle: &mut ChainOracle<'_>,
@@ -566,38 +453,16 @@ mod tests {
 
 #[cfg(test)]
 mod batch_session_tests {
+    // Batch tracing against sequential tracing, the lowest-indexed error
+    // and the journal of a failing batch are pinned in
+    // `tests/parallel_determinism.rs`.
     use super::*;
-    use crate::debugger::DebugResult;
-    use crate::oracle::{CountingOracle, ReferenceOracle};
     use gadt_pascal::sema::compile;
     use std::time::Duration;
 
     const SUMMER: &str = "program t; var n, s, i: integer;
          begin read(n); s := 0; for i := 1 to n do s := s + i; writeln(s) end.";
 
-    #[test]
-    fn batch_tracing_equals_sequential_tracing() {
-        let m = compile(SUMMER).unwrap();
-        let prepared = prepare(&m).unwrap();
-        let inputs: Vec<Vec<Value>> = (1..=6).map(|n| vec![Value::Int(n)]).collect();
-        let sequential: Vec<TracedRun> = inputs
-            .iter()
-            .map(|i| run_traced(&prepared, i.clone()).unwrap())
-            .collect();
-        for threads in [1, 2, 8] {
-            let batch = run_traced_batch(&prepared, inputs.clone(), threads).unwrap();
-            assert_eq!(batch.len(), sequential.len());
-            for (b, s) in batch.iter().zip(&sequential) {
-                assert_eq!(b.output, s.output, "threads={threads}");
-                assert_eq!(b.trace.events.len(), s.trace.events.len());
-                assert_eq!(b.tree.render(b.tree.root), s.tree.render(s.tree.root));
-            }
-        }
-    }
-
-    /// A prepared program computes its control dependences on its first
-    /// traced run and reuses them: every later run, through any entry
-    /// point or engine, traces exactly what a fresh preparation does.
     #[test]
     fn repeated_traced_runs_match_a_fresh_preparation() {
         for (src, input) in [
@@ -614,7 +479,9 @@ mod batch_session_tests {
             };
             for _ in 0..3 {
                 same(&run_traced_limited(&warm, input.clone(), Limits::default()).unwrap());
-                same(&run_traced_batch(&warm, vec![input.clone(); 2], 2).unwrap()[1]);
+                let batch =
+                    run_traced_batch(&warm, vec![input.clone(); 2], 2, &mut Recorder::disabled());
+                same(&batch.unwrap()[1]);
             }
             let tree = warm.clone().with_engine(Engine::TreeWalker);
             same(&run_traced(&tree, input.clone()).unwrap());
@@ -622,41 +489,21 @@ mod batch_session_tests {
     }
 
     #[test]
-    fn batch_error_is_the_first_inputs_error() {
-        // Input 2 underflows the read; inputs after it would too.
-        let m = compile(SUMMER).unwrap();
-        let prepared = prepare(&m).unwrap();
-        let inputs = vec![vec![Value::Int(1)], vec![], vec![]];
-        let err = run_traced_batch(&prepared, inputs, 4).unwrap_err();
-        let seq_err = run_traced(&prepared, []).unwrap_err();
-        assert_eq!(format!("{err}"), format!("{seq_err}"));
-    }
-
-    #[test]
-    fn trace_batch_records_phase_timings_and_journal() {
+    fn batch_journal_gives_counters_and_phase_timings() {
         let m = compile(SUMMER).unwrap();
         let inputs: Vec<Vec<Value>> = (1..=4).map(|n| vec![Value::Int(n)]).collect();
-        let batch = trace_batch(&m, inputs, 2).unwrap();
-        assert_eq!(batch.runs.len(), 4);
-        assert_eq!(batch.runs[2].output, "6\n");
-        assert!(batch.timings.trace > Duration::ZERO);
-        assert_eq!(batch.timings.debug, Duration::ZERO);
-        assert_eq!(
-            batch.timings.total(),
-            batch.timings.transform + batch.timings.trace
-        );
-        let rendered = format!("{}", batch.timings);
-        assert!(rendered.contains("transform"), "{rendered}");
-        // The journal carries the structured view of the same phases.
-        assert_eq!(batch.journal.counter("trace.runs"), 4);
-        assert_eq!(
-            batch.journal.counter("tree.built"),
-            4,
-            "{}",
-            batch.journal.render_summary()
-        );
-        assert!(batch.journal.counter("trace.events") > 0);
-        assert_eq!(batch.journal.phase_timings(), batch.timings);
+        let mut rec = Recorder::new();
+        let prepared = prepare_observed(&m, &mut rec).unwrap();
+        let runs = run_traced_batch(&prepared, inputs, 2, &mut rec).unwrap();
+        assert_eq!(runs[2].output, "6\n");
+        let journal = rec.finish();
+        assert_eq!(journal.counter("trace.runs"), 4);
+        assert_eq!(journal.counter("tree.built"), 4);
+        assert!(journal.counter("trace.events") > 0);
+        let timings = journal.phase_timings();
+        assert!(timings.trace > Duration::ZERO);
+        assert_eq!(timings.debug, Duration::ZERO);
+        assert_eq!(timings.total(), timings.transform + timings.trace);
     }
 
     #[test]
@@ -676,7 +523,13 @@ mod batch_session_tests {
         assert_eq!(limited.limits.max_depth, 32);
 
         let tree = prepared.clone().with_engine(Engine::TreeWalker);
-        let batch = run_traced_batch(&tree, vec![vec![Value::Int(2)]], 1).unwrap();
+        let batch = run_traced_batch(
+            &tree,
+            vec![vec![Value::Int(2)]],
+            1,
+            &mut Recorder::disabled(),
+        );
+        let batch = batch.unwrap();
         assert_eq!(batch[0].engine, Engine::TreeWalker);
     }
 
@@ -695,37 +548,6 @@ mod batch_session_tests {
             run_traced(&back, vec![Value::Int(3)]).unwrap().output,
             "6\n"
         );
-    }
-
-    #[test]
-    fn debug_timed_accumulates_phase3_time() {
-        let buggy = compile(
-            "program t; var r: integer;
-             function sq(x: integer): integer; begin sq := x * x + 1 end;
-             begin r := sq(6); writeln(r) end.",
-        )
-        .unwrap();
-        let fixed = compile(
-            "program t; var r: integer;
-             function sq(x: integer): integer; begin sq := x * x end;
-             begin r := sq(6); writeln(r) end.",
-        )
-        .unwrap();
-        let batch = trace_batch(&buggy, vec![vec![]], 1).unwrap();
-        let mut timings = batch.timings;
-        let mut chain = ChainOracle::new();
-        chain.push(CountingOracle::new(
-            ReferenceOracle::new(&fixed, []).unwrap(),
-        ));
-        let out = debug_timed(
-            &batch.prepared,
-            &batch.runs[0],
-            &mut chain,
-            DebugConfig::default(),
-            &mut timings,
-        );
-        assert!(matches!(out.result, DebugResult::BugLocalized { ref unit, .. } if unit == "sq"));
-        assert!(timings.debug > Duration::ZERO);
     }
 }
 
@@ -765,46 +587,4 @@ mod transparency_session_tests {
         );
         assert!(!q_entry.query.contains("exitcond"), "{}", q_entry.query);
     }
-}
-
-/// One-call convenience: debug `buggy_source` against `fixed_source` (the
-/// reference implementation standing in for the user), with slicing
-/// enabled and no test database.
-///
-/// # Errors
-/// Propagates compile, transformation, and runtime errors of either
-/// program.
-///
-/// # Examples
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use gadt::debugger::DebugResult;
-/// let outcome = gadt::session::quick_debug(
-///     "program t; var r: integer;
-///      function sq(x: integer): integer; begin sq := x * x + 1 end;
-///      begin r := sq(6); writeln(r) end.",
-///     "program t; var r: integer;
-///      function sq(x: integer): integer; begin sq := x * x end;
-///      begin r := sq(6); writeln(r) end.",
-///     [],
-/// )?;
-/// assert!(matches!(outcome.result,
-///     DebugResult::BugLocalized { ref unit, .. } if unit == "sq"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn quick_debug(
-    buggy_source: &str,
-    fixed_source: &str,
-    input: impl IntoIterator<Item = Value> + Clone,
-) -> Result<DebugOutcome> {
-    let buggy = gadt_pascal::sema::compile(buggy_source)?;
-    let fixed = gadt_pascal::sema::compile(fixed_source)?;
-    let prepared = prepare(&buggy)?;
-    let run = run_traced(&prepared, input.clone())?;
-    let mut chain = ChainOracle::new();
-    chain.push(crate::oracle::CountingOracle::new(
-        crate::oracle::ReferenceOracle::new(&fixed, input)?,
-    ));
-    Ok(debug(&prepared, &run, &mut chain, DebugConfig::default()))
 }

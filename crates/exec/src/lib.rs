@@ -12,6 +12,14 @@
 //! sequential loop it replaces — the determinism guarantee the
 //! integration suite (`tests/parallel_determinism.rs`) pins down.
 //!
+//! Two entry points cover every batch: [`BatchExecutor::run`] and
+//! [`BatchExecutor::run_with_sink`], which also streams each result to
+//! a caller-side sink in input order (how one store writer persists a
+//! batch). A fallible batch returns `Vec<Result<R, E>>`, and collecting
+//! it yields the lowest-indexed error. Batches that journal record into
+//! their `gadt-obs` recorder after the pool returns, walking the results
+//! in input order, so this crate knows nothing of journals.
+//!
 //! The implementation uses only `std`: [`std::thread::scope`] for
 //! borrow-friendly workers, an atomic cursor for work stealing, and an
 //! [`std::sync::mpsc`] channel to collect `(index, result)` pairs.
@@ -23,7 +31,6 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Worker stack size. The interpreter executes Pascal calls by native
 /// recursion, so a worker's stack must absorb the deepest dynamic call
@@ -78,6 +85,12 @@ impl BatchExecutor {
     /// thread — bit-for-bit the sequential loop, with no thread-spawn
     /// overhead.
     ///
+    /// A fallible batch returns `Vec<Result<R, E>>`; collecting it with
+    /// `.into_iter().collect::<Result<Vec<_>, _>>()` yields the error of
+    /// the **lowest-indexed** failing job — the error a sequential loop
+    /// with `?` would surface — whatever the worker count. Every job
+    /// runs; none is cancelled by another's failure.
+    ///
     /// # Panics
     /// A panic inside `f` propagates to the caller once the scope joins.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
@@ -86,13 +99,40 @@ impl BatchExecutor {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        self.run_with_sink(items, f, |_, _| {})
+    }
+
+    /// Like [`BatchExecutor::run`] but additionally streams each result
+    /// through `sink` **in input order**, as soon as its turn arrives —
+    /// the serialized-appender hook persistent consumers (one
+    /// `gadt-store` writer fed by many workers) hang off the batch.
+    ///
+    /// Out-of-order finishes wait in a reorder buffer; `sink(i, &r)` is
+    /// invoked on the calling thread for `i = 0, 1, 2, …` exactly once
+    /// each — `Ok` and `Err` results alike — so a sink that appends to a
+    /// write-ahead log produces the same bytes at any worker count. The
+    /// full result vector is still returned in input order.
+    ///
+    /// # Panics
+    /// A panic inside `f` propagates to the caller once the scope joins.
+    pub fn run_with_sink<T, R, F, S>(&self, items: Vec<T>, f: F, mut sink: S) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+        S: FnMut(usize, &R),
+    {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
             return items
                 .into_iter()
                 .enumerate()
-                .map(|(i, t)| f(i, t))
+                .map(|(i, t)| {
+                    let r = f(i, t);
+                    sink(i, &r);
+                    r
+                })
                 .collect();
         }
 
@@ -130,93 +170,15 @@ impl BatchExecutor {
             }
             drop(tx);
 
-            let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-            for (i, r) in rx {
-                results[i] = Some(r);
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("worker dropped a job"))
-                .collect()
-        })
-    }
-
-    /// Like [`BatchExecutor::run`] but additionally streams each result
-    /// through `sink` **in input order**, as soon as its turn arrives —
-    /// the serialized-appender hook persistent consumers (one
-    /// `gadt-store` writer fed by many workers) hang off the batch.
-    ///
-    /// Out-of-order finishes wait in a reorder buffer; `sink(i, &r)` is
-    /// invoked on the calling thread for `i = 0, 1, 2, …` exactly once
-    /// each, so a sink that appends to a write-ahead log produces the
-    /// same bytes at any worker count. The full result vector is still
-    /// returned in input order.
-    ///
-    /// # Panics
-    /// A panic inside `f` propagates to the caller once the scope joins.
-    pub fn run_with_sink<T, R, F, S>(&self, items: Vec<T>, f: F, mut sink: S) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-        S: FnMut(usize, &R),
-    {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let r = f(i, t);
-                    sink(i, &r);
-                    r
-                })
-                .collect();
-        }
-
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let slots = &slots;
-                let cursor = &cursor;
-                let f = &f;
-                std::thread::Builder::new()
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = slots[i]
-                            .lock()
-                            .expect("job slot poisoned")
-                            .take()
-                            .expect("job taken twice");
-                        let _ = tx.send((i, f(i, item)));
-                    })
-                    .expect("spawn batch worker");
-            }
-            drop(tx);
-
             // Reorder buffer: emit to the sink the moment the next
             // input index becomes available, not when the batch ends.
             let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
             let mut next_emit = 0usize;
             for (i, r) in rx {
                 results[i] = Some(r);
-                while next_emit < n {
-                    match results[next_emit].as_ref() {
-                        Some(ready) => {
-                            sink(next_emit, ready);
-                            next_emit += 1;
-                        }
-                        None => break,
-                    }
+                while let Some(ready) = results.get(next_emit).and_then(Option::as_ref) {
+                    sink(next_emit, ready);
+                    next_emit += 1;
                 }
             }
             results
@@ -225,192 +187,16 @@ impl BatchExecutor {
                 .collect()
         })
     }
-
-    /// The fallible form of [`BatchExecutor::run_with_sink`]: `sink`
-    /// still sees **every** job's result (`Ok` and `Err` alike, in input
-    /// order), then the lowest-indexed error, if any, is returned — so a
-    /// persistent sink records the same prefix a sequential loop with
-    /// late `?` would have seen.
-    ///
-    /// # Errors
-    /// Returns the first (by input index) error produced by `f`.
-    pub fn try_run_with_sink<T, R, E, F, S>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        sink: S,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T) -> Result<R, E> + Sync,
-        S: FnMut(usize, &Result<R, E>),
-    {
-        let results = self.run_with_sink(items, f, sink);
-        let mut out = Vec::with_capacity(results.len());
-        let mut first_err: Option<E> = None;
-        for r in results {
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Like [`BatchExecutor::run`] but observed: every job records into
-    /// its own [`gadt_obs::Recorder`] (a [`Recorder::child`] of `rec`),
-    /// and the finished per-job journals are adopted back into `rec` in
-    /// **submission order** — the merge discipline that keeps journal
-    /// fingerprints byte-identical at any thread count.
-    ///
-    /// [`Recorder::child`]: gadt_obs::Recorder::child
-    pub fn run_observed<T, R, F>(&self, items: Vec<T>, rec: &mut gadt_obs::Recorder, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T, &mut gadt_obs::Recorder) -> R + Sync,
-    {
-        let template = rec.child();
-        let pairs = self.run(items, |i, item| {
-            let mut child = template.child();
-            let r = f(i, item, &mut child);
-            (r, child.finish())
-        });
-        let mut out = Vec::with_capacity(pairs.len());
-        for (r, journal) in pairs {
-            rec.adopt(journal, None);
-            out.push(r);
-        }
-        out
-    }
-
-    /// The fallible form of [`BatchExecutor::run_observed`]: journals of
-    /// **every** job (including failed ones) are adopted in submission
-    /// order, then the lowest-indexed error, if any, is returned — so
-    /// the observability record is identical whether or not the batch
-    /// succeeded, and identical to the sequential loop's record.
-    ///
-    /// # Errors
-    /// Returns the first (by input index) error produced by `f`.
-    pub fn try_run_observed<T, R, E, F>(
-        &self,
-        items: Vec<T>,
-        rec: &mut gadt_obs::Recorder,
-        f: F,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T, &mut gadt_obs::Recorder) -> Result<R, E> + Sync,
-    {
-        let results = self.run_observed(items, rec, f);
-        let mut out = Vec::with_capacity(results.len());
-        let mut first_err: Option<E> = None;
-        for r in results {
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Like [`BatchExecutor::run`] but for fallible jobs: stops at
-    /// nothing, then returns either every result (input order) or the
-    /// error of the **lowest-indexed** failing job — the same error a
-    /// sequential loop with `?` would surface, keeping error behaviour
-    /// deterministic under parallelism.
-    ///
-    /// # Errors
-    /// Returns the first (by input index) error produced by `f`.
-    pub fn try_run<T, R, E, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T) -> Result<R, E> + Sync,
-    {
-        let mut first_err: Option<E> = None;
-        let results = self.run(items, f);
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-}
-
-impl Default for BatchExecutor {
-    /// An executor sized to the host's available parallelism.
-    fn default() -> Self {
-        BatchExecutor::new(0)
-    }
-}
-
-/// A simple wall-clock stopwatch for phase timing.
-///
-/// [`Stopwatch::lap`] returns the time since construction or the last
-/// lap — the building block behind the pipeline's `PhaseTimings`
-/// observability hook in `gadt::session`.
-#[derive(Debug)]
-pub struct Stopwatch {
-    last: Instant,
-}
-
-impl Stopwatch {
-    /// Starts the stopwatch.
-    pub fn start() -> Self {
-        Stopwatch {
-            last: Instant::now(),
-        }
-    }
-
-    /// Returns the elapsed time since the start or the previous lap,
-    /// and resets the lap origin.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.last;
-        self.last = now;
-        d
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Stopwatch::start()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    // The fallible and journaled batches built on this executor are
+    // pinned in `tests/parallel_determinism.rs`: the lowest-indexed error
+    // of a failing batch, the journal kept of its successful jobs, and
+    // thread-count invariance at 1, 2 and 8 workers.
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -459,24 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn try_run_surfaces_lowest_index_error() {
+    fn fallible_batches_collect_to_the_lowest_indexed_error() {
         let pool = BatchExecutor::new(8);
-        let items: Vec<usize> = (0..50).collect();
-        let r: Result<Vec<usize>, String> = pool.try_run(items, |_, x| {
-            if x == 13 || x == 31 {
-                Err(format!("boom {x}"))
-            } else {
-                Ok(x)
-            }
+        let results = pool.run((0..50usize).collect(), |_, x| match x {
+            13 | 31 => Err(format!("boom {x}")),
+            _ => Ok(x),
         });
-        assert_eq!(r.unwrap_err(), "boom 13");
-    }
-
-    #[test]
-    fn try_run_all_ok() {
-        let pool = BatchExecutor::new(3);
-        let r: Result<Vec<i64>, ()> = pool.try_run(vec![1i64, 2, 3], |_, x| Ok(x * x));
-        assert_eq!(r.unwrap(), vec![1, 4, 9]);
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 48);
+        let collected: Result<Vec<usize>, String> = results.into_iter().collect();
+        assert_eq!(collected.unwrap_err(), "boom 13");
     }
 
     #[test]
@@ -507,105 +284,5 @@ mod tests {
             let expect: Vec<(usize, i64)> = (0..40usize).map(|i| (i, i as i64 * 3)).collect();
             assert_eq!(seen, expect, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn try_run_with_sink_feeds_errors_to_the_sink() {
-        let pool = BatchExecutor::new(4);
-        let mut log = Vec::new();
-        let r: Result<Vec<usize>, String> = pool.try_run_with_sink(
-            (0..10usize).collect(),
-            |_, x| {
-                if x == 6 {
-                    Err("boom".to_string())
-                } else {
-                    Ok(x)
-                }
-            },
-            |i, res| log.push((i, res.is_ok())),
-        );
-        assert_eq!(r.unwrap_err(), "boom");
-        assert_eq!(log.len(), 10);
-        assert_eq!(log[6], (6, false));
-        assert!(log.iter().enumerate().all(|(k, (i, _))| k == *i));
-    }
-
-    #[test]
-    fn observed_run_merges_journals_in_submission_order() {
-        let pool = BatchExecutor::new(8);
-        let mut rec = gadt_obs::Recorder::untimed();
-        let out = pool.run_observed((0..20usize).collect(), &mut rec, |i, x, r| {
-            // Stagger so completion order differs from submission order.
-            if x % 3 == 0 {
-                std::thread::sleep(Duration::from_micros(150));
-            }
-            r.event("job", &[("index", gadt_obs::FieldValue::from(i))]);
-            r.incr("jobs");
-            x
-        });
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        let j = rec.finish();
-        assert_eq!(j.counter("jobs"), 20);
-        let indices: Vec<u64> = j
-            .events_named("job")
-            .map(|e| match e.field("index") {
-                Some(gadt_obs::FieldValue::UInt(n)) => *n,
-                other => panic!("unexpected field {other:?}"),
-            })
-            .collect();
-        assert_eq!(indices, (0..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn observed_fingerprint_is_thread_count_invariant() {
-        let journal_at = |threads: usize| {
-            let pool = BatchExecutor::new(threads);
-            let mut rec = gadt_obs::Recorder::new();
-            pool.run_observed((0..12usize).collect(), &mut rec, |i, _x, r| {
-                r.event("tick", &[("i", gadt_obs::FieldValue::from(i))]);
-                r.add("ticks", 1);
-            });
-            rec.finish().fingerprint()
-        };
-        let one = journal_at(1);
-        assert_eq!(one, journal_at(2));
-        assert_eq!(one, journal_at(8));
-    }
-
-    #[test]
-    fn try_run_observed_keeps_journals_of_failed_jobs() {
-        let pool = BatchExecutor::new(4);
-        let mut rec = gadt_obs::Recorder::untimed();
-        let r: Result<Vec<usize>, String> =
-            pool.try_run_observed((0..10usize).collect(), &mut rec, |_, x, rr| {
-                rr.incr("attempts");
-                if x == 4 {
-                    Err("boom".to_string())
-                } else {
-                    Ok(x)
-                }
-            });
-        assert_eq!(r.unwrap_err(), "boom");
-        assert_eq!(rec.finish().counter("attempts"), 10);
-    }
-
-    #[test]
-    fn disabled_parent_disables_children() {
-        let pool = BatchExecutor::new(4);
-        let mut rec = gadt_obs::Recorder::disabled();
-        pool.run_observed(vec![1, 2, 3], &mut rec, |_, _x, r| {
-            r.incr("c");
-        });
-        assert!(rec.finish().is_empty());
-    }
-
-    #[test]
-    fn stopwatch_laps_are_monotonic() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(1));
-        let a = sw.lap();
-        let b = sw.lap();
-        assert!(a >= Duration::from_millis(1));
-        assert!(b <= a + Duration::from_millis(50));
     }
 }

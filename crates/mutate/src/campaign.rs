@@ -150,6 +150,22 @@ pub fn run_campaign(
     programs: &[CampaignProgram],
     config: &CampaignConfig,
 ) -> Result<CampaignSummary, Error> {
+    let (contexts, work, limits) = plan(programs, config)?;
+    let pool = BatchExecutor::new(config.threads);
+    let reports = pool.run(work, |_, (prog_idx, site)| {
+        run_mutant(&contexts[prog_idx], &site, limits)
+    });
+    Ok(CampaignSummary { reports })
+}
+
+/// A campaign's golden contexts, its `(program, site)` work list and the
+/// limits every mutant run executes under.
+type Plan = (Vec<GoldenCtx>, Vec<(usize, MutationSite)>, Limits);
+
+/// The setup both campaign runners share: the golden context of every
+/// program, and the work list, subsampled with the seeded LCG when it
+/// exceeds `max_mutants`.
+fn plan(programs: &[CampaignProgram], config: &CampaignConfig) -> Result<Plan, Error> {
     let contexts: Vec<GoldenCtx> = programs
         .iter()
         .map(|p| golden_ctx(p, config))
@@ -164,7 +180,6 @@ pub fn run_campaign(
     if config.max_mutants > 0 && work.len() > config.max_mutants {
         work = subsample(work, config.max_mutants, config.seed);
     }
-
     let limits = Limits {
         max_steps: config.max_steps,
         // Injected faults routinely break recursion guards; the interpreter
@@ -175,11 +190,7 @@ pub fn run_campaign(
         // single-thread batch path runs on the calling thread).
         max_depth: 64,
     };
-    let pool = BatchExecutor::new(config.threads);
-    let reports = pool.run(work, |_, (prog_idx, site)| {
-        run_mutant(&contexts[prog_idx], &site, limits)
-    });
-    Ok(CampaignSummary { reports })
+    Ok((contexts, work, limits))
 }
 
 /// FNV-1a over a byte string — used to keep campaign verdict keys short.
@@ -245,21 +256,7 @@ pub fn run_campaign_with_store(
     config: &CampaignConfig,
     store: &gadt_store::SharedStore,
 ) -> Result<CampaignSummary, Error> {
-    let contexts: Vec<GoldenCtx> = programs
-        .iter()
-        .map(|p| golden_ctx(p, config))
-        .collect::<Result<_, _>>()?;
-
-    let mut work: Vec<(usize, MutationSite)> = Vec::new();
-    for (i, ctx) in contexts.iter().enumerate() {
-        for site in &ctx.sites {
-            work.push((i, site.clone()));
-        }
-    }
-    if config.max_mutants > 0 && work.len() > config.max_mutants {
-        work = subsample(work, config.max_mutants, config.seed);
-    }
-
+    let (contexts, work, limits) = plan(programs, config)?;
     let keys: Vec<String> = work
         .iter()
         .map(|(i, site)| verdict_key(&programs[*i], config.max_steps, config.strategy, site))
@@ -286,16 +283,6 @@ pub fn run_campaign_with_store(
         .map(|(slot, (prog_idx, site))| (slot, *prog_idx, site.clone()))
         .collect();
 
-    let limits = Limits {
-        max_steps: config.max_steps,
-        // Injected faults routinely break recursion guards; the interpreter
-        // executes Pascal calls by native recursion, so a tight depth limit
-        // turns a runaway mutant into a crashed classification instead of a
-        // native stack overflow. 64 is ~5x any legitimate subject's call
-        // depth yet fits a 2 MiB stack even with debug-sized frames (the
-        // single-thread batch path runs on the calling thread).
-        max_depth: 64,
-    };
     let pool = BatchExecutor::new(config.threads);
     let mut sink_err: Option<std::io::Error> = None;
     let fresh_reports = pool.run_with_sink(
@@ -417,7 +404,7 @@ fn run_mutant_status(
     // path is result-identical to the traced run (same error, message
     // and span), so the Crashed classification is byte-for-byte what the
     // traced pipeline would have produced.
-    if let Err(e) = session::run_fast_limited(&prepared, ctx.input.iter().cloned(), limits) {
+    if let Err(e) = prepared.execute_fast(ctx.input.clone(), limits) {
         rec.exit(tspan);
         return MutantStatus::Crashed { error: e.message };
     }
@@ -514,6 +501,7 @@ fn debug_against_golden(
             strategy: ctx.strategy,
             slicing,
         },
+        None,
         rec,
     )
 }

@@ -18,10 +18,12 @@
 //! The journal must be byte-identical however many worker threads the
 //! batch engine uses. Three rules make that hold:
 //!
-//! 1. every parallel work item records into its **own** [`Recorder`]
-//!    (constructed via [`Recorder::child`]);
-//! 2. finished child journals are [`Recorder::adopt`]ed back in
-//!    **submission order**, never completion order;
+//! 1. workers never share a recorder: a batch records its results after
+//!    the pool returns, or every parallel work item records into its
+//!    **own** [`Recorder`] (constructed via [`Recorder::child`]);
+//! 2. results are recorded, and finished child journals
+//!    [`Recorder::adopt`]ed, in **submission order**, never completion
+//!    order;
 //! 3. wall-clock readings live only in the `time`/`dur` fields, which
 //!    [`Journal::fingerprint`] excludes.
 //!

@@ -9,8 +9,8 @@
 //! Layers (std only, no dependencies beyond the workspace):
 //!
 //! * [`proto`] — length-prefixed JSON frames over TCP or unix sockets,
-//!   encoded/decoded with the workspace's own store JSON parser and
-//!   obs validator;
+//!   encoded and parsed (once per frame) by the workspace's one JSON
+//!   module, `gadt_obs::json`;
 //! * [`server`] — the accept loop, worker pool (layered on
 //!   [`gadt_exec::BatchExecutor`]), session table of resumable
 //!   [`gadt::DebugState`]s pumped over borrowed program artifacts,

@@ -2,11 +2,11 @@
 //!
 //! Every message — request, response, or streamed journal event — is one
 //! *frame*: a 4-byte big-endian payload length followed by that many
-//! bytes of UTF-8 JSON. The payload must be a single JSON value that
-//! passes the strict `gadt-obs` validator and parses with the
-//! `gadt-store` parser; no other encoder or decoder is involved, so the
-//! server speaks exactly the dialect the knowledge store already
-//! persists.
+//! bytes of UTF-8 JSON. The payload must be a single JSON value, parsed
+//! once by the workspace's one JSON parser ([`gadt_obs::json::parse`]),
+//! and replies are encoded by the same module; no other encoder or
+//! decoder is involved, so the server speaks exactly the dialect the
+//! knowledge store persists and the journal writes.
 //!
 //! Framing rules (enforced by [`read_frame`]):
 //!
@@ -17,10 +17,11 @@
 //! * a clean EOF *between* frames reads as `Ok(None)` (the peer hung
 //!   up); EOF *inside* a frame — truncated prefix or truncated payload —
 //!   is an [`io::ErrorKind::UnexpectedEof`] error;
-//! * payloads that are not valid UTF-8, fail JSON validation, or do not
-//!   parse are [`io::ErrorKind::InvalidData`] errors.
+//! * payloads that are not valid UTF-8 or do not parse are
+//!   [`io::ErrorKind::InvalidData`] errors that name the byte offset and
+//!   what was wrong there.
 
-use gadt_store::{parse, Json};
+use gadt_store::Json;
 use std::io::{self, Read, Write};
 
 /// Default maximum frame payload size: 8 MiB. Large enough for a full
@@ -114,16 +115,10 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
 fn decode(payload: &[u8]) -> io::Result<Json> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))?;
-    gadt_obs::json::validate(text).map_err(|(at, what)| {
+    gadt_obs::json::parse(text).map_err(|(at, what)| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame payload fails JSON validation at byte {at}: {what}"),
-        )
-    })?;
-    parse(text).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame payload did not parse as JSON",
         )
     })
 }

@@ -12,8 +12,9 @@
 //! Guarantees (see [`store`] for the mechanics):
 //!
 //! * **crash-safe** — a truncated or corrupt tail is detected (every
-//!   line must pass the `gadt-obs` JSON validator and decode as a known
-//!   record) and the valid prefix recovered, never a panic;
+//!   line must parse with the `gadt-obs` JSON parser, in one pass, and
+//!   decode as a known record) and the valid prefix recovered, never a
+//!   panic;
 //! * **deterministic** — identical sessions write byte-identical stores
 //!   at any executor thread count: the encoder is canonical, appends are
 //!   idempotent, and batch runners feed the store in input order;
@@ -22,7 +23,8 @@
 //!
 //! Layering: this crate sits just above `gadt-pascal` (for
 //! [`gadt_pascal::value::Value`])
-//! and `gadt-obs` (for the JSON validator/escaper). `gadt-tgen` persists
+//! and `gadt-obs` (for the JSON model, parser and encoder, which
+//! [`Json`], [`obj`] and [`parse`] re-export). `gadt-tgen` persists
 //! its `TestDb` here, `gadt-core` consults it through a
 //! `StoredKnowledgeOracle`, `gadt-mutate` reuses campaign verdicts, and
 //! the root facade exposes it as `.with_store(path)`.
@@ -30,16 +32,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod record;
 pub mod shard;
 pub mod store;
 mod tempdir;
 
-pub use json::{obj, parse, Json};
+pub use gadt_obs::json::{obj, Json};
 pub use record::{
     answer_key, value_from_json, value_to_json, Record, StoredAnswer, StoredReport, FORMAT, VERSION,
 };
 pub use shard::{AnswerAppend, ShardedStore};
 pub use store::{KnowledgeStore, RecoveryReport, SharedStore};
 pub use tempdir::TempDir;
+
+/// Parses one complete JSON value with the workspace's one grammar
+/// ([`gadt_obs::json::parse`]), dropping the error's offset and message:
+/// the store treats any malformed line as corruption.
+pub fn parse(input: &str) -> Option<Json> {
+    gadt_obs::json::parse(input).ok()
+}

@@ -18,7 +18,7 @@
 //! bytes, and `decode(encode(r)) == r` for every record (pinned by the
 //! round-trip tests below and `tests/properties.rs`).
 
-use crate::json::{obj, Json};
+use crate::{obj, Json};
 use gadt_pascal::value::{ArrayValue, Value};
 
 /// On-disk format name, first line of every store file.
@@ -232,7 +232,7 @@ impl Record {
     /// record of a known kind — the store's recovery treats that exactly
     /// like corruption.
     pub fn decode(line: &str) -> Option<Record> {
-        let j = crate::json::parse(line)?;
+        let j = crate::parse(line)?;
         match j.get("k")?.as_str()? {
             "header" => {
                 if j.get("format")?.as_str()? != FORMAT {
@@ -296,7 +296,7 @@ mod tests {
             let j = value_to_json(&v);
             assert_eq!(value_from_json(&j).as_ref(), Some(&v), "{j}");
             // And through actual bytes.
-            let reparsed = crate::json::parse(&j.to_string()).unwrap();
+            let reparsed = crate::parse(&j.to_string()).unwrap();
             assert_eq!(value_from_json(&reparsed), Some(v));
         }
     }

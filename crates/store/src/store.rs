@@ -19,9 +19,9 @@
 //!
 //! A crash can leave the WAL with a truncated last line or arbitrary
 //! corrupt bytes. On open, each file is replayed line by line; a line
-//! survives only if it (1) ends in a newline, (2) passes the
-//! [`gadt_obs::json::validate`] JSON validator, and (3) decodes into a
-//! known [`Record`]. The first line that fails any check ends the
+//! survives only if it (1) ends in a newline, (2) parses, in one pass,
+//! with the workspace's JSON parser ([`gadt_obs::json::parse`]), and
+//! (3) decodes into a known [`Record`]. The first line that fails any check ends the
 //! *valid prefix*: everything before it is recovered, everything from
 //! it on is dropped (WAL semantics — later lines may depend on earlier
 //! ones, so a hole cannot be skipped). The WAL is then truncated back
@@ -36,7 +36,8 @@
 //! sessions produce byte-identical stores — including across executor
 //! thread counts, provided records are appended in batch order (see
 //! `gadt_exec::BatchExecutor::run_with_sink`, the serialized appender
-//! path used by `gadt_tgen::cases::run_cases_batch_persisted`).
+//! path `gadt_tgen::cases::run_cases_batch` streams reports through when
+//! given a store).
 
 use crate::record::{Record, StoredAnswer, StoredReport, VERSION};
 use crate::Json;
@@ -183,9 +184,6 @@ fn recover(bytes: &[u8]) -> io::Result<RecoveredFile> {
         let Ok(line) = std::str::from_utf8(&bytes[pos..line_end]) else {
             break;
         };
-        if gadt_obs::json::validate(line).is_err() {
-            break;
-        }
         let Some(record) = Record::decode(line) else {
             break;
         };
@@ -616,7 +614,7 @@ impl Drop for KnowledgeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::obj;
+    use crate::obj;
     use crate::TempDir;
 
     fn report(code: &str, n: i64, passed: bool) -> StoredReport {

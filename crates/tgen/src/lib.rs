@@ -42,7 +42,7 @@ pub mod frames;
 pub mod menu;
 pub mod spec;
 
-pub use cases::{instantiate_cases, run_cases, TestCase, TestDb, TestReport};
+pub use cases::{instantiate_cases, run_cases, run_cases_batch, TestCase, TestDb, TestReport};
 pub use frames::{generate_frames, Frame, FrameGenOptions, GeneratedFrames};
 pub use menu::select_frame;
 pub use spec::{parse_spec, SelExpr, TestSpec};

@@ -11,7 +11,7 @@
 //! differential harness compares engines bug-for-bug.
 //!
 //! The monitor-free instantiation adds two things the traced one does
-//! not need: a [`CycleGuard`] that ends a run at its first repeated
+//! not need: a `CycleGuard` that ends a run at its first repeated
 //! machine state, and integer kernels in front of the shared operator
 //! semantics.
 
@@ -363,7 +363,7 @@ impl<'m> Vm<'m> {
     ///
     /// A run whose machine state repeats can only end by exhausting its
     /// step budget; it returns that step-limit error as soon as the
-    /// repeat shows (see [`CycleGuard`]).
+    /// repeat shows (see `CycleGuard`).
     pub fn run(&mut self) -> Result<Outcome> {
         self.run_impl::<false>(&mut NoopMonitor)
     }

@@ -1,13 +1,14 @@
 //! Batch tracing through the parallel engine: trace many inputs of one
-//! program concurrently, get execution trees back in input order, and
-//! read the phase timings (the paper's Figure 3 phases).
+//! program concurrently through the facade, get execution trees back in
+//! input order, and read the phase timings (the paper's Figure 3
+//! phases) off the journal.
 //!
 //! Usage: `cargo run --example batch_trace [threads]` — `0` (default)
 //! means "use all cores".
 
-use gadt::session::trace_batch;
 use gadt_pascal::sema::compile;
 use gadt_pascal::value::Value;
+use gadt_repro::Gadt;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads: usize = match std::env::args().nth(1) {
@@ -22,13 +23,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          begin read(n); s := 0; for i := 1 to n do s := s + i; writeln(s) end.",
     )?;
     let inputs: Vec<Vec<Value>> = (1..=32).map(|n| vec![Value::Int(n)]).collect();
-    let batch = trace_batch(&m, inputs, threads)?;
+    let (runs, journal) = Gadt::from_module(m)
+        .with_threads(threads)
+        .transform()?
+        .trace(inputs)?
+        .finish();
 
     println!(
         "traced {} runs on {threads} thread(s) (0 = all cores)",
-        batch.runs.len()
+        runs.len()
     );
-    for (i, run) in batch.runs.iter().enumerate().step_by(8) {
+    for (i, run) in runs.iter().enumerate().step_by(8) {
         println!(
             "  input {:2} -> output {:>4}  ({} trace events)",
             i + 1,
@@ -36,6 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             run.trace.events.len()
         );
     }
-    println!("{}", batch.timings);
+    println!("{}", journal.phase_timings());
     Ok(())
 }

@@ -97,14 +97,6 @@ impl Compiled {
         self
     }
 
-    /// Deprecated name for [`Compiled::with_threads`] (every facade
-    /// builder method is `with_*`; kept one release for migration).
-    #[deprecated(since = "0.2.0", note = "renamed to `with_threads`")]
-    #[must_use]
-    pub fn threads(self, threads: usize) -> Self {
-        self.with_threads(threads)
-    }
-
     /// Selects the execution engine for the trace phase:
     /// [`Engine::Vm`] (the compiled bytecode VM, the default — compiled
     /// once and shared across batch workers) or [`Engine::TreeWalker`]
@@ -192,19 +184,19 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Phase II: traces every input of the batch in parallel (input
-    /// order preserved; the journal is thread-count invariant).
+    /// Phase II: traces every input of the batch in parallel on the
+    /// [`Compiled::with_threads`] workers (input order preserved; the
+    /// journal is thread-count invariant). The batch's wall-clock time is
+    /// the journal's `phase_timings().trace`.
     ///
     /// # Errors
     /// A [`Phase::Trace`] error from the lowest-indexed failing input.
     pub fn trace(mut self, inputs: Vec<Vec<Value>>) -> Result<Traced> {
-        let runs =
-            session::run_traced_batch_observed(&self.prepared, inputs, self.threads, &mut self.rec)
-                .map_err(Error::from)?;
+        let runs = session::run_traced_batch(&self.prepared, inputs, self.threads, &mut self.rec)
+            .map_err(Error::from)?;
         Ok(Traced {
             prepared: self.prepared,
             runs,
-            threads: self.threads,
             strategy: self.strategy,
             rec: self.rec,
             store: self.store,
@@ -219,7 +211,6 @@ pub struct Traced {
     pub prepared: PreparedProgram,
     /// One traced run per input, in input order.
     pub runs: Vec<TracedRun>,
-    threads: usize,
     strategy: Strategy,
     rec: Recorder,
     store: Option<SharedStore>,
@@ -271,14 +262,8 @@ impl Traced {
                 probe = Some(Box::new(StoreProbe::new(store.clone())));
             }
         }
-        let outcome = session::debug_observed_with_probe(
-            &self.prepared,
-            run,
-            oracle,
-            config,
-            probe,
-            &mut self.rec,
-        );
+        let outcome =
+            session::debug_observed(&self.prepared, run, oracle, config, probe, &mut self.rec);
         if let Some(store) = &self.store {
             if let Some(e) = oracle.take_persist_error() {
                 return Err(Error::new(
@@ -297,7 +282,6 @@ impl Traced {
                 guard.recovery().recovered_lines() as u64,
             );
         }
-        let _ = self.threads;
         Ok(Session {
             prepared: self.prepared,
             runs: self.runs,

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use gadt::error::{Error, Phase, Result};
     pub use gadt::handle::{DebugHandle, Question, Step, Verdict};
     pub use gadt::oracle::{Answer, AssertionOracle, ChainOracle, GoldenOracle, ReferenceOracle};
-    pub use gadt::session::{BatchTraced, Engine, PhaseTimings, PreparedProgram, TracedRun};
+    pub use gadt::session::{Engine, PhaseTimings, PreparedProgram, TracedRun};
     pub use gadt_corpus::{DiffConfig, GenConfig, GeneratedProgram};
     pub use gadt_obs::{Journal, JsonLinesSink, MemorySink, Recorder, Sink};
     pub use gadt_pascal::value::Value;

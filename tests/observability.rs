@@ -20,17 +20,19 @@ fn golden_sqrtest_journal() -> Journal {
 
     let mut rec = Recorder::new();
     let prepared = session::prepare_observed(&m, &mut rec).unwrap();
-    let runs = session::run_traced_batch_observed(&prepared, vec![vec![]], 1, &mut rec).unwrap();
+    let runs = session::run_traced_batch(&prepared, vec![vec![]], 1, &mut rec).unwrap();
 
     let s = spec::parse_spec(spec::ARRSUM_SPEC).unwrap();
     let g = frames::generate_frames(&s, Default::default());
     let tc = cases::instantiate_cases(&g, |f| cases::arrsum_instantiator(f, 2));
-    let db = cases::run_cases_batch_observed(
+    let db = cases::run_cases_batch(
         1,
+        session::Engine::default(),
         &m,
         "arrsum",
         &tc,
-        &|ins, r| cases::arrsum_oracle(ins, r),
+        &cases::arrsum_oracle,
+        None,
         &mut rec,
     )
     .unwrap();
@@ -46,6 +48,7 @@ fn golden_sqrtest_journal() -> Journal {
         &runs[0],
         &mut chain,
         DebugConfig::default(),
+        None,
         &mut rec,
     );
     assert_eq!(out.total_queries(), 7, "{}", out.render_transcript());

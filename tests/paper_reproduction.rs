@@ -552,7 +552,7 @@ fn strategy_question_counts_ordered_on_section8_session() {
 #[test]
 fn e14_knowledge_weighted_replay_asks_strictly_fewer_live_questions() {
     use gadt::debugger::Strategy;
-    use gadt::session::debug_observed_with_probe;
+    use gadt::session::debug_observed;
     use gadt::{AnswerProbe, StoreProbe, StoredKnowledgeOracle};
     use gadt_obs::Recorder;
     use gadt_store::{KnowledgeStore, TempDir};
@@ -586,7 +586,7 @@ fn e14_knowledge_weighted_replay_asks_strictly_fewer_live_questions() {
         chain.push_front(StoredKnowledgeOracle::new(store.clone()));
         let probe = (strategy == Strategy::KnowledgeWeighted)
             .then(|| Box::new(StoreProbe::new(store.clone())) as Box<dyn AnswerProbe>);
-        let out = debug_observed_with_probe(
+        let out = debug_observed(
             &prepared,
             &run,
             &mut chain,

@@ -3,7 +3,7 @@
 //! counterpart at any thread count. Thread counts 1, 2 and 8 cover the
 //! inline fast path, minimal contention, and more workers than cores.
 
-use gadt::session::{prepare, run_traced, run_traced_batch, trace_batch, Engine};
+use gadt::session::{prepare, run_traced, run_traced_batch, Engine};
 use gadt_analysis::dyntrace::record_trace;
 use gadt_analysis::slice_batch::dynamic_slice_batch;
 use gadt_analysis::slice_dynamic::dynamic_slice_output;
@@ -24,16 +24,15 @@ fn tgen_case_runs_are_thread_count_invariant() {
     let tc = cases::instantiate_cases(&g, |f| cases::arrsum_instantiator(f, 2));
     let oracle = |ins: &[Value], r: &gadt_pascal::interp::ProcRun| cases::arrsum_oracle(ins, r);
     let seq = cases::run_cases(&m, "arrsum", &tc, &oracle).unwrap();
-    for threads in THREADS {
-        let par = cases::run_cases_batch(threads, &m, "arrsum", &tc, &oracle).unwrap();
-        assert_eq!(seq, par, "TestDb diverges at {threads} threads");
-    }
-    // Engine axis: the bytecode VM builds the identical database at
-    // every thread count.
-    for threads in THREADS {
-        let vm =
-            cases::run_cases_batch_on(Engine::Vm, threads, &m, "arrsum", &tc, &oracle).unwrap();
-        assert_eq!(seq, vm, "VM TestDb diverges at {threads} threads");
+    // Both engines build the identical database at every thread count.
+    for engine in ENGINES {
+        for threads in THREADS {
+            let mut rec = Recorder::disabled();
+            let par =
+                cases::run_cases_batch(threads, engine, &m, "arrsum", &tc, &oracle, None, &mut rec)
+                    .unwrap();
+            assert_eq!(seq, par, "{engine:?} TestDb diverges at {threads} threads");
+        }
     }
 }
 
@@ -57,7 +56,19 @@ fn knowledge_store_bytes_are_thread_count_invariant() {
     for threads in THREADS {
         let dir = TempDir::new("det-store");
         let shared = KnowledgeStore::open(dir.path()).unwrap().into_shared();
-        cases::run_cases_batch_persisted(threads, &m, "arrsum", &tc, &oracle, &shared).unwrap();
+        let mut rec = Recorder::disabled();
+        let store = Some(&shared);
+        cases::run_cases_batch(
+            threads,
+            Engine::default(),
+            &m,
+            "arrsum",
+            &tc,
+            &oracle,
+            store,
+            &mut rec,
+        )
+        .unwrap();
         let config = CampaignConfig {
             max_mutants: 6,
             threads,
@@ -127,7 +138,13 @@ fn batch_tracing_matches_sequential_tracing() {
         .map(|i| run_traced(&prepared, i.clone()).unwrap())
         .collect();
     for threads in THREADS {
-        let par = run_traced_batch(&prepared, inputs.clone(), threads).unwrap();
+        let par = run_traced_batch(
+            &prepared,
+            inputs.clone(),
+            threads,
+            &mut Recorder::disabled(),
+        );
+        let par = par.unwrap();
         assert_eq!(par.len(), seq.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.output, p.output);
@@ -139,7 +156,13 @@ fn batch_tracing_matches_sequential_tracing() {
     // reproduce the tree-walker's sequential traces at any thread count.
     let vm_prepared = prepare(&m).unwrap().with_engine(Engine::Vm);
     for threads in THREADS {
-        let par = run_traced_batch(&vm_prepared, inputs.clone(), threads).unwrap();
+        let par = run_traced_batch(
+            &vm_prepared,
+            inputs.clone(),
+            threads,
+            &mut Recorder::disabled(),
+        );
+        let par = par.unwrap();
         assert_eq!(par.len(), seq.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(
@@ -161,14 +184,20 @@ fn trace_batch_reports_timings_and_matches_sequential() {
     )
     .unwrap();
     let inputs: Vec<Vec<Value>> = (1..=6).map(|n| vec![Value::Int(n)]).collect();
-    let batch = trace_batch(&m, inputs.clone(), 2).unwrap();
-    assert_eq!(batch.runs.len(), inputs.len());
     let prepared = prepare(&m).unwrap();
+    let (runs, journal) = gadt_repro::Gadt::from_module(m)
+        .with_threads(2)
+        .transform()
+        .unwrap()
+        .trace(inputs.clone())
+        .unwrap()
+        .finish();
+    assert_eq!(runs.len(), inputs.len());
     for (i, input) in inputs.iter().enumerate() {
         let seq = run_traced(&prepared, input.clone()).unwrap();
-        assert_eq!(seq.output, batch.runs[i].output);
+        assert_eq!(seq.output, runs[i].output);
     }
-    assert!(batch.timings.total() > std::time::Duration::ZERO);
+    assert!(journal.phase_timings().total() > std::time::Duration::ZERO);
 }
 
 // ----------------------------------------------------------------------
@@ -228,13 +257,14 @@ fn tgen_journaled(
 ) -> (gadt_pascal::error::Result<TestDb>, Journal) {
     let m = compile(testprogs::SQRTEST).unwrap();
     let mut rec = Recorder::untimed();
-    let db = cases::run_cases_batch_observed_on(
-        engine,
+    let db = cases::run_cases_batch(
         threads,
+        engine,
         &m,
         "arrsum",
         tc,
         &arrsum_oracle,
+        None,
         &mut rec,
     );
     (db, rec.finish())
@@ -248,7 +278,18 @@ fn tgen_stored(
     store: &SharedStore,
 ) -> gadt_pascal::error::Result<TestDb> {
     let m = compile(testprogs::SQRTEST).unwrap();
-    cases::run_cases_batch_persisted_on(engine, threads, &m, "arrsum", tc, &arrsum_oracle, store)
+    let mut rec = Recorder::disabled();
+    let store = Some(store);
+    cases::run_cases_batch(
+        threads,
+        engine,
+        &m,
+        "arrsum",
+        tc,
+        &arrsum_oracle,
+        store,
+        &mut rec,
+    )
 }
 
 /// The batch tracer under an untimed recorder.
@@ -258,7 +299,7 @@ fn traced_journaled(
     threads: usize,
 ) -> (gadt_pascal::error::Result<Vec<TracedRun>>, Journal) {
     let mut rec = Recorder::untimed();
-    let runs = gadt::session::run_traced_batch_observed(prepared, inputs, threads, &mut rec);
+    let runs = run_traced_batch(prepared, inputs, threads, &mut rec);
     (runs, rec.finish())
 }
 

@@ -226,13 +226,16 @@ fn recovery_is_identical_across_builder_thread_counts() {
     let s = spec::parse_spec(spec::ARRSUM_SPEC).unwrap();
     let g = frames::generate_frames(&s, Default::default());
     let tc = cases::instantiate_cases(&g, |f| cases::arrsum_instantiator(f, 2));
-    let oracle = |ins: &[Value], r: &gadt_pascal::interp::ProcRun| cases::arrsum_oracle(ins, r);
+    let oracle = cases::arrsum_oracle;
+    let engine = gadt_tgen::cases::Engine::default();
 
     let mut results: Vec<(String, usize, Vec<u8>)> = Vec::new();
     for threads in [1usize, 2, 8] {
         let dir = TempDir::new("store-threads");
         let shared = KnowledgeStore::open(dir.path()).unwrap().into_shared();
-        cases::run_cases_batch_persisted(threads, &m, "arrsum", &tc, &oracle, &shared).unwrap();
+        let (store, mut rec) = (Some(&shared), gadt_obs::Recorder::disabled());
+        cases::run_cases_batch(threads, engine, &m, "arrsum", &tc, &oracle, store, &mut rec)
+            .unwrap();
         let fp = shared.lock().unwrap().disk_fingerprint().unwrap();
         let bytes = std::fs::read(dir.path().join(WAL)).unwrap();
 
