@@ -200,9 +200,9 @@ fn campaign_workload(h: &Harness) -> Workload {
 }
 
 /// The campaign's monitor-free crash screen in isolation: repeated
-/// `PreparedProgram::execute_fast` calls on one prepared program — no monitor, no
-/// dependence recorder, no tree build. This is the inner loop every
-/// mutant pays before (or instead of) tracing.
+/// `PreparedProgram::execute_fast` calls on one prepared program — no
+/// monitor, no dependence recorder, no tree build. This is the inner
+/// loop every mutant pays before (or instead of) tracing.
 fn campaign_fast_workload(h: &Harness) -> Workload {
     let gp = generate(&GenConfig {
         procs: 10,

@@ -528,8 +528,8 @@ mod batch_session_tests {
             vec![vec![Value::Int(2)]],
             1,
             &mut Recorder::disabled(),
-        );
-        let batch = batch.unwrap();
+        )
+        .unwrap();
         assert_eq!(batch[0].engine, Engine::TreeWalker);
     }
 

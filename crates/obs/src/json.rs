@@ -150,7 +150,7 @@ type Failure = (usize, String);
 /// # Errors
 /// Returns `(offset, message)` describing the first syntax error. The
 /// message is built only on failure.
-pub fn parse(input: &str) -> Result<Json, Failure> {
+pub fn parse(input: &str) -> Result<Json, (usize, String)> {
     let mut p = Parser {
         src: input,
         b: input.as_bytes(),
@@ -170,7 +170,7 @@ pub fn parse(input: &str) -> Result<Json, Failure> {
 ///
 /// # Errors
 /// Same as [`parse`].
-pub fn validate(input: &str) -> Result<(), Failure> {
+pub fn validate(input: &str) -> Result<(), (usize, String)> {
     parse(input).map(|_| ())
 }
 

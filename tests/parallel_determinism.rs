@@ -143,8 +143,8 @@ fn batch_tracing_matches_sequential_tracing() {
             inputs.clone(),
             threads,
             &mut Recorder::disabled(),
-        );
-        let par = par.unwrap();
+        )
+        .unwrap();
         assert_eq!(par.len(), seq.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.output, p.output);
@@ -161,8 +161,8 @@ fn batch_tracing_matches_sequential_tracing() {
             inputs.clone(),
             threads,
             &mut Recorder::disabled(),
-        );
-        let par = par.unwrap();
+        )
+        .unwrap();
         assert_eq!(par.len(), seq.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(
@@ -205,7 +205,7 @@ fn trace_batch_reports_timings_and_matches_sequential() {
 // before the entry points were folded into one body each; every thread
 // count and both engines must reproduce them. They cover what the
 // executor's own unit tests once checked: the lowest-indexed error of a
-// failing batch, the journal a batch keeps of its failed jobs, and
+// failing batch, the journal a failing batch keeps, and
 // thread-count invariance. Only the helpers below name the entry
 // points, so a signature change touches them and nothing else.
 // ----------------------------------------------------------------------
