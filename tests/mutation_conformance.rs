@@ -94,6 +94,33 @@ fn full_campaign_fingerprints_are_pinned() {
     );
 }
 
+/// Digest of the fingerprint of every mutant of generator seeds 5–7.
+const PINNED_GENERATED_FINGERPRINT: u64 = 0x03da_6fcb_5a20_0af2;
+/// Digest of the same campaign's merged journal fingerprint.
+const PINNED_GENERATED_JOURNAL: u64 = 0x2447_8c7f_7567_19ce;
+
+/// The benchmark's `campaign` subjects (generator seeds 5–7, here with
+/// their generated inputs) under the default config, every mutant run:
+/// the workload whose time the in-memory mutant materialization cuts
+/// must keep every verdict, count and journal counter.
+#[test]
+fn generated_seed_campaign_fingerprints_are_pinned() {
+    let config = CorpusCampaignConfig {
+        start_seed: 5,
+        programs: 3,
+        ..CorpusCampaignConfig::default()
+    };
+    let summary = corpus_campaign(&config).expect("corpus subjects are golden");
+    let fingerprint = fnv1a(&summary.fingerprint());
+    let journal = fnv1a(&summary.journal().fingerprint());
+    assert_eq!(
+        (fingerprint, journal),
+        (PINNED_GENERATED_FINGERPRINT, PINNED_GENERATED_JOURNAL),
+        "actual digests ({fingerprint:#018x}, {journal:#018x}) over {} mutants",
+        summary.total()
+    );
+}
+
 /// The headline acceptance bar: ≥ 100 mutants over ≥ 3 programs, ≥ 90%
 /// exact-unit localization, and slicing strictly fewer questions than the
 /// unpruned search on at least half the localized mutants — all from one
