@@ -70,7 +70,10 @@ echo "$EX_ONE"
 # socket inside a throwaway sandbox, driven end-to-end (compile ->
 # trace -> debug -> answer -> slice) by its own selftest client, which
 # replays the golden §8 session against the server and then asks it to
-# shut down. Before shutting down, the selftest replays the session
+# shut down. First the selftest sends a frame nested 100 000 deep and a
+# source nested 12 000 deep, each of which once aborted the server; the
+# tier fails unless each got an error frame and a ping then got a pong.
+# Before shutting down, the selftest replays the session
 # unpooled on the now-warm server, whose create reuses the compiled
 # program and whose trace reuses the traced run; the tier fails unless
 # the server's compile and trace counts stayed put across that session
@@ -102,6 +105,10 @@ grep -q "shared the compiled program and traced run" "$SELFTEST_LOG" || {
 }
 grep -q "journal matches" "$SELFTEST_LOG" || {
     echo "ci: the warm selftest session's journal was not compared"
+    exit 1
+}
+grep -q "too-deep frame and source refused" "$SELFTEST_LOG" || {
+    echo "ci: the selftest did not see the server refuse too-deep inputs"
     exit 1
 }
 grep -q "clean shutdown" "$SERVE_LOG" || {

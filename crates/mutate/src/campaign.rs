@@ -9,7 +9,7 @@
 //! independent, so results are byte-identical at any thread count; only
 //! the recorded wall-clock timings differ.
 
-use crate::operators::{apply, enumerate_sites, MutationSite};
+use crate::operators::{enumerate_sites, materialize, MutationSite};
 use crate::report::{CampaignSummary, LocalizationReport, MutantStatus};
 use gadt::debugger::{DebugConfig, DebugOutcome, DebugResult, Strategy};
 use gadt::error::{Error, Phase};
@@ -20,8 +20,7 @@ use gadt_obs::Recorder;
 use gadt_pascal::ast::Program;
 use gadt_pascal::interp::Limits;
 use gadt_pascal::parser::parse_program;
-use gadt_pascal::pretty::print_program;
-use gadt_pascal::sema::{compile, Module};
+use gadt_pascal::sema::{analyze, Module};
 use gadt_pascal::value::Value;
 
 /// Campaign parameters.
@@ -118,7 +117,7 @@ fn interface_render(tree: &gadt_trace::ExecTree) -> String {
 fn golden_ctx(p: &CampaignProgram, config: &CampaignConfig) -> Result<GoldenCtx, Error> {
     let ctx = |e: Error| e.context(format!("golden program `{}`", p.name));
     let ast = parse_program(&p.source).map_err(|e| ctx(e.into()))?;
-    let module = compile(&p.source).map_err(|e| ctx(e.into()))?;
+    let module = analyze(ast.clone()).map_err(|e| ctx(e.into()))?;
     let prepared = session::prepare(&module)
         .map_err(|e| ctx(Error::from_diagnostic(Phase::Transform, e)))?
         .with_engine(config.engine);
@@ -340,9 +339,9 @@ pub fn run_campaign_with_store(
     Ok(CampaignSummary { reports })
 }
 
-/// The full pipeline on one mutant: mutate → print → compile →
-/// transform → monitor-free crash screen → trace (bounded) → kill
-/// check → debug twice (slicing on/off) against the golden oracle.
+/// The full pipeline on one mutant: materialize → analyze → transform
+/// → monitor-free crash screen → trace (bounded) → kill check → debug
+/// twice (slicing on/off) against the golden oracle.
 ///
 /// Every step journals into a per-mutant [`Recorder`]: a `mutant` root
 /// span tagged with program/operator/ordinal, the standard
@@ -382,15 +381,19 @@ fn run_mutant_status(
     limits: Limits,
     rec: &mut Recorder,
 ) -> MutantStatus {
-    let Some(mutant_ast) = apply(&ctx.ast, site) else {
-        return MutantStatus::Stillborn {
-            reason: "mutation site not found".into(),
-        };
-    };
-    let source = print_program(&mutant_ast);
-    let module = match compile(&source) {
-        Ok(m) => m,
-        Err(e) => return MutantStatus::Stillborn { reason: e.message },
+    // The mutant as its printed text would parse, built in memory; a
+    // mutant whose text does not parse is stillborn with the parser's
+    // message.
+    let module = match materialize(&ctx.ast, site) {
+        None => {
+            return MutantStatus::Stillborn {
+                reason: "mutation site not found".into(),
+            }
+        }
+        Some(parsed) => match parsed.and_then(analyze) {
+            Ok(m) => m,
+            Err(e) => return MutantStatus::Stillborn { reason: e.message },
+        },
     };
     let prepared = match session::prepare_observed(&module, rec) {
         Ok(p) => p.with_engine(ctx.prepared.engine()),

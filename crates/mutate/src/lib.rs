@@ -46,5 +46,5 @@ pub mod operators;
 pub mod report;
 
 pub use campaign::{run_campaign, run_campaign_with_store, CampaignConfig, CampaignProgram};
-pub use operators::{apply, enumerate_sites, MutOp, MutationSite};
+pub use operators::{apply, enumerate_sites, materialize, MutOp, MutationSite};
 pub use report::{CampaignSummary, LocalizationReport, MutantStatus};

@@ -7,9 +7,15 @@
 //! shared driver, a site's `(op, ordinal)` pair is a stable address: the
 //! same pair always denotes the same fault, which is what makes mutant
 //! campaigns reproducible from a seed.
+//!
+//! [`apply`] returns a mutant as planted, which serve clients and the
+//! benchmark print; [`materialize`] returns it as the parser reads that
+//! text back, which a campaign analyzes without printing it.
 
 use gadt_pascal::ast::*;
-use gadt_pascal::ast_mut::{renumber, walk_stmt_exprs_mut, walk_stmt_mut};
+use gadt_pascal::ast_mut::{renumber, reshape, walk_stmt_exprs_mut, walk_stmt_mut};
+use gadt_pascal::error::Diagnostic;
+use gadt_pascal::parser::parse_program;
 use gadt_pascal::pretty;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,18 +95,41 @@ pub fn enumerate_sites(program: &Program) -> Vec<MutationSite> {
 }
 
 /// Applies the single mutation addressed by `(site.op, site.ordinal)`,
-/// returning the mutated program with freshly renumbered ids. Returns
-/// `None` if the address does not exist in `program` (wrong program or
-/// stale site).
+/// returning the mutated program as planted, with freshly renumbered
+/// ids: a deleted assignment is an empty statement, a duplicated one a
+/// compound of two copies. Returns `None` if the address does not exist
+/// in `program` (wrong program or stale site).
 pub fn apply(program: &Program, site: &MutationSite) -> Option<Program> {
+    let (mut mutant, _) = plant(program, site)?;
+    renumber(&mut mutant);
+    Some(mutant)
+}
+
+/// The mutant [`apply`] plants, as the parser reads back its printed
+/// text: for a `program` the parser produced, `materialize(program,
+/// site)` equals `parse_program(&print_program(&apply(program, site)?))`
+/// once spans are erased, ids and fresh-id counters included, or fails
+/// with the same diagnostic. The mutant is [`reshape`]d in memory; only
+/// an off-by-one on `9223372036854775807`, whose `-9223372036854775808`
+/// the lexer rejects, goes through the text. Returns `None` where
+/// [`apply`] does.
+pub fn materialize(program: &Program, site: &MutationSite) -> Option<Result<Program, Diagnostic>> {
+    let (mut mutant, negative_literal) = plant(program, site)?;
+    if negative_literal {
+        return Some(parse_program(&pretty::print_program(&mutant)));
+    }
+    reshape(&mut mutant);
+    Some(Ok(mutant))
+}
+
+/// Clones `program` and plants the mutation `site` addresses, without
+/// renumbering; the flag says whether it planted a negative integer
+/// literal, which the printer cannot write back as one.
+fn plant(program: &Program, site: &MutationSite) -> Option<(Program, bool)> {
     let mut mutant = program.clone();
     let mut act = Action::apply(site.op, site.ordinal);
     drive(&mut mutant, &mut act);
-    if !act.done {
-        return None;
-    }
-    renumber(&mut mutant);
-    Some(mutant)
+    act.done.then_some((mutant, act.negative_literal))
 }
 
 /// Shared traversal state: enumerating records sites, applying mutates
@@ -111,6 +140,7 @@ struct Action {
     counters: BTreeMap<MutOp, u32>,
     sites: Vec<MutationSite>,
     done: bool,
+    negative_literal: bool,
 }
 
 impl Action {
@@ -120,6 +150,7 @@ impl Action {
             counters: BTreeMap::new(),
             sites: Vec::new(),
             done: false,
+            negative_literal: false,
         }
     }
 
@@ -178,7 +209,16 @@ fn drive(program: &mut Program, act: &mut Action) {
 }
 
 fn visit_unit(unit: &str, unit_key: &str, body: &mut Vec<Stmt>, act: &mut Action) {
-    let cands = wrongvar_candidates(body, unit_key);
+    if act.done {
+        return;
+    }
+    // Only wrong-variable loci need the candidates: applying another
+    // operator never counts them.
+    let cands = if act.target.is_none_or(|(op, _)| op == MutOp::WrongVarRef) {
+        wrongvar_candidates(body, unit_key)
+    } else {
+        BTreeSet::new()
+    };
     for s in body {
         walk_stmt_mut(s, &mut |s| stmt_loci(s, unit, &cands, act));
     }
@@ -207,7 +247,7 @@ fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Actio
     }
     if let StmtKind::Assign { lhs, .. } = &mut s.kind {
         if lhs.index.is_none() {
-            if let Some(repl) = replacement(cands, &lhs.base.key()) {
+            if let Some(repl) = replacement(cands, &lhs.base) {
                 if act.locus(MutOp::WrongVarRef, unit, || {
                     format!("assign to `{repl}` instead of `{}`", lhs.base.name)
                 }) {
@@ -253,7 +293,7 @@ fn expr_locus(e: &mut Expr, unit: &str, cands: &BTreeSet<String>, act: &mut Acti
             (MutOp::ArithOpSwap, Plan::Op(*op, swap_arith(*op)))
         }
         ExprKind::IntLit(n) => (MutOp::OffByOneConst, Plan::Lit(n.wrapping_add(1))),
-        ExprKind::Name(id) => match replacement(cands, &id.key()) {
+        ExprKind::Name(id) => match replacement(cands, id) {
             Some(repl) => (MutOp::WrongVarRef, Plan::Name(repl)),
             None => return,
         },
@@ -272,7 +312,10 @@ fn expr_locus(e: &mut Expr, unit: &str, cands: &BTreeSet<String>, act: &mut Acti
                     *op = new;
                 }
             }
-            Plan::Lit(n) => e.kind = ExprKind::IntLit(n),
+            Plan::Lit(n) => {
+                act.negative_literal = n < 0;
+                e.kind = ExprKind::IntLit(n);
+            }
             Plan::Name(name) => e.kind = ExprKind::Name(Ident::synthetic(name)),
         }
     }
@@ -419,16 +462,20 @@ fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<String> {
     names
 }
 
-/// The cyclic-next candidate after `key`, or `None` when `key` is not a
-/// candidate or has no alternative. Loci with no replacement are skipped
-/// entirely (they consume no ordinal).
-fn replacement(cands: &BTreeSet<String>, key: &str) -> Option<String> {
-    if !cands.contains(key) || cands.len() < 2 {
+/// The cyclic-next candidate after `name`, or `None` when `name` is not
+/// a candidate or has no alternative. Loci with no replacement are
+/// skipped entirely (they consume no ordinal).
+fn replacement(cands: &BTreeSet<String>, name: &Ident) -> Option<String> {
+    if cands.len() < 2 {
+        return None;
+    }
+    let key = name.key();
+    if !cands.contains(&key) {
         return None;
     }
     cands
         .iter()
-        .skip_while(|c| c.as_str() != key)
+        .skip_while(|c| **c != key)
         .nth(1)
         .or_else(|| cands.iter().next())
         .cloned()

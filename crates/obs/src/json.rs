@@ -144,17 +144,25 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 /// wrong there.
 type Failure = (usize, String);
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Frames,
+/// journal lines and store records nest a few levels; the parser
+/// recurses once per level, so without a cap one small frame of nested
+/// brackets overflows the stack of the thread that reads it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses `input` as one complete JSON value (object, array, string,
 /// number, boolean, or null) with nothing but whitespace around it.
 ///
 /// # Errors
-/// Returns `(offset, message)` describing the first syntax error. The
+/// Returns `(offset, message)` describing the first syntax error, or
+/// the first array or object nested deeper than [`MAX_DEPTH`]. The
 /// message is built only on failure.
 pub fn parse(input: &str) -> Result<Json, (usize, String)> {
     let mut p = Parser {
         src: input,
         b: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -178,6 +186,8 @@ struct Parser<'a> {
     src: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,8 +233,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, Failure> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -232,6 +242,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.fail("expected a JSON value"),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, Failure>) -> Result<Json, Failure> {
+        if self.depth == MAX_DEPTH {
+            return self.fail(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, Failure> {

@@ -3,9 +3,9 @@
 //! The immutable walkers in [`crate::ast`] serve the analyses; this
 //! module adds their mutating counterparts, which the fault-injection
 //! engine (`gadt-mutate`) uses to plant bugs into parsed programs, plus
-//! deterministic id renumbering and a normal form for AST comparison
-//! "modulo spans" (used by the parse → print → re-parse round-trip
-//! suite).
+//! id renumbering in the parser's order, [`reshape`] (the AST the parser
+//! reads back from a program's printed text, computed without printing)
+//! and a normal form for AST comparison "modulo spans".
 
 use crate::ast::*;
 use crate::span::Span;
@@ -127,47 +127,140 @@ pub fn walk_procs_mut(program: &mut Program, visit: &mut dyn FnMut(&mut ProcDecl
 }
 
 /// Reassigns every statement and expression id (including `LValue` ids)
-/// in a deterministic traversal order — procedures depth-first in
-/// declaration order, then the main body — and resets the program's
-/// fresh-id counters.
+/// in the parser's order and resets the program's fresh-id counters.
+///
+/// The parser numbers each node when it finishes reading it: procedures
+/// depth-first in declaration order, then the main body; within a body,
+/// children before their parent (post-order), with an assignment's
+/// target after its index and before its right-hand side, and a
+/// `repeat` condition after the loop body. A renumbered parse therefore
+/// keeps every id.
 ///
 /// Mutation operators clone or synthesize AST nodes, which leaves
 /// duplicate or placeholder ids behind; renumbering restores the
 /// "ids are unique per program" invariant semantic analysis relies on.
 pub fn renumber(program: &mut Program) {
-    let mut next_stmt: u32 = 0;
-    let mut next_expr: u32 = 0;
-    {
-        let mut number_body = |body: &mut Vec<Stmt>| {
-            for s in body {
-                walk_stmt_mut(s, &mut |s| {
-                    s.id = StmtId(next_stmt);
-                    next_stmt += 1;
-                    if let StmtKind::Assign { lhs, .. } = &mut s.kind {
-                        lhs.id = ExprId(next_expr);
-                        next_expr += 1;
-                    }
-                    if let StmtKind::Read { args, .. } = &mut s.kind {
-                        for lv in args {
-                            lv.id = ExprId(next_expr);
-                            next_expr += 1;
-                        }
-                    }
-                    walk_stmt_exprs_mut(s, &mut |e| {
-                        e.id = ExprId(next_expr);
-                        next_expr += 1;
-                    });
-                });
-            }
-        };
-        let mut bodies: Vec<&mut Vec<Stmt>> = Vec::new();
-        collect_bodies(&mut program.block, &mut bodies);
-        for body in bodies {
-            number_body(body);
+    let mut ids = Numbering::default();
+    let mut bodies: Vec<&mut Vec<Stmt>> = Vec::new();
+    collect_bodies(&mut program.block, &mut bodies);
+    for body in bodies {
+        for s in body {
+            ids.stmt(s);
         }
     }
-    program.next_stmt_id = next_stmt;
-    program.next_expr_id = next_expr;
+    program.next_stmt_id = ids.next_stmt;
+    program.next_expr_id = ids.next_expr;
+}
+
+/// The fresh-id counters of one [`renumber`] pass.
+#[derive(Default)]
+struct Numbering {
+    next_stmt: u32,
+    next_expr: u32,
+}
+
+impl Numbering {
+    fn stmt(&mut self, s: &mut Stmt) {
+        match &mut s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                self.lvalue(lhs);
+                self.expr(rhs);
+            }
+            StmtKind::Call { args, .. } | StmtKind::Write { args, .. } => {
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            StmtKind::Read { args, .. } => {
+                for lv in args {
+                    self.lvalue(lv);
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                self.expr(cond);
+                self.stmt(then_branch);
+                if let Some(e) = else_branch {
+                    self.stmt(e);
+                }
+            }
+            StmtKind::Case {
+                scrutinee,
+                arms,
+                else_arm,
+            } => {
+                self.expr(scrutinee);
+                for a in arms {
+                    self.stmt(&mut a.stmt);
+                }
+                if let Some(e) = else_arm {
+                    self.stmt(e);
+                }
+            }
+            StmtKind::While { cond, body } => {
+                self.expr(cond);
+                self.stmt(body);
+            }
+            StmtKind::Repeat { body, cond } => {
+                for s in body {
+                    self.stmt(s);
+                }
+                self.expr(cond);
+            }
+            StmtKind::For { from, to, body, .. } => {
+                self.expr(from);
+                self.expr(to);
+                self.stmt(body);
+            }
+            StmtKind::Compound(stmts) => {
+                for s in stmts {
+                    self.stmt(s);
+                }
+            }
+            StmtKind::Labeled { stmt, .. } => self.stmt(stmt),
+            StmtKind::Empty | StmtKind::Goto(_) => {}
+        }
+        s.id = StmtId(self.next_stmt);
+        self.next_stmt += 1;
+    }
+
+    fn lvalue(&mut self, lv: &mut LValue) {
+        if let Some(i) = &mut lv.index {
+            self.expr(i);
+        }
+        lv.id = self.expr_id();
+    }
+
+    fn expr(&mut self, e: &mut Expr) {
+        match &mut e.kind {
+            ExprKind::Index { index, .. } => self.expr(index),
+            ExprKind::Call { args, .. } => {
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            ExprKind::Unary { operand, .. } => self.expr(operand),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+            ExprKind::IntLit(_)
+            | ExprKind::RealLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Name(_) => {}
+        }
+        e.id = self.expr_id();
+    }
+
+    fn expr_id(&mut self) -> ExprId {
+        let id = ExprId(self.next_expr);
+        self.next_expr += 1;
+        id
+    }
 }
 
 /// Collects every procedure body (depth-first, declaration order) and
@@ -181,8 +274,8 @@ fn collect_bodies<'a>(block: &'a mut Block, out: &mut Vec<&'a mut Vec<Stmt>>) {
 }
 
 /// Rewrites every span in the program to [`Span::dummy`], erasing
-/// source positions. Combined with [`normalize`] this gives the
-/// "equality modulo spans" notion the round-trip suite asserts.
+/// source positions: the "equality modulo spans" notion the round-trip
+/// suite asserts.
 pub fn strip_spans(program: &mut Program) {
     program.span = Span::dummy();
     program.name.span = Span::dummy();
@@ -277,67 +370,122 @@ fn strip_stmt(stmt: &mut Stmt) {
     });
 }
 
-/// Brings a program into the comparison normal form:
+/// Rewrites `program` into the AST `parse_program` reads back from
+/// `print_program(program)`, spans aside, without printing or parsing:
 ///
-/// 1. empty statements are pruned from statement sequences, and
-///    childless compounds collapse to the empty statement (the printer
-///    drops both, so a re-parsed program can differ only in them);
-/// 2. spans are erased ([`strip_spans`]);
-/// 3. ids are renumbered deterministically ([`renumber`]), so two
-///    structurally identical programs get identical ids.
+/// 1. the printer drops empty statements from statement sequences, and
+///    writes an empty statement it must print (a `then` branch, a loop
+///    or `for` body, a labeled statement, a `case` arm) as `begin end`,
+///    which reads back as a childless compound; it drops an empty
+///    `else` branch;
+/// 2. an `else` printed after a `then` branch whose text ends in an `if`
+///    without one binds to that inner `if`, as Pascal's dangling `else`
+///    does;
+/// 3. ids are renumbered in the parser's order ([`renumber`]).
 ///
-/// Two parses are "equal modulo spans" exactly when their normal forms
-/// are `==`.
-pub fn normalize(program: &mut Program) {
-    normalize_block(&mut program.block);
-    strip_spans(program);
+/// The printer writes every other node as the parser reads it, except a
+/// negative integer literal, which the parser never produces: the
+/// printer writes it as a sign and a literal (and `i64::MIN` as a
+/// literal out of range), so its text reads back differently or not at
+/// all.
+pub fn reshape(program: &mut Program) {
+    reshape_block(&mut program.block);
     renumber(program);
 }
 
-fn normalize_block(block: &mut Block) {
+fn reshape_block(block: &mut Block) {
     for p in &mut block.procs {
-        normalize_block(&mut p.block);
+        reshape_block(&mut p.block);
     }
-    for s in &mut block.body {
-        normalize_stmt(s);
-    }
-    block.body.retain(|s| !matches!(s.kind, StmtKind::Empty));
+    reshape_seq(&mut block.body);
 }
 
-fn normalize_stmt(stmt: &mut Stmt) {
+/// A statement sequence, whose empty statements the printer drops.
+fn reshape_seq(stmts: &mut Vec<Stmt>) {
+    stmts.retain(|s| !matches!(s.kind, StmtKind::Empty));
+    for s in stmts {
+        reshape_stmt(s);
+    }
+}
+
+/// A statement the printer must write even when it is empty.
+fn reshape_single(stmt: &mut Stmt) {
+    if matches!(stmt.kind, StmtKind::Empty) {
+        stmt.kind = StmtKind::Compound(Vec::new());
+    } else {
+        reshape_stmt(stmt);
+    }
+}
+
+fn reshape_stmt(stmt: &mut Stmt) {
     match &mut stmt.kind {
-        StmtKind::Compound(stmts) | StmtKind::Repeat { body: stmts, .. } => {
-            for s in stmts.iter_mut() {
-                normalize_stmt(s);
-            }
-            stmts.retain(|s| !matches!(s.kind, StmtKind::Empty));
-        }
+        StmtKind::Compound(stmts) | StmtKind::Repeat { body: stmts, .. } => reshape_seq(stmts),
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            normalize_stmt(then_branch);
+            reshape_single(then_branch);
+            if else_branch
+                .as_ref()
+                .is_some_and(|e| matches!(e.kind, StmtKind::Empty))
+            {
+                *else_branch = None;
+            }
             if let Some(e) = else_branch {
-                normalize_stmt(e);
+                reshape_stmt(e);
+                if let Some(slot) = open_if(then_branch) {
+                    *slot = else_branch.take();
+                }
             }
         }
         StmtKind::Case { arms, else_arm, .. } => {
             for a in arms {
-                normalize_stmt(&mut a.stmt);
+                reshape_single(&mut a.stmt);
             }
             if let Some(e) = else_arm {
-                normalize_stmt(e);
+                reshape_single(e);
             }
         }
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => normalize_stmt(body),
-        StmtKind::Labeled { stmt, .. } => normalize_stmt(stmt),
-        _ => {}
+        StmtKind::While { body, .. }
+        | StmtKind::For { body, .. }
+        | StmtKind::Labeled { stmt: body, .. } => reshape_single(body),
+        StmtKind::Empty
+        | StmtKind::Assign { .. }
+        | StmtKind::Call { .. }
+        | StmtKind::Goto(_)
+        | StmtKind::Read { .. }
+        | StmtKind::Write { .. } => {}
     }
-    // A compound left empty is the empty statement.
-    if matches!(&stmt.kind, StmtKind::Compound(stmts) if stmts.is_empty()) {
-        stmt.kind = StmtKind::Empty;
+}
+
+/// The missing `else` of the innermost `if` that the printed text of the
+/// reshaped `stmt` ends in, if it ends in one: the `if` a following
+/// `else` binds to.
+fn open_if(stmt: &mut Stmt) -> Option<&mut Option<Box<Stmt>>> {
+    match &mut stmt.kind {
+        StmtKind::If {
+            else_branch: Some(e),
+            ..
+        } => open_if(e),
+        StmtKind::If {
+            then_branch,
+            else_branch,
+            ..
+        } => open_if(then_branch).or(Some(else_branch)),
+        StmtKind::While { body, .. }
+        | StmtKind::For { body, .. }
+        | StmtKind::Labeled { stmt: body, .. } => open_if(body),
+        _ => None,
     }
+}
+
+/// Brings a program into the comparison normal form: [`reshape`], then
+/// [`strip_spans`]. A program and the parse of its printed text have
+/// equal normal forms, ids included.
+pub fn normalize(program: &mut Program) {
+    reshape(program);
+    strip_spans(program);
 }
 
 #[cfg(test)]
@@ -389,6 +537,31 @@ mod tests {
             seen.iter().map(|s| s.0).max().map(|m| m + 1),
             Some(p.next_stmt_id)
         );
+    }
+
+    #[test]
+    fn renumber_keeps_the_parsers_ids() {
+        for (name, src) in crate::testprogs::ALL {
+            let parsed = parse_program(src).unwrap();
+            let mut renumbered = parsed.clone();
+            renumber(&mut renumbered);
+            assert_eq!(renumbered, parsed, "{name}");
+        }
+    }
+
+    #[test]
+    fn reshape_reads_back_like_the_printed_text() {
+        let src = "program t; label 7; var x: integer;
+                   begin ; x := 1;; if x > 0 then ; while x > 1 do ;
+                   if x > 2 then x := 3 else ; 7: ; begin ; end end.";
+        let parsed = parse_program(src).unwrap();
+        let mut reread = parse_program(&crate::pretty::print_program(&parsed)).unwrap();
+        let mut reshaped = parsed;
+        reshape(&mut reshaped);
+        strip_spans(&mut reshaped);
+        strip_spans(&mut reread);
+        assert_eq!(reshaped, reread);
+        assert_eq!(reshaped.block.body.len(), 6);
     }
 
     #[test]

@@ -38,11 +38,27 @@ pub fn parse_program(source: &str) -> Result<Program> {
     p.program()
 }
 
+/// The deepest nesting [`parse_program`] accepts, counted over nested
+/// statements, parenthesized and nested operands, operators chained in
+/// one expression, nested `array` types and nested procedure blocks.
+///
+/// The parser and every later phase recurse once per level, so without
+/// a cap a short source (12 000 parentheses are 24 KB) overflows the
+/// stack of the thread that compiles it. At this depth a program still
+/// goes through analysis, the §6 transformation, CFG lowering, VM
+/// compilation, a traced run on either engine and printing on a 2 MiB
+/// stack in an unoptimized build, whose parser alone overflows that
+/// stack at about 95 nested `begin`s; no bundled or generated program
+/// nests deeper than 23.
+pub const MAX_NESTING: u32 = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_stmt_id: u32,
     next_expr_id: u32,
+    /// Nesting levels open around `pos`, capped at [`MAX_NESTING`].
+    depth: u32,
 }
 
 impl Parser {
@@ -52,7 +68,25 @@ impl Parser {
             pos: 0,
             next_stmt_id: 0,
             next_expr_id: 0,
+            depth: 0,
         }
+    }
+
+    /// Opens one nesting level, failing past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T>) -> Result<T> {
+        self.enter()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn peek(&self) -> &TokenKind {
@@ -180,6 +214,10 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Block> {
+        self.nested(Self::block_level)
+    }
+
+    fn block_level(&mut self) -> Result<Block> {
         let start = self.span();
         let mut block = Block::default();
         loop {
@@ -282,6 +320,10 @@ impl Parser {
     }
 
     fn type_expr(&mut self) -> Result<TypeExpr> {
+        self.nested(Self::type_expr_level)
+    }
+
+    fn type_expr_level(&mut self) -> Result<TypeExpr> {
         if self.at(&TokenKind::Array) {
             let start = self.span();
             self.bump();
@@ -402,6 +444,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt> {
+        self.nested(Self::statement_level)
+    }
+
+    fn statement_level(&mut self) -> Result<Stmt> {
         let start = self.span();
         // Labeled statement: `9:` or `name:` (but not `name :=`).
         let is_label = match self.peek() {
@@ -746,6 +792,9 @@ impl Parser {
             self.eat(&TokenKind::Plus);
             self.term()?
         };
+        // Each chained operator nests the operands before it one level
+        // deeper.
+        let depth = self.depth;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
@@ -753,6 +802,7 @@ impl Parser {
                 TokenKind::Or => BinOp::Or,
                 _ => break,
             };
+            self.enter()?;
             self.bump();
             let rhs = self.term()?;
             let span = lhs.span.merge(rhs.span);
@@ -767,11 +817,13 @@ impl Parser {
                 span,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn term(&mut self) -> Result<Expr> {
         let mut lhs = self.factor()?;
+        let depth = self.depth;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
@@ -781,6 +833,7 @@ impl Parser {
                 TokenKind::And => BinOp::And,
                 _ => break,
             };
+            self.enter()?;
             self.bump();
             let rhs = self.factor()?;
             let span = lhs.span.merge(rhs.span);
@@ -795,10 +848,15 @@ impl Parser {
                 span,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn factor(&mut self) -> Result<Expr> {
+        self.nested(Self::factor_level)
+    }
+
+    fn factor_level(&mut self) -> Result<Expr> {
         let start = self.span();
         match self.peek() {
             &TokenKind::IntLit(n) => {
@@ -914,6 +972,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Stage;
 
     fn parse(src: &str) -> Program {
         parse_program(src).unwrap_or_else(|e| panic!("parse failed: {e}\nsource: {src}"))
@@ -1136,6 +1195,45 @@ mod tests {
              end.",
         );
         assert_eq!(p.block.body.len(), 4);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error() {
+        // The block, the statement and the outer factor take three
+        // levels; each parenthesis one more.
+        let parens = |n: usize| {
+            format!(
+                "program t; var x: integer; begin x := {}1{} end.",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let deepest = MAX_NESTING as usize - 3;
+        parse(&parens(deepest));
+        let src = parens(deepest + 1);
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.stage, Stage::Parse);
+        assert_eq!(e.message, "nesting deeper than 64 levels");
+        assert_eq!(e.span.start as usize, src.find('1').unwrap());
+
+        // Statements and chained operators count the same way.
+        let begins = |n: usize| {
+            format!(
+                "program t; var x: integer; begin {}x := 1{} end.",
+                "begin ".repeat(n),
+                " end".repeat(n)
+            )
+        };
+        parse(&begins(MAX_NESTING as usize - 3));
+        assert!(parse_program(&begins(MAX_NESTING as usize - 2)).is_err());
+        let chain = |n: usize| {
+            format!(
+                "program t; var x: integer; begin x := 1{} end.",
+                " + 1".repeat(n)
+            )
+        };
+        parse(&chain(MAX_NESTING as usize - 3));
+        assert!(parse_program(&chain(MAX_NESTING as usize - 2)).is_err());
     }
 
     #[test]

@@ -430,15 +430,18 @@ impl<'k> Printer<'k> {
             }
             StmtKind::Read { args, newline } => {
                 self.open();
-                self.out
-                    .push_str(if *newline { "readln(" } else { "read(" });
-                for (i, lv) in args.iter().enumerate() {
-                    if i > 0 {
-                        self.out.push_str(", ");
+                self.out.push_str(if *newline { "readln" } else { "read" });
+                // `read()` does not parse; a bare `read` is the empty list.
+                if !args.is_empty() {
+                    self.out.push('(');
+                    for (i, lv) in args.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        write_lvalue(&mut self.out, lv);
                     }
-                    write_lvalue(&mut self.out, lv);
+                    self.out.push(')');
                 }
-                self.out.push(')');
                 self.close(term);
             }
             StmtKind::Write { args, newline } => {
@@ -480,9 +483,7 @@ fn write_const(out: &mut String, c: &ConstValue) {
         ConstValue::Int(n) => {
             let _ = write!(out, "{n}");
         }
-        ConstValue::Real(x) => {
-            let _ = write!(out, "{x:?}");
-        }
+        ConstValue::Real(x) => write_real(out, *x),
         ConstValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
@@ -500,6 +501,17 @@ fn write_quoted(out: &mut String, s: &str) {
         out.push(c);
     }
     out.push('\'');
+}
+
+/// Writes a real literal in positional notation with a fraction, the
+/// only form the lexer reads as a real: `{x:?}` writes `1e20` and
+/// `1e-7`, which lex as an integer and a name.
+fn write_real(out: &mut String, x: f64) {
+    let _ = if x.fract() == 0.0 {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    };
 }
 
 /// Renders a type expression.
@@ -564,13 +576,7 @@ fn write_expr(out: &mut String, e: &Expr, parent: u8) {
         ExprKind::IntLit(n) => {
             let _ = write!(out, "{n}");
         }
-        ExprKind::RealLit(x) => {
-            let _ = if x.fract() == 0.0 {
-                write!(out, "{x:.1}")
-            } else {
-                write!(out, "{x}")
-            };
-        }
+        ExprKind::RealLit(x) => write_real(out, *x),
         ExprKind::BoolLit(b) => {
             let _ = write!(out, "{b}");
         }
@@ -622,7 +628,11 @@ fn write_expr(out: &mut String, e: &Expr, parent: u8) {
             if parens {
                 out.push('(');
             }
-            write_expr(out, lhs, prec);
+            // Comparisons do not chain: `a = b = c` does not parse, so a
+            // comparison on the left of one is parenthesized too.
+            let chained =
+                prec == 0 && matches!(&lhs.kind, ExprKind::Binary { op, .. } if op.is_relational());
+            write_expr(out, lhs, if chained { 1 } else { prec });
             let _ = write!(out, " {op} ");
             write_expr(out, rhs, prec + 1);
             if parens {

@@ -8,8 +8,10 @@
 //! ```
 //!
 //! Server mode runs until a client sends the `shutdown` op, then
-//! compacts every shard and prints a report line. Selftest mode
-//! connects as a client and drives the paper's §8 session end to end —
+//! compacts every shard and prints a report line. Selftest mode first
+//! sends a frame and a source nested too deep to read, each on its own
+//! connection, and requires an error frame for each and a pong after;
+//! then it connects as a client and drives the paper's §8 session end to end —
 //! compile, trace, debug, answer — judging each question against a
 //! locally computed golden transcript, then runs the session again
 //! unpooled on the now-warm server and requires the same slice and
@@ -148,6 +150,8 @@ fn main() -> ExitCode {
 /// must not move, and its slice and journal must equal the first
 /// session's.
 fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
+    refuse_too_deep_inputs(addr)?;
+    println!("selftest: too-deep frame and source refused with error frames, then a pong");
     let golden = golden_transcript()?;
     let mut client = Client::connect_to(addr).map_err(|e| e.to_string())?;
     if !client.ping().map_err(|e| e.to_string())? {
@@ -227,6 +231,39 @@ fn run_selftest(addr: &str, shutdown_after: bool) -> Result<(), String> {
         println!("selftest: server shutdown requested");
     }
     println!("selftest: OK");
+    Ok(())
+}
+
+/// Sends the two inputs that once overflowed a worker's stack and
+/// aborted the whole server: a 200 KB frame of 100 000 nested arrays,
+/// and a `create` whose source nests 12 000 parentheses. Each goes on
+/// its own connection (the server hangs up after a frame it cannot
+/// read) and must get an error frame; the server must then answer a
+/// ping.
+fn refuse_too_deep_inputs(addr: &str) -> Result<(), String> {
+    let connect = || Client::connect_to(addr).map_err(|e| e.to_string());
+    let frame = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let reply = connect()?
+        .exchange_raw(frame.as_bytes())
+        .map_err(|e| format!("too-deep frame: {e}"))?;
+    if reply.get("ok").and_then(Json::as_bool) != Some(false) {
+        return Err(format!("too-deep frame got {reply}"));
+    }
+
+    let source = format!(
+        "program deep; var x: integer; begin x := {}1{} end.",
+        "(".repeat(12_000),
+        ")".repeat(12_000)
+    );
+    let mut client = connect()?;
+    match client.create_session(&source, &SessionOptions::default()) {
+        Err(e) if e.to_string().contains("nesting deeper than") => {}
+        Err(e) => return Err(format!("too-deep source failed otherwise: {e}")),
+        Ok(sid) => return Err(format!("too-deep source compiled as session {sid}")),
+    }
+    if !client.ping().map_err(|e| e.to_string())? {
+        return Err("no pong after the too-deep inputs".into());
+    }
     Ok(())
 }
 

@@ -146,6 +146,22 @@ impl Client {
         })
     }
 
+    /// Sends `payload` as the bytes of one frame, unchecked, and returns
+    /// the reply frame whether or not it reports success: for probing
+    /// the server with frames the encoder never writes.
+    ///
+    /// # Errors
+    /// Transport errors, and a reply that is not a frame.
+    pub fn exchange_raw(&mut self, payload: &[u8]) -> io::Result<Json> {
+        let len = u32::try_from(payload.len()).map_err(proto_err)?;
+        let mut frame = len.to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        self.stream.write_all(&frame)?;
+        self.stream.flush()?;
+        read_frame(&mut self.stream, self.max_frame)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up"))
+    }
+
     /// Sends one request object and reads its response frame. Responses
     /// with `"ok": false` become `InvalidData` errors carrying the
     /// server's message.

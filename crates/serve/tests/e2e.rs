@@ -656,3 +656,47 @@ fn failing_creates_repeat_their_error_frame_and_compile_nothing() {
     }
     handle.shutdown().unwrap();
 }
+
+/// Inputs that once overflowed a worker's 16 MiB stack and aborted the
+/// whole server: a `create` whose source nests 12 000 parentheses, and a
+/// 200 KB frame of 100 000 nested arrays. Each now gets an error frame,
+/// and the one worker goes on answering.
+#[test]
+fn too_deep_sources_and_frames_get_error_frames() {
+    let dir = TempDir::new("serve-too-deep");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let source = format!(
+        "program deep; var x: integer; begin x := {}1{} end.",
+        "(".repeat(12_000),
+        ")".repeat(12_000)
+    );
+    let err = client
+        .create_session(&source, &SessionOptions::default())
+        .unwrap_err();
+    assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    assert!(client.ping().unwrap());
+    // The one worker serves one connection at a time.
+    drop(client);
+
+    let ServerAddr::Tcp(addr) = handle.addr() else {
+        unreachable!("listening on TCP")
+    };
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let payload = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    std::io::Write::write_all(&mut raw, &(payload.len() as u32).to_be_bytes()).unwrap();
+    std::io::Write::write_all(&mut raw, payload.as_bytes()).unwrap();
+    let reply = read_frame(&mut raw, MAX_FRAME).unwrap().unwrap();
+
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    drop(raw);
+
+    assert!(Client::connect(handle.addr()).unwrap().ping().unwrap());
+    handle.shutdown().unwrap();
+}

@@ -188,54 +188,96 @@ const GRAMMAR: &[(&str, Option<(usize, &str)>)] = &[
     (r#"["\ud83d\ude00"]"#, Some((4, "surrogate \\u escape"))),
 ];
 
+/// `levels` arrays nested in one another.
+fn nested_arrays(levels: usize) -> String {
+    format!("{}{}", "[".repeat(levels), "]".repeat(levels))
+}
+
 #[test]
 fn validator_parser_frames_and_recovery_share_one_json_grammar() {
-    use std::io::Cursor;
     for &(text, want) in GRAMMAR {
         let want = want.map(|(at, what)| (at, what.to_string()));
-        assert_eq!(
-            gadt_obs::json::validate(text).err(),
-            want,
-            "validate {text:?}"
-        );
-        assert_eq!(
-            gadt_store::parse(text).is_some(),
-            want.is_none(),
-            "gadt_store::parse {text:?}"
-        );
-
-        // A frame carrying the payload (an empty payload is a
-        // zero-length frame, refused before any JSON is read).
-        if !text.is_empty() {
-            let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
-            bytes.extend_from_slice(text.as_bytes());
-            let read = proto::read_frame(&mut Cursor::new(bytes), proto::MAX_FRAME);
-            match &want {
-                None => assert!(read.unwrap().is_some(), "read_frame {text:?}"),
-                Some((at, what)) => assert_eq!(
-                    read.unwrap_err().to_string(),
-                    format!("frame payload fails JSON validation at byte {at}: {what}"),
-                    "read_frame {text:?}"
-                ),
-            }
-        }
-
-        // A WAL line holding the payload as a verdict: recovery keeps it
-        // exactly when the grammar accepts the payload.
-        let dir = TempDir::new("serve-json-grammar");
-        {
-            let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
-            drop(store);
-        }
-        let wal = dir.path().join("wal.jsonl");
-        let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-        writeln!(file, r#"{{"k":"verdict","key":"row","payload":{text}}}"#).unwrap();
-        drop(file);
-        let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
-        assert_eq!(
-            store.recovery().wal_records,
-            usize::from(want.is_none()),
-            "recovery {text:?}"
-        );
+        check_grammar_row(text, want.clone(), want.is_none());
     }
+    // Nesting is capped: the deepest accepted payload, and one level
+    // more, rejected at its innermost bracket. A WAL line holds its
+    // payload one level down, so only the shallower row survives there.
+    let cap = gadt_obs::json::MAX_DEPTH;
+    check_grammar_row(&nested_arrays(cap), None, false);
+    check_grammar_row(&nested_arrays(cap - 1), None, true);
+    check_grammar_row(
+        &nested_arrays(cap + 1),
+        Some((cap, format!("nesting deeper than {cap} levels"))),
+        false,
+    );
+}
+
+/// Checks one payload against all four readers: `want` is what the
+/// grammar makes of it, `wal_kept` whether recovery keeps a WAL line
+/// holding it.
+fn check_grammar_row(text: &str, want: Option<(usize, String)>, wal_kept: bool) {
+    use std::io::Cursor;
+    assert_eq!(
+        gadt_obs::json::validate(text).err(),
+        want,
+        "validate {text:?}"
+    );
+    assert_eq!(
+        gadt_store::parse(text).is_some(),
+        want.is_none(),
+        "gadt_store::parse {text:?}"
+    );
+
+    // A frame carrying the payload (an empty payload is a zero-length
+    // frame, refused before any JSON is read).
+    if !text.is_empty() {
+        let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        let read = proto::read_frame(&mut Cursor::new(bytes), proto::MAX_FRAME);
+        match &want {
+            None => assert!(read.unwrap().is_some(), "read_frame {text:?}"),
+            Some((at, what)) => assert_eq!(
+                read.unwrap_err().to_string(),
+                format!("frame payload fails JSON validation at byte {at}: {what}"),
+                "read_frame {text:?}"
+            ),
+        }
+    }
+
+    // A WAL line holding the payload as a verdict.
+    let dir = TempDir::new("serve-json-grammar");
+    {
+        let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
+        drop(store);
+    }
+    let wal = dir.path().join("wal.jsonl");
+    let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+    writeln!(file, r#"{{"k":"verdict","key":"row","payload":{text}}}"#).unwrap();
+    drop(file);
+    let store = gadt_store::KnowledgeStore::open(dir.path()).unwrap();
+    assert_eq!(
+        store.recovery().wal_records,
+        usize::from(wal_kept),
+        "recovery {text:?}"
+    );
+}
+
+/// A 200 KB frame of 100 000 nested arrays, far under the frame cap,
+/// once overflowed the stack of the thread reading it and aborted the
+/// whole server. It is now refused as invalid data, on a stack far
+/// smaller than a server worker's.
+#[test]
+fn deeply_nested_frame_is_invalid_data() {
+    let text = nested_arrays(100_000);
+    let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(text.as_bytes());
+    let read = std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(move || proto::read_frame(&mut std::io::Cursor::new(bytes), proto::MAX_FRAME))
+        .unwrap()
+        .join()
+        .expect("reader thread survives");
+    let err = read.unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("nesting deeper than"), "{err}");
 }

@@ -4,11 +4,13 @@
 
 use gadt::debugger::{DebugConfig, DebugResult, Debugger, Strategy};
 use gadt::oracle::{ChainOracle, CountingOracle, ReferenceOracle};
-use gadt::session::{prepare, run_traced};
+use gadt::session::{prepare, run_traced, Engine};
 use gadt_analysis::dyntrace::record_trace;
 use gadt_analysis::slice_dynamic::dynamic_slice_output;
 use gadt_analysis::slice_static::{static_slice, SliceContext, SliceCriterion};
 use gadt_pascal::cfg::lower;
+use gadt_pascal::parser::{parse_program, MAX_NESTING};
+use gadt_pascal::pretty::print_program;
 use gadt_pascal::sema::compile;
 
 /// Dynamic slicing distinguishes recursion instances: slicing on one
@@ -420,4 +422,142 @@ fn isolated_unit_runs_can_be_traced_and_debugged() {
         "{}",
         out.render_transcript()
     );
+}
+
+/// A program `n` levels deep in one kind of nesting.
+fn deep_program(shape: &str, n: usize) -> String {
+    let r = |s: &str| s.repeat(n);
+    let head = "program deep; var x: integer; b: boolean; a: array[1..1] of integer;";
+    match shape {
+        "begin" => format!(
+            "{head} begin {}x := 1{}; writeln(x) end.",
+            r("begin "),
+            r(" end")
+        ),
+        "if" => format!(
+            "{head} begin x := 1; {}x := 2; writeln(x) end.",
+            r("if x > 0 then ")
+        ),
+        "else-if" => format!(
+            "{head} begin x := 0; {}x := 2; writeln(x) end.",
+            r("if x = 1 then x := 3 else ")
+        ),
+        "while" => format!(
+            "{head} begin x := 0; {}x := 1; writeln(x) end.",
+            r("while x < 1 do ")
+        ),
+        "repeat" => format!(
+            "{head} begin x := 0; {}x := 1{}; writeln(x) end.",
+            r("repeat "),
+            r(" until x > 0")
+        ),
+        "case" => format!(
+            "{head} begin x := 1; {}x := 2{}; writeln(x) end.",
+            r("case x of 1: "),
+            r(" end")
+        ),
+        "label" => {
+            let labels: Vec<String> = (1..=n).map(|l| l.to_string()).collect();
+            let prefixes: String = labels.iter().map(|l| format!("{l}: ")).collect();
+            format!(
+                "program deep; label {}; var x: integer; begin {prefixes}x := 1; writeln(x) end.",
+                labels.join(", ")
+            )
+        }
+        "procedure" => {
+            let mut src = String::from("program deep; var x: integer;");
+            for level in 0..n {
+                src += &format!(" procedure p{level};");
+            }
+            src += " begin x := x + 1 end;";
+            for level in (1..n).rev() {
+                src += &format!(" begin p{level} end;");
+            }
+            src + " begin x := 0; p0; writeln(x) end."
+        }
+        "array" => format!(
+            "program deep; type t = {}integer; var v: t; begin writeln(1) end.",
+            r("array[1..1] of ")
+        ),
+        "parens" => format!("{head} begin x := {}1{}; writeln(x) end.", r("("), r(")")),
+        "not" => format!("{head} begin b := {}true; writeln(b) end.", r("not ")),
+        "sign" => format!("{head} begin x := {}1{}; writeln(x) end.", r("-("), r(")")),
+        "chain" => format!("{head} begin x := 1{}; writeln(x) end.", r(" + 1")),
+        "operand" => format!(
+            "{head} begin x := {}1{}; writeln(x) end.",
+            r("1 + ("),
+            r(")")
+        ),
+        "index" => format!(
+            "{head} begin a[1] := 1; x := {}1{}; writeln(x) end.",
+            r("a["),
+            r("]")
+        ),
+        "call" => format!(
+            "program deep; var x: integer; function f(y: integer): integer; \
+             begin f := y + 1 end; begin x := {}0{}; writeln(x) end.",
+            r("f("),
+            r(")")
+        ),
+        _ => unreachable!("{shape}"),
+    }
+}
+
+/// The deepest program of each nesting shape the parser accepts goes
+/// through analysis, the §6 transformation, CFG lowering, VM
+/// compilation, a traced run on both engines and printing on a 2 MiB
+/// stack; one level more is a parse error, where 10 000 nested `begin`s
+/// once overflowed a 16 MiB stack in the parser.
+#[test]
+fn deepest_accepted_programs_run_on_a_small_stack() {
+    let shapes = [
+        "begin",
+        "if",
+        "else-if",
+        "while",
+        "repeat",
+        "case",
+        "label",
+        "procedure",
+        "array",
+        "parens",
+        "not",
+        "sign",
+        "chain",
+        "operand",
+        "index",
+        "call",
+    ];
+    for shape in shapes {
+        let deepest = (1..)
+            .take_while(|&n| parse_program(&deep_program(shape, n)).is_ok())
+            .last()
+            .unwrap_or_else(|| panic!("{shape}: no depth parses"));
+        let err = parse_program(&deep_program(shape, deepest + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            "{shape}"
+        );
+        let src = deep_program(shape, deepest);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let module = compile(&src).unwrap();
+                let vm = prepare(&module).unwrap();
+                let walker = vm.clone().with_engine(Engine::TreeWalker);
+                let on_vm = run_traced(&vm, []).unwrap();
+                let walked = run_traced(&walker, []).unwrap();
+                assert_eq!(on_vm.output, walked.output);
+                assert_eq!(
+                    on_vm.tree.render(on_vm.tree.root),
+                    walked.tree.render(walked.tree.root)
+                );
+                print_program(&vm.transformed.module.program);
+                print_program(&module.program);
+            })
+            .unwrap()
+            .join()
+            .unwrap_or_else(|_| panic!("{shape} at {deepest} levels"));
+    }
 }
