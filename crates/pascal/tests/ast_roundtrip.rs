@@ -1,8 +1,9 @@
 //! Parse → pretty-print → re-parse round trips over every bundled test
-//! program: the printed form must reconstruct the same AST modulo spans
-//! and statement ids. This is the structural guarantee the mutation
-//! engine relies on — a mutant is materialized by printing its mutated
-//! AST and re-parsing, so printing must lose nothing.
+//! program: the printed form must reconstruct the same AST modulo spans,
+//! ids included. This is the structural guarantee the mutation engine
+//! relies on — `gadt_mutate::materialize` builds a mutant as the parser
+//! would read back its printed text without printing it, which is only
+//! sound while printing loses nothing.
 
 use gadt_pascal::ast_mut::normalize;
 use gadt_pascal::parser::parse_program;
