@@ -111,8 +111,12 @@ pub fn apply(program: &Program, site: &MutationSite) -> Option<Program> {
 /// once spans are erased, ids and fresh-id counters included, or fails
 /// with the same diagnostic. The mutant is [`reshape`]d in memory; only
 /// an off-by-one on `9223372036854775807`, whose `-9223372036854775808`
-/// the lexer rejects, goes through the text. Returns `None` where
-/// [`apply`] does.
+/// the lexer rejects, goes through the text. A duplicated assignment
+/// or a negated condition nests one or two levels deeper than the
+/// golden, so within two levels of
+/// [`MAX_NESTING`](gadt_pascal::parser::MAX_NESTING) the printed text
+/// may be refused where the materialized mutant is not. Returns `None`
+/// where [`apply`] does.
 pub fn materialize(program: &Program, site: &MutationSite) -> Option<Result<Program, Diagnostic>> {
     let (mut mutant, negative_literal) = plant(program, site)?;
     if negative_literal {

@@ -48,8 +48,9 @@ pub fn parse_program(source: &str) -> Result<Program> {
 /// goes through analysis, the §6 transformation, CFG lowering, VM
 /// compilation, a traced run on either engine and printing on a 2 MiB
 /// stack in an unoptimized build, whose parser alone overflows that
-/// stack at about 95 nested `begin`s; no bundled or generated program
-/// nests deeper than 23.
+/// stack at about 95 nested `begin`s. No bundled fixture, committed
+/// corpus regression or program of generator seeds 0–4999 nests deeper
+/// than 23.
 pub const MAX_NESTING: u32 = 64;
 
 struct Parser {
