@@ -66,6 +66,23 @@ if [ -z "$EX_ONE" ] || [ "$EX_ONE" != "$EX_EIGHT" ]; then
 fi
 echo "$EX_ONE"
 
+# Paper-reproduction tier: the release `repro` binary regenerates every
+# paper figure and claim (E1–E14), including the pruned trees and slices
+# of E5, E6, E10 and E14. Its stdout is deterministic and must equal the
+# committed repro_output.txt byte for byte.
+echo "==> paper reproduction (repro output vs repro_output.txt)"
+cargo build --release -q -p gadt-bench --bin repro
+REPRO_OUT="$(mktemp)"
+./target/release/repro >"$REPRO_OUT"
+if ! cmp -s "$REPRO_OUT" repro_output.txt; then
+    echo "ci: repro output differs from repro_output.txt:"
+    diff repro_output.txt "$REPRO_OUT" | head -40 || true
+    rm -f "$REPRO_OUT"
+    exit 1
+fi
+rm -f "$REPRO_OUT"
+echo "ci: repro output matches repro_output.txt"
+
 # Debugging-service tier: the release gadt-serve binary on a unix
 # socket inside a throwaway sandbox, driven end-to-end (compile ->
 # trace -> debug -> answer -> slice) by its own selftest client, which

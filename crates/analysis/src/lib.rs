@@ -20,10 +20,7 @@
 //!   and the dynamic call tree (execution-tree raw material);
 //! * [`slice_dynamic`] — dynamic interprocedural slicing (Kamkar), which
 //!   produces both relevant statements and the set of dynamic calls to
-//!   keep when pruning the execution tree;
-//! * [`slice_batch`] — multi-criterion slicing over one shared trace,
-//!   fanned out across worker threads and memoized per
-//!   `(call, output index)` so repeated debugger queries hit the cache.
+//!   keep when pruning the execution tree.
 //!
 //! ## Quickstart: reproduce the paper's Figure 2 slice
 //!
@@ -52,13 +49,11 @@ pub mod controldep;
 pub mod dataflow;
 pub mod dyntrace;
 pub mod effects;
-pub mod slice_batch;
 pub mod slice_dynamic;
 pub mod slice_static;
 
 pub use callgraph::CallGraph;
 pub use dyntrace::{record_trace, record_trace_shared, DynTrace};
 pub use effects::Effects;
-pub use slice_batch::{dynamic_slice_batch, SliceCache};
 pub use slice_dynamic::{close_for_replay, dynamic_slice_final, dynamic_slice_output, DynSlice};
 pub use slice_static::{static_slice, SliceContext, SliceCriterion, StaticSlice};

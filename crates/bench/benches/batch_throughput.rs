@@ -1,8 +1,7 @@
 //! Sequential-vs-parallel batch throughput (the `BatchExecutor`
 //! speedup landing in the perf trajectory): T-GEN case runs through
-//! `run_cases` vs `run_cases_batch`, multi-criterion dynamic slicing
-//! through a per-criterion loop vs `dynamic_slice_batch`, and batch
-//! tracing through per-input `run_traced` vs `run_traced_batch`.
+//! `run_cases` vs `run_cases_batch`, and batch tracing through
+//! per-input `run_traced` vs `run_traced_batch`.
 //!
 //! Reports cases/sec per variant and the parallel speedup. On a
 //! single-core host the parallel figures approximate the sequential
@@ -10,12 +9,7 @@
 
 use gadt::obs::Recorder;
 use gadt::session::{prepare, run_traced, run_traced_batch, Engine};
-use gadt_analysis::dyntrace::record_trace;
-use gadt_analysis::slice_batch::dynamic_slice_batch;
-use gadt_analysis::slice_dynamic::dynamic_slice_output;
-use gadt_bench::genprog::{generate, GenConfig};
 use gadt_bench::timing::Harness;
-use gadt_pascal::cfg::lower;
 use gadt_pascal::sema::compile;
 use gadt_pascal::testprogs;
 use gadt_pascal::value::Value;
@@ -68,40 +62,6 @@ fn main() {
         seq.per_iter.as_secs_f64(),
         par.per_iter.as_secs_f64(),
         tc.len() as f64,
-    );
-
-    // --- Multi-criterion slicing ---------------------------------------
-    let gp = generate(&GenConfig {
-        procs: 12,
-        max_calls: 2,
-        seed: 1,
-    });
-    let gm = compile(&gp.source).unwrap();
-    let cfg = lower(&gm);
-    let trace = record_trace(&gm, &cfg, []).unwrap();
-    let criteria: Vec<(u64, usize)> = trace
-        .calls
-        .iter()
-        .flat_map(|c| (0..c.outs.len()).map(move |k| (c.id, k)))
-        .collect();
-    let seq = h.bench(
-        &format!("slice/per_criterion/seq/{}", criteria.len()),
-        || {
-            criteria
-                .iter()
-                .map(|&(c, k)| dynamic_slice_output(&gm, &trace, c, k))
-                .collect::<Vec<_>>()
-        },
-    );
-    let par = h.bench(
-        &format!("slice/batch/par{threads}/{}", criteria.len()),
-        || dynamic_slice_batch(&gm, &trace, &criteria, threads),
-    );
-    speedup_line(
-        "slice criteria",
-        seq.per_iter.as_secs_f64(),
-        par.per_iter.as_secs_f64(),
-        criteria.len() as f64,
     );
 
     // --- Batch tracing --------------------------------------------------

@@ -25,7 +25,7 @@ use gadt_pascal::testprogs;
 use gadt_pascal::value::Value;
 use gadt_tgen::{cases, frames, spec};
 use gadt_vm::conformance::EventHasher;
-use gadt_vm::{CallSemantics, PreparedEngine};
+use gadt_vm::PreparedEngine;
 use std::process::ExitCode;
 
 struct Workload {

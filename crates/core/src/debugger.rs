@@ -233,11 +233,11 @@ impl<'a> Debugger<'a> {
     /// Debugs starting from `start` (assumed incorrect, not queried).
     ///
     /// A thin driver loop over [`crate::handle::DebugState`]: pull the
-    /// pending question, judge it through the oracle chain, journal it,
-    /// feed the verdict back. Servers that cannot block on an oracle
-    /// callback hold a [`crate::DebugHandle`] instead and pump it one
-    /// request at a time — both paths share the state machine and
-    /// produce byte-identical transcripts.
+    /// pending question, judge it through the oracle chain, feed the
+    /// verdict back (the state journals it). Servers that cannot block
+    /// on an oracle callback hold a [`crate::DebugHandle`] instead and
+    /// pump it one request at a time — both paths share the state
+    /// machine and produce byte-identical transcripts.
     pub fn run(
         mut self,
         tree: &ExecTree,
@@ -253,34 +253,12 @@ impl<'a> Debugger<'a> {
             self.config.strategy.implementation(),
             self.probe.take(),
         );
+        let mut disabled = gadt_obs::Recorder::disabled();
+        let rec = self.obs.unwrap_or(&mut disabled);
         while let Some(q) = state.next_question() {
-            let (node, unit) = (q.node, q.unit.clone());
-            let answer = oracle.judge(self.module, state.tree(), node);
+            let answer = oracle.judge(self.module, state.tree(), q.node);
             let source = oracle.last_source().to_string();
-            if let Some(rec) = self.obs.as_deref_mut() {
-                rec.incr("debug.questions");
-                rec.incr(&format!(
-                    "debug.questions.by_source.{}",
-                    gadt_obs::slug(&source)
-                ));
-                rec.incr(&format!(
-                    "debug.questions.by_strategy.{}",
-                    self.config.strategy.slug()
-                ));
-                gadt_obs::event!(
-                    rec,
-                    "question",
-                    unit = unit.as_str(),
-                    source = source.as_str(),
-                    answer = answer.to_string(),
-                );
-            }
-            let before = state.slices_taken();
-            state.answer(self.module, self.trace, self.mapping, answer, &source);
-            if state.slices_taken() > before {
-                let stats = state.slice_stats()[before];
-                self.observe_slice(&stats);
-            }
+            state.answer(self.module, self.trace, self.mapping, answer, &source, rec);
         }
         state.into_outcome()
     }
@@ -289,20 +267,6 @@ impl<'a> Debugger<'a> {
     pub fn run_program(self, tree: &ExecTree, oracle: &mut ChainOracle<'_>) -> DebugOutcome {
         let root = tree.root;
         self.run(tree, root, oracle)
-    }
-
-    /// Journals one accepted slice (counter + point event).
-    fn observe_slice(&mut self, stats: &SliceStats) {
-        if let Some(rec) = self.obs.as_deref_mut() {
-            rec.incr("debug.slices");
-            gadt_obs::event!(
-                rec,
-                "slice",
-                events = stats.events,
-                stmts = stats.stmts,
-                calls = stats.calls,
-            );
-        }
     }
 }
 

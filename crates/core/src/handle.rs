@@ -23,6 +23,7 @@ use crate::oracle::Answer;
 use crate::strategy::{AnswerProbe, Knowledge, TraversalStrategy};
 use gadt_analysis::dyntrace::DynTrace;
 use gadt_analysis::slice_dynamic::{dynamic_slice_output, SliceStats};
+use gadt_obs::Recorder;
 use gadt_pascal::sema::Module;
 use gadt_pascal::Value;
 use gadt_trace::{ExecTree, NodeId, NodeKind};
@@ -196,14 +197,15 @@ impl DebugState {
         self.slices_taken
     }
 
-    /// Size accounting for each slice taken, in order.
-    pub fn slice_stats(&self) -> &[SliceStats] {
-        &self.slice_stats
-    }
-
     /// Answers the pending question and advances the traversal. Calling
     /// after the session finished returns [`Step::Done`] again without
-    /// touching the transcript.
+    /// touching the transcript or `rec`.
+    ///
+    /// Journals the answer into `rec`: a `question` point event (unit,
+    /// source, answer) with the counters `debug.questions`,
+    /// `debug.questions.by_source.<slug>` and
+    /// `debug.questions.by_strategy.<slug>`, then, when the answer
+    /// prunes the tree, a `slice` event and `debug.slices`.
     pub fn answer(
         &mut self,
         module: &Module,
@@ -211,6 +213,7 @@ impl DebugState {
         mapping: Option<&Mapping>,
         verdict: Verdict,
         source: &str,
+        rec: &mut Recorder,
     ) -> Step {
         if let Some(done) = &self.done {
             return Step::Done(done.clone());
@@ -220,6 +223,24 @@ impl DebugState {
             .as_ref()
             .expect("unfinished session always has a pending question");
         let node = q.node;
+        if rec.is_enabled() {
+            rec.incr("debug.questions");
+            rec.incr(&format!(
+                "debug.questions.by_source.{}",
+                gadt_obs::slug(source)
+            ));
+            rec.incr(&format!(
+                "debug.questions.by_strategy.{}",
+                self.config.strategy.slug()
+            ));
+            gadt_obs::event!(
+                rec,
+                "question",
+                unit = q.unit.as_str(),
+                source = source,
+                answer = verdict.to_string(),
+            );
+        }
         self.transcript.push(TranscriptEntry {
             query: q.query.clone(),
             unit: q.unit.clone(),
@@ -235,6 +256,16 @@ impl DebugState {
             }
             Answer::Incorrect { wrong_output } => {
                 sliced = self.apply_slice(module, trace, node, wrong_output);
+                if let Some(stats) = sliced {
+                    rec.incr("debug.slices");
+                    gadt_obs::event!(
+                        rec,
+                        "slice",
+                        events = stats.events,
+                        stmts = stats.stmts,
+                        calls = stats.calls,
+                    );
+                }
                 // After a slice the search restarts at the pruned root
                 // (§8 steps 2 and 4); node ids belong to the replaced
                 // tree, so the cleared set must be dropped with it.
@@ -438,6 +469,7 @@ impl DebugHandle {
             self.mapping.as_ref(),
             verdict,
             source,
+            &mut Recorder::disabled(),
         )
     }
 
@@ -469,11 +501,6 @@ impl DebugHandle {
     /// How many times slicing pruned the tree so far.
     pub fn slices_taken(&self) -> usize {
         self.state.slices_taken()
-    }
-
-    /// Size accounting for each slice taken, in order.
-    pub fn slice_stats(&self) -> &[SliceStats] {
-        self.state.slice_stats()
     }
 
     /// Consumes the handle into a [`DebugOutcome`] (an unfinished

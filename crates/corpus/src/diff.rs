@@ -34,7 +34,7 @@ use gadt_pascal::interp::{Interpreter, Limits, Monitor, Outcome};
 use gadt_pascal::pretty::print_slice;
 use gadt_pascal::sema::{compile, Module};
 use gadt_vm::conformance::EventHasher;
-use gadt_vm::{CallSemantics, Engine, PreparedEngine};
+use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -7,7 +7,7 @@
 //! slicing, once without — judged by the golden-reference oracle
 //! ([`gadt::oracle::GoldenOracle`]). Per-mutant work is fully
 //! independent, so results are byte-identical at any thread count; only
-//! the recorded wall-clock timings differ.
+//! the journals' wall-clock fields differ.
 
 use crate::operators::{enumerate_sites, materialize, MutationSite};
 use crate::report::{CampaignSummary, LocalizationReport, MutantStatus};
@@ -16,7 +16,7 @@ use gadt::error::{Error, Phase};
 use gadt::oracle::{ChainOracle, CountingOracle, GoldenOracle};
 use gadt::session::{self, Engine, PreparedProgram, TracedRun};
 use gadt_exec::BatchExecutor;
-use gadt_obs::Recorder;
+use gadt_obs::{Journal, Recorder};
 use gadt_pascal::ast::Program;
 use gadt_pascal::interp::Limits;
 use gadt_pascal::parser::parse_program;
@@ -316,20 +316,15 @@ pub fn run_campaign_with_store(
         .into_iter()
         .zip(cached)
         .map(|((prog_idx, site), cached_status)| match cached_status {
-            Some(status) => {
-                let journal = Recorder::untimed().finish();
-                let timings = journal.phase_timings();
-                LocalizationReport {
-                    program: contexts[prog_idx].name.clone(),
-                    op: site.op,
-                    ordinal: site.ordinal,
-                    mutated_unit: site.unit.clone(),
-                    description: site.description.clone(),
-                    status,
-                    journal,
-                    timings,
-                }
-            }
+            Some(status) => LocalizationReport {
+                program: contexts[prog_idx].name.clone(),
+                op: site.op,
+                ordinal: site.ordinal,
+                mutated_unit: site.unit.clone(),
+                description: site.description.clone(),
+                status,
+                journal: Journal::new(),
+            },
             None => {
                 let (_, report) = fresh_iter.next().expect("fresh report missing");
                 report
@@ -346,9 +341,7 @@ pub fn run_campaign_with_store(
 /// Every step journals into a per-mutant [`Recorder`]: a `mutant` root
 /// span tagged with program/operator/ordinal, the standard
 /// transform/trace/debug phase spans, and the two debug sessions adopted
-/// under the `with_slicing.` / `without_slicing.` counter prefixes. The
-/// report's [`gadt::session::PhaseTimings`] roll-up is derived from that
-/// journal.
+/// under the `with_slicing.` / `without_slicing.` counter prefixes.
 fn run_mutant(ctx: &GoldenCtx, site: &MutationSite, limits: Limits) -> LocalizationReport {
     let mut rec = Recorder::new();
     let mspan = gadt_obs::span!(
@@ -361,8 +354,6 @@ fn run_mutant(ctx: &GoldenCtx, site: &MutationSite, limits: Limits) -> Localizat
     );
     let status = run_mutant_status(ctx, site, limits, &mut rec);
     rec.exit(mspan);
-    let journal = rec.finish();
-    let timings = journal.phase_timings();
     LocalizationReport {
         program: ctx.name.clone(),
         op: site.op,
@@ -370,8 +361,7 @@ fn run_mutant(ctx: &GoldenCtx, site: &MutationSite, limits: Limits) -> Localizat
         mutated_unit: site.unit.clone(),
         description: site.description.clone(),
         status,
-        journal,
-        timings,
+        journal: rec.finish(),
     }
 }
 

@@ -8,7 +8,6 @@
 //! questions saved by slicing.
 
 use crate::operators::MutOp;
-use gadt::session::PhaseTimings;
 use gadt_obs::{Journal, Recorder};
 
 /// What became of one mutant after the full pipeline.
@@ -146,16 +145,12 @@ pub struct LocalizationReport {
     /// fingerprint excludes — so campaign fingerprints stay thread-count
     /// independent.
     pub journal: Journal,
-    /// Wall-clock per pipeline phase, derived from `journal` (excluded
-    /// from [`Self::render_line`] so campaign fingerprints are
-    /// thread-count independent).
-    pub timings: PhaseTimings,
 }
 
 impl LocalizationReport {
     /// One deterministic line describing this mutant — everything except
-    /// the (non-deterministic) timings. Concatenated lines form the
-    /// campaign fingerprint compared across thread counts.
+    /// the journal. Concatenated lines form the campaign fingerprint
+    /// compared across thread counts.
     pub fn render_line(&self) -> String {
         let status = match &self.status {
             MutantStatus::Stillborn { reason } => format!("stillborn: {reason}"),

@@ -34,17 +34,6 @@ impl Journal {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Iterates over counters whose name starts with `prefix`.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .iter()
-            .filter(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Iterates over events with the given name.
     pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
         self.events.iter().filter(move |e| e.name == name)
@@ -136,25 +125,6 @@ impl Journal {
     /// One JSON object per line: events first (in order), then counters.
     pub fn to_json_lines(&self) -> String {
         self.render_lines(true)
-    }
-
-    /// Writes [`Journal::to_json_lines`] to `w`.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from `w`.
-    pub fn write_json_lines<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(self.to_json_lines().as_bytes())
-    }
-
-    /// Streams the journal into a [`crate::sink::Sink`].
-    pub fn emit(&self, sink: &mut dyn crate::sink::Sink) {
-        for e in &self.events {
-            sink.record(e);
-        }
-        for (k, v) in &self.counters {
-            sink.counter(k, *v);
-        }
-        sink.flush();
     }
 
     /// A human-readable summary: the span tree (indented by depth, with
@@ -301,6 +271,22 @@ mod tests {
         let j = rec.finish();
         assert_eq!(j.phase_timings(), PhaseTimings::default());
         assert_eq!(j.fingerprint(), j.to_json_lines());
+    }
+
+    #[test]
+    fn every_emitted_line_parses() {
+        let mut rec = Recorder::new();
+        let s = rec.enter_with("slice", &[("criterion", "3.0".into())]);
+        rec.event(
+            "question",
+            &[("unit", "add".into()), ("answer", "yes".into())],
+        );
+        rec.exit(s);
+        rec.add("debug.questions", 7);
+        let j = rec.finish();
+        for line in j.to_json_lines().lines() {
+            crate::json::validate(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        }
     }
 
     #[test]

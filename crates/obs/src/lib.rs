@@ -8,10 +8,11 @@
 //! * **hierarchical spans** — `span!(rec, "slice", criterion = 3)`
 //!   opens a named, field-tagged span; closing it records the duration;
 //! * **monotonic counters** — dotted-path keys like `debug.questions`
-//!   or `slice.cache.requests`, summed across merged workers;
+//!   or `trace.events`, summed across merged workers;
 //! * **an event journal** — every span boundary and point event in
-//!   order, with pluggable sinks ([`MemorySink`], [`JsonLinesSink`],
-//!   and the human-readable [`Journal::render_summary`]).
+//!   order, serialized as JSON lines ([`Journal::to_json_lines`], or
+//!   timestamp-free via [`Journal::fingerprint`]) or rendered for humans
+//!   ([`Journal::render_summary`]).
 //!
 //! ## Determinism rules
 //!
@@ -45,12 +46,10 @@ pub mod event;
 pub mod journal;
 pub mod json;
 pub mod recorder;
-pub mod sink;
 
 pub use event::{Event, EventKind, FieldValue};
 pub use journal::{Journal, PhaseTimings};
 pub use recorder::{Recorder, SpanToken};
-pub use sink::{JsonLinesSink, MemorySink, Sink};
 
 /// Opens a span on a [`Recorder`] with named fields:
 /// `span!(rec, "slice", criterion = call_id, out = k)`. Returns the

@@ -487,11 +487,6 @@ impl BinOp {
         use BinOp::*;
         matches!(self, Eq | Ne | Lt | Le | Gt | Ge)
     }
-
-    /// Whether this is `and`/`or`.
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
 }
 
 impl fmt::Display for BinOp {

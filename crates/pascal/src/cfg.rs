@@ -303,16 +303,6 @@ impl ProgramCfg {
     pub fn loop_info(&self, id: LoopId) -> &LoopInfo {
         &self.loops[id.0 as usize]
     }
-
-    /// Total number of instructions, a rough program-size metric used by
-    /// the transformation-growth experiment (E9).
-    pub fn instr_count(&self) -> usize {
-        self.procs
-            .iter()
-            .flat_map(|p| &p.blocks)
-            .map(|b| b.instrs.len() + 1)
-            .sum()
-    }
 }
 
 fn const_to_value(c: &crate::ast::ConstValue) -> Value {

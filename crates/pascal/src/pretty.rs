@@ -471,13 +471,6 @@ fn proc_is_kept(keep: &dyn Fn(StmtId) -> bool, p: &ProcDecl) -> bool {
     any || p.block.procs.iter().any(|q| proc_is_kept(keep, q))
 }
 
-/// Renders a constant value as a literal.
-pub fn const_str(c: &ConstValue) -> String {
-    let mut out = String::new();
-    write_const(&mut out, c);
-    out
-}
-
 fn write_const(out: &mut String, c: &ConstValue) {
     match c {
         ConstValue::Int(n) => {
@@ -512,13 +505,6 @@ fn write_real(out: &mut String, x: f64) {
     } else {
         write!(out, "{x}")
     };
-}
-
-/// Renders a type expression.
-pub fn type_str(t: &TypeExpr) -> String {
-    let mut out = String::new();
-    write_type(&mut out, t);
-    out
 }
 
 fn write_type(out: &mut String, t: &TypeExpr) {

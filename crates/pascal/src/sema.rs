@@ -265,14 +265,6 @@ impl Module {
         }
     }
 
-    /// The block of a procedure (the program block for [`MAIN_PROC`]).
-    pub fn proc_block(&self, id: ProcId) -> &Block {
-        match self.proc_decl(id) {
-            Some(d) => &d.block,
-            None => &self.program.block,
-        }
-    }
-
     /// Looks up a procedure by (case-insensitive) name.
     pub fn proc_by_name(&self, name: &str) -> Option<ProcId> {
         let key = name.to_ascii_lowercase();
@@ -303,14 +295,6 @@ impl Module {
     /// All variables owned by a procedure.
     pub fn vars_of(&self, proc: ProcId) -> impl Iterator<Item = &VarInfo> {
         self.vars.iter().filter(move |v| v.owner == proc)
-    }
-
-    /// The variable a resolved name refers to, if any.
-    pub fn res_var(&self, id: ExprId) -> Option<VarId> {
-        match self.res.get(&id)? {
-            NameRes::Var(v) => Some(*v),
-            _ => None,
-        }
     }
 
     /// Whether `var` is non-local to `proc` (declared in an enclosing

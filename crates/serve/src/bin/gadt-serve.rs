@@ -30,8 +30,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gadt-serve --listen tcp:HOST:PORT|unix:PATH [--store DIR] [--shards N] \
-         [--threads N] [--compact-threshold N]\n       gadt-serve --selftest ADDR [--shutdown]\
-         \n       gadt-serve --bench ADDR [--clients N] [--sessions N] [--shutdown]"
+         [--threads N] [--compact-threshold N]\n       gadt-serve --selftest ADDR [--shutdown]"
     );
     ExitCode::from(2)
 }
@@ -40,29 +39,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = None;
     let mut selftest = None;
-    let mut bench = None;
     let mut store_dir = std::path::PathBuf::from("gadt-store");
     let mut shards = 4usize;
     let mut threads = 4usize;
     let mut compact_threshold = 64usize;
     let mut shutdown_after = false;
-    let mut clients = 8usize;
-    let mut sessions = 32usize;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--listen" => listen = it.next().cloned(),
             "--selftest" => selftest = it.next().cloned(),
-            "--bench" => bench = it.next().cloned(),
-            "--clients" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => clients = n,
-                None => return usage(),
-            },
-            "--sessions" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => sessions = n,
-                None => return usage(),
-            },
             "--store" => match it.next() {
                 Some(d) => store_dir = d.into(),
                 None => return usage(),
@@ -93,15 +80,6 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("gadt-serve selftest failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some(addr) = bench {
-        return match run_bench(&addr, clients, sessions, shutdown_after) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gadt-serve bench failed: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -351,74 +329,4 @@ fn drive_session(
             }
         }
     }
-}
-
-/// Hammers a live server and prints the throughput figures quoted in
-/// EXPERIMENTS.md: ping round-trips per second on one connection
-/// (framing + dispatch overhead), the latency of one user-answered
-/// seeding session, then full pooled §8 debugging sessions per second
-/// across `clients` concurrent connections — every post-seed session
-/// compiles, traces, and is answered entirely by the knowledge store.
-fn run_bench(
-    addr: &str,
-    clients: usize,
-    sessions: usize,
-    shutdown_after: bool,
-) -> Result<(), String> {
-    use std::time::Instant;
-
-    let mut client = Client::connect_to(addr).map_err(|e| e.to_string())?;
-    let pings = 5000usize;
-    let t0 = Instant::now();
-    for _ in 0..pings {
-        if !client.ping().map_err(|e| e.to_string())? {
-            return Err("ping did not pong".into());
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    println!(
-        "bench: {pings} ping round-trips in {dt:.3}s = {:.0} req/s",
-        pings as f64 / dt
-    );
-
-    let golden = golden_transcript()?;
-    let t0 = Instant::now();
-    drive_session(&mut client, &golden, true)?;
-    println!(
-        "bench: seeding session (user-answered) took {:.1}ms",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-
-    let total = clients * sessions;
-    let t0 = Instant::now();
-    std::thread::scope(|s| -> Result<(), String> {
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                s.spawn(|| -> Result<(), String> {
-                    let mut c = Client::connect_to(addr).map_err(|e| e.to_string())?;
-                    for _ in 0..sessions {
-                        drive_session(&mut c, &golden, true)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join()
-                .map_err(|_| "bench client panicked".to_string())??;
-        }
-        Ok(())
-    })?;
-    let dt = t0.elapsed().as_secs_f64();
-    println!(
-        "bench: {total} pooled sessions ({clients} clients x {sessions}) in {dt:.3}s \
-         = {:.1} sessions/s",
-        total as f64 / dt
-    );
-
-    if shutdown_after {
-        client.shutdown_server().map_err(|e| e.to_string())?;
-        println!("bench: server shutdown requested");
-    }
-    Ok(())
 }

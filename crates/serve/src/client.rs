@@ -95,7 +95,6 @@ pub enum AskReply {
 /// One protocol connection.
 pub struct Client {
     stream: Transport,
-    max_frame: u32,
 }
 
 fn proto_err(msg: impl std::fmt::Display) -> io::Error {
@@ -120,10 +119,7 @@ impl Client {
             ServerAddr::Tcp(a) => Transport::Tcp(tcp_connect(TcpStream::connect(a)?)),
             ServerAddr::Unix(p) => Transport::Unix(UnixStream::connect(p)?),
         };
-        Ok(Client {
-            stream,
-            max_frame: MAX_FRAME,
-        })
+        Ok(Client { stream })
     }
 
     /// Connects to `tcp:HOST:PORT` or `unix:PATH`.
@@ -140,10 +136,7 @@ impl Client {
                 "address `{spec}` must be tcp:HOST:PORT or unix:PATH"
             )));
         };
-        Ok(Client {
-            stream,
-            max_frame: MAX_FRAME,
-        })
+        Ok(Client { stream })
     }
 
     /// Sends `payload` as the bytes of one frame, unchecked, and returns
@@ -158,7 +151,7 @@ impl Client {
         frame.extend_from_slice(payload);
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
-        read_frame(&mut self.stream, self.max_frame)?
+        read_frame(&mut self.stream, MAX_FRAME)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up"))
     }
 
@@ -169,8 +162,8 @@ impl Client {
     /// # Errors
     /// Transport errors, early EOF, and server-side errors.
     pub fn request(&mut self, msg: &Json) -> io::Result<Json> {
-        write_frame(&mut self.stream, msg, self.max_frame)?;
-        let resp = read_frame(&mut self.stream, self.max_frame)?
+        write_frame(&mut self.stream, msg, MAX_FRAME)?;
+        let resp = read_frame(&mut self.stream, MAX_FRAME)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up"))?;
         if bool_field(&resp, "ok") == Some(true) {
             Ok(resp)
@@ -424,7 +417,6 @@ impl Client {
         ]))?;
         Ok(EventStream {
             stream: self.stream,
-            max_frame: self.max_frame,
         })
     }
 }
@@ -432,7 +424,6 @@ impl Client {
 /// The read side of a journal subscription.
 pub struct EventStream {
     stream: Transport,
-    max_frame: u32,
 }
 
 impl EventStream {
@@ -442,7 +433,7 @@ impl EventStream {
     /// # Errors
     /// Transport errors.
     pub fn next_event(&mut self) -> io::Result<Option<String>> {
-        match read_frame(&mut self.stream, self.max_frame)? {
+        match read_frame(&mut self.stream, MAX_FRAME)? {
             None => Ok(None),
             Some(frame) => Ok(Some(
                 str_field(&frame, "event").unwrap_or_default().to_string(),

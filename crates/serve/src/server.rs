@@ -27,7 +27,7 @@ use gadt::handle::{DebugState, Verdict};
 use gadt::session::Engine;
 use gadt::stored::{answer_from_stored, answer_to_stored, STORED_SOURCE};
 use gadt::strategy::AnswerProbe;
-use gadt_analysis::slice_dynamic::{dynamic_slice_output, SliceStats};
+use gadt_analysis::slice_dynamic::dynamic_slice_output;
 use gadt_exec::BatchExecutor;
 use gadt_obs::Recorder;
 use gadt_pascal::interp::Limits;
@@ -89,6 +89,9 @@ impl std::fmt::Display for ServerAddr {
     }
 }
 
+/// How often the background compactor checks the shards' WALs.
+const COMPACT_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Server configuration; [`ServerConfig::new`] fills the defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -104,10 +107,6 @@ pub struct ServerConfig {
     /// Background compaction threshold: shards whose WAL exceeds this
     /// many records are compacted on the next tick.
     pub compact_threshold: usize,
-    /// Background compaction tick interval.
-    pub compact_interval: Duration,
-    /// Maximum frame payload size.
-    pub max_frame: u32,
 }
 
 impl ServerConfig {
@@ -120,8 +119,6 @@ impl ServerConfig {
             shards: 4,
             threads: 4,
             compact_threshold: 64,
-            compact_interval: Duration::from_millis(25),
-            max_frame: MAX_FRAME,
         }
     }
 }
@@ -442,7 +439,7 @@ fn accept_loop(state: &ServerState, acceptor: &Acceptor) {
 
 fn compactor_loop(state: &ServerState) {
     while !state.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(state.cfg.compact_interval);
+        std::thread::sleep(COMPACT_INTERVAL);
         if let Ok(n) = state.store.compact_if_needed(state.cfg.compact_threshold) {
             if n > 0 {
                 state.compactions.fetch_add(n as u64, Ordering::Relaxed);
@@ -476,7 +473,7 @@ fn serve_connection(state: &ServerState, mut stream: Stream) {
         if state.stop.load(Ordering::Relaxed) {
             return;
         }
-        let msg = match read_frame(&mut stream, state.cfg.max_frame) {
+        let msg = match read_frame(&mut stream, MAX_FRAME) {
             Ok(None) => return,
             Ok(Some(msg)) => msg,
             Err(e)
@@ -490,14 +487,14 @@ fn serve_connection(state: &ServerState, mut stream: Stream) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Malformed framing: tell the peer why, then hang up —
                 // the stream offset is unrecoverable.
-                let _ = write_frame(&mut stream, &err_resp(e.to_string()), state.cfg.max_frame);
+                let _ = write_frame(&mut stream, &err_resp(e.to_string()), MAX_FRAME);
                 return;
             }
             Err(_) => return,
         };
         state.requests.fetch_add(1, Ordering::Relaxed);
         let (resp, after) = dispatch(state, &msg);
-        if write_frame(&mut stream, &resp, state.cfg.max_frame).is_err() {
+        if write_frame(&mut stream, &resp, MAX_FRAME).is_err() {
             return;
         }
         match after {
@@ -524,7 +521,7 @@ fn attach_subscriber(state: &ServerState, sid: u64, mut stream: Stream) {
     let snap = guard.rec.snapshot();
     let lines = snap.event_lines_from(0);
     for line in &lines {
-        if write_frame(&mut stream, &event_frame(sid, line), state.cfg.max_frame).is_err() {
+        if write_frame(&mut stream, &event_frame(sid, line), MAX_FRAME).is_err() {
             return;
         }
     }
@@ -562,7 +559,7 @@ fn push_updates(state: &ServerState, sid: u64, sess: &ServeSession) {
             return true;
         }
         for line in snap.event_lines_from(s.seen) {
-            if write_frame(&mut s.stream, &event_frame(sid, &line), state.cfg.max_frame).is_err() {
+            if write_frame(&mut s.stream, &event_frame(sid, &line), MAX_FRAME).is_err() {
                 return false;
             }
         }
@@ -792,28 +789,6 @@ fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json)
     ])
 }
 
-fn journal_question(
-    rec: &mut Recorder,
-    unit: &str,
-    source: &str,
-    answer: &Verdict,
-    strategy: Strategy,
-) {
-    rec.incr("debug.questions");
-    rec.incr(&format!(
-        "debug.questions.by_source.{}",
-        gadt_obs::slug(source)
-    ));
-    rec.incr(&format!("debug.questions.by_strategy.{}", strategy.slug()));
-    gadt_obs::event!(
-        rec,
-        "question",
-        unit = unit,
-        source = source,
-        answer = answer.to_string(),
-    );
-}
-
 /// The pooled store as a traversal-strategy probe: knowledge-weighted
 /// sessions weigh store-answerable nodes as free. Probing reads via
 /// `ShardedStore::peek_answer`, so it never moves a shard's hit/miss
@@ -830,17 +805,6 @@ impl gadt::strategy::AnswerProbe for PooledProbe {
     }
 }
 
-fn journal_slice(rec: &mut Recorder, stats: SliceStats) {
-    rec.incr("debug.slices");
-    gadt_obs::event!(
-        rec,
-        "slice",
-        events = stats.events,
-        stmts = stats.stmts,
-        calls = stats.calls,
-    );
-}
-
 /// The pending question's unit and In-values: the store's key for its
 /// answer.
 fn pending_key(sess: &ServeSession) -> Option<(String, Vec<Value>)> {
@@ -851,15 +815,12 @@ fn pending_key(sess: &ServeSession) -> Option<(String, Vec<Value>)> {
     ))
 }
 
-/// Answers the pending question of `unit` as `source`, journaling the
-/// question and any slice it took exactly as the synchronous driver
-/// would. The traversal borrows the shared program and run.
-fn answer_pending(sess: &mut ServeSession, unit: &str, verdict: Verdict, source: &str) {
+/// Answers the pending question as `source`, journaling it into the
+/// session's journal. The traversal borrows the shared program and run.
+fn answer_pending(sess: &mut ServeSession, verdict: Verdict, source: &str) {
     let Some(debug) = sess.debug.as_mut() else {
         return;
     };
-    journal_question(&mut sess.rec, unit, source, &verdict, sess.config.strategy);
-    let before = debug.state.slices_taken();
     let transformed = &sess.program.prepared.transformed;
     debug.state.answer(
         &transformed.module,
@@ -867,10 +828,8 @@ fn answer_pending(sess: &mut ServeSession, unit: &str, verdict: Verdict, source:
         Some(&transformed.mapping),
         verdict,
         source,
+        &mut sess.rec,
     );
-    if debug.state.slices_taken() > before {
-        journal_slice(&mut sess.rec, debug.state.slice_stats()[before]);
-    }
 }
 
 /// Answers every pending question the pooled store already knows,
@@ -884,7 +843,7 @@ fn drain_pooled(state: &ServerState, sess: &mut ServeSession) {
             return;
         };
         sess.rec.incr("store.hits");
-        answer_pending(sess, &unit, answer_from_stored(stored), STORED_SOURCE);
+        answer_pending(sess, answer_from_stored(stored), STORED_SOURCE);
     }
 }
 
@@ -995,7 +954,7 @@ fn op_answer(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json
     let Some((unit, ins)) = pending_key(sess) else {
         return err_resp("session has no pending question");
     };
-    answer_pending(sess, &unit, verdict.clone(), "user");
+    answer_pending(sess, verdict.clone(), "user");
     // Durability before acknowledgement: the answer is on disk (fsynced
     // on its shard) before the client sees this response.
     if let Some(stored) = answer_to_stored(&verdict) {

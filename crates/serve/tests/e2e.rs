@@ -4,8 +4,9 @@
 
 use gadt::debugger::DebugConfig;
 use gadt::handle::Verdict;
-use gadt::oracle::{ChainOracle, ReferenceOracle};
-use gadt::session::{debug, prepare, run_traced};
+use gadt::oracle::{ChainOracle, FnOracle, Oracle, ReferenceOracle};
+use gadt::session::{debug, debug_observed, prepare, run_traced};
+use gadt_obs::Recorder;
 use gadt_pascal::testprogs;
 use gadt_pascal::value::Value;
 use gadt_serve::{
@@ -308,6 +309,67 @@ fn subscribers_stream_journal_events_live() {
 
     drop(driver);
     handle.shutdown().unwrap();
+}
+
+/// A journal fingerprint's `question` and `slice` point events (name
+/// and fields, in order; depth dropped) and its `debug.` counter lines.
+fn questions_slices_and_debug_counters(fingerprint: &str) -> (Vec<String>, Vec<String>) {
+    let mut events = Vec::new();
+    let mut counters = Vec::new();
+    for line in fingerprint.lines() {
+        let json = gadt_store::parse(line).expect("fingerprint lines are JSON");
+        let name = json.get("name").and_then(Json::as_str).unwrap_or_default();
+        match json.get("k").and_then(Json::as_str) {
+            Some("point") if name == "question" || name == "slice" => {
+                events.push(format!("{name} {}", json.get("fields").expect("fields")));
+            }
+            Some("counter") if name.starts_with("debug.") => counters.push(line.to_string()),
+            _ => {}
+        }
+    }
+    (events, counters)
+}
+
+#[test]
+fn served_questions_and_slices_journal_like_the_library() {
+    let dir = TempDir::new("serve-journal-parity");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let served = run_full_session(handle.addr(), &golden_answers(), false);
+    handle.shutdown().unwrap();
+
+    // The same verdicts through the library's `Debugger`, answered as `user`.
+    let module = gadt_pascal::sema::compile(testprogs::SQRTEST).unwrap();
+    let fixed = gadt_pascal::sema::compile(testprogs::SQRTEST_FIXED).unwrap();
+    let prepared = prepare(&module).unwrap();
+    let run = run_traced(&prepared, []).unwrap();
+    let mut reference = ReferenceOracle::new(&fixed, []).unwrap();
+    let mut oracle = ChainOracle::new();
+    oracle.push(FnOracle::new("user", |m: &_, t: &_, n| {
+        reference.judge(m, t, n)
+    }));
+    let mut rec = Recorder::untimed();
+    let outcome = debug_observed(
+        &prepared,
+        &run,
+        &mut oracle,
+        DebugConfig::default(),
+        None,
+        &mut rec,
+    );
+    assert_eq!(outcome.slices_taken, 2);
+    let library = rec.finish().fingerprint();
+
+    let (served_events, served_counters) = questions_slices_and_debug_counters(&served);
+    let (library_events, library_counters) = questions_slices_and_debug_counters(&library);
+    assert_eq!(
+        served_events.len(),
+        outcome.total_queries() + outcome.slices_taken
+    );
+    assert_eq!(served_events, library_events);
+    assert!(!served_counters.is_empty());
+    assert_eq!(served_counters, library_counters);
 }
 
 #[test]

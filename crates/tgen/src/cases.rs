@@ -24,7 +24,7 @@ use gadt_pascal::error::Result;
 use gadt_pascal::interp::{Limits, ProcRun};
 use gadt_pascal::sema::{Module, ProcId};
 use gadt_pascal::value::Value;
-use gadt_vm::{CallSemantics, PreparedEngine};
+use gadt_vm::PreparedEngine;
 use std::collections::BTreeMap;
 
 pub use gadt_vm::Engine;
@@ -103,11 +103,6 @@ impl TestDb {
             Some(existing) => *existing = report,
             None => slot.push(report),
         }
-    }
-
-    /// All reports for a frame code.
-    pub fn reports_for(&self, code: &str) -> &[TestReport] {
-        self.reports.get(code).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The frame-level verdict used during debugging (§5.3.2): `None` if

@@ -106,19 +106,6 @@ impl ExecTree {
         out
     }
 
-    /// Nodes of the subtree rooted at `root`, in pre-order.
-    pub fn preorder_from(&self, root: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for c in self.node(n).children.iter().rev() {
-                stack.push(*c);
-            }
-        }
-        out
-    }
-
     /// Finds the first (pre-order) call node for a procedure name.
     pub fn find_call(&self, module: &Module, name: &str) -> Option<NodeId> {
         let key = name.to_ascii_lowercase();
@@ -278,89 +265,6 @@ impl ExecTree {
         }
         out[new_id.0 as usize].children = children;
         Some(new_id)
-    }
-}
-
-impl ExecTree {
-    /// Prunes against a *static* slice: a call node survives when its
-    /// procedure contributes at least one statement to the slice (or its
-    /// call statement is in the slice); loop nodes survive when their
-    /// loop statement is in the slice. Coarser than [`ExecTree::prune`]
-    /// — a static slice cannot distinguish dynamic instances — but
-    /// needs no recorded trace; included for the static-vs-dynamic
-    /// pruning ablation.
-    pub fn prune_static(
-        &self,
-        root: NodeId,
-        module: &Module,
-        slice: &gadt_analysis::slice_static::StaticSlice,
-        trace: &DynTrace,
-    ) -> ExecTree {
-        let keep = |n: &ExecNode| -> bool {
-            match &n.kind {
-                NodeKind::Call { proc, call, .. } => {
-                    let body_hit = {
-                        let mut any = false;
-                        for st in module.proc_body(*proc) {
-                            st.walk(&mut |x| any |= slice.contains(x.id));
-                        }
-                        any
-                    };
-                    let site_hit = trace
-                        .call(*call)
-                        .site_stmt
-                        .is_some_and(|s| slice.contains(s));
-                    body_hit || site_hit
-                }
-                NodeKind::Loop { .. } => {
-                    // A loop instance survives when any statement executed
-                    // inside it belongs to the slice.
-                    trace.events[n.enter_idx..n.exit_idx.min(trace.events.len())]
-                        .iter()
-                        .any(|e| slice.contains(e.stmt))
-                }
-            }
-        };
-        let mut nodes = Vec::new();
-        fn rec(
-            tree: &ExecTree,
-            id: NodeId,
-            depth: usize,
-            keep: &dyn Fn(&ExecNode) -> bool,
-            out: &mut Vec<ExecNode>,
-            force: bool,
-        ) -> Option<NodeId> {
-            let n = tree.node(id);
-            if !force && !keep(n) {
-                return None;
-            }
-            let new_id = NodeId(out.len() as u32);
-            out.push(ExecNode {
-                id: new_id,
-                kind: n.kind.clone(),
-                name: n.name.clone(),
-                ins: n.ins.clone(),
-                outs: n.outs.clone(),
-                iterations: n.iterations.clone(),
-                children: Vec::new(),
-                enter_idx: n.enter_idx,
-                exit_idx: n.exit_idx,
-                depth,
-            });
-            let mut children = Vec::new();
-            for c in &n.children {
-                if let Some(nc) = rec(tree, *c, depth + 1, keep, out, false) {
-                    children.push(nc);
-                }
-            }
-            out[new_id.0 as usize].children = children;
-            Some(new_id)
-        }
-        let new_root = rec(self, root, 0, &keep, &mut nodes, true);
-        ExecTree {
-            nodes,
-            root: new_root.unwrap_or(NodeId(0)),
-        }
     }
 }
 
@@ -839,21 +743,6 @@ mod tests {
         let pruned = tree.prune(q_node, &slice);
         assert!(pruned.is_empty());
     }
-
-    #[test]
-    fn prune_static_against_empty_slice_keeps_only_forced_root() {
-        // prune_static forces the requested root so the debugger always
-        // has a tree to walk; with an empty static slice nothing else
-        // survives.
-        let (m, t, tree) = tree_of(testprogs::PQR);
-        let empty = gadt_analysis::slice_static::StaticSlice {
-            stmts: Default::default(),
-            entry_relevant: Default::default(),
-        };
-        let pruned = tree.prune_static(tree.root, &m, &empty, &t);
-        assert_eq!(pruned.len(), 1);
-        assert!(pruned.node(pruned.root).children.is_empty());
-    }
 }
 
 #[cfg(test)]
@@ -882,65 +771,5 @@ mod loop_render_tests {
         assert!(rendered.contains("s = 6"), "{rendered}");
         // Call nodes render nothing.
         assert_eq!(tree.render_loop_iterations(tree.root), "");
-    }
-}
-
-#[cfg(test)]
-mod static_prune_tests {
-    use super::*;
-    use gadt_analysis::dyntrace::record_trace;
-    use gadt_analysis::slice_static::{static_slice, SliceContext, SliceCriterion};
-    use gadt_pascal::cfg::lower;
-    use gadt_pascal::sema::compile;
-    use gadt_pascal::testprogs;
-
-    #[test]
-    fn static_pruning_is_coarser_than_dynamic() {
-        let m = compile(testprogs::SQRTEST).unwrap();
-        let cfg = lower(&m);
-        let trace = record_trace(&m, &cfg, []).unwrap();
-        let tree = build_tree(&m, &trace);
-
-        // Static slice on sqrtest's r1 at its exit.
-        let cx = SliceContext::new(&m, &cfg);
-        let sqrtest = m.proc_by_name("sqrtest").unwrap();
-        let r1 = m.var_in_scope(sqrtest, "r1").unwrap();
-        let st = static_slice(&cx, &SliceCriterion::at_proc_exit(sqrtest, [r1]));
-        let root = tree.find_call(&m, "sqrtest").unwrap();
-        let pruned_static = tree.prune_static(root, &m, &st, &trace);
-
-        // Dynamic slice on the same criterion.
-        let call = trace
-            .calls
-            .iter()
-            .find(|c| m.proc(c.proc).name == "sqrtest")
-            .unwrap()
-            .id;
-        let dy = gadt_analysis::slice_dynamic::dynamic_slice_output(&m, &trace, call, 1);
-        // outs of sqrtest: [isok]; r1 is a local — use computs instead for
-        // the dynamic side.
-        let _ = dy;
-        let computs_call = trace
-            .calls
-            .iter()
-            .find(|c| m.proc(c.proc).name == "computs")
-            .unwrap()
-            .id;
-        let dyn_slice =
-            gadt_analysis::slice_dynamic::dynamic_slice_output(&m, &trace, computs_call, 0);
-        let computs_node = tree.find_call(&m, "computs").unwrap();
-        let pruned_dynamic = tree.prune(computs_node, &dyn_slice);
-
-        // Static pruning keeps the r1-relevant procedures and drops the
-        // r2 chain (comput2/square are not in the static slice on r1).
-        let names: Vec<String> = pruned_static
-            .preorder()
-            .into_iter()
-            .map(|n| pruned_static.node(n).name.clone())
-            .collect();
-        assert!(names.contains(&"comput1".to_string()), "{names:?}");
-        assert!(!names.contains(&"square".to_string()), "{names:?}");
-        // Both prune, dynamic at least as aggressively within computs.
-        assert!(pruned_dynamic.len() <= pruned_static.len());
     }
 }

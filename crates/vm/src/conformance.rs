@@ -473,7 +473,7 @@ mod tests {
     /// change again by accident. Both engines must produce it.
     #[test]
     fn structural_digest_is_pinned() {
-        use crate::{CallSemantics, Engine, PreparedEngine};
+        use crate::{Engine, PreparedEngine};
         use gadt_pascal::interp::Limits;
 
         let module = gadt_pascal::sema::compile(

@@ -17,12 +17,12 @@
 //!
 //! [`Engine`] names an execution strategy; [`PreparedEngine`] pairs a
 //! module with a ready-to-run backend and exposes both entry points
-//! through the [`CallSemantics`] trait:
+//! (the whole program, or one procedure in isolation):
 //!
 //! ```
 //! use gadt_pascal::{parser::parse_program, sema::analyze, cfg::lower};
 //! use gadt_pascal::interp::{Limits, NoopMonitor};
-//! use gadt_vm::{CallSemantics, Engine, PreparedEngine};
+//! use gadt_vm::{Engine, PreparedEngine};
 //!
 //! let module = analyze(parse_program(
 //!     "program P; var x: integer; begin x := 2 + 2; writeln(x) end.",
@@ -82,62 +82,6 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// The call-semantics boundary every execution engine implements: run
-/// the whole program, or one top-level procedure in isolation, feeding
-/// events to a monitor. Implementations take `&self` — all per-run state
-/// is internal to the call — so one prepared engine serves concurrent
-/// callers.
-pub trait CallSemantics {
-    /// Runs the whole program with the given input queue.
-    ///
-    /// # Errors
-    /// Runtime errors (identical across engines, message and span).
-    fn run_with(
-        &self,
-        input: Vec<Value>,
-        limits: Limits,
-        monitor: &mut dyn Monitor,
-    ) -> Result<Outcome>;
-
-    /// Runs one top-level procedure in isolation (the T-GEN entry
-    /// point).
-    ///
-    /// # Errors
-    /// Runtime errors, plus the argument-arity/type and isolation
-    /// errors of [`Interpreter::run_proc_with`].
-    fn run_proc_with(
-        &self,
-        proc: ProcId,
-        args: Vec<Value>,
-        limits: Limits,
-        monitor: &mut dyn Monitor,
-    ) -> Result<ProcRun>;
-
-    /// Monitor-free whole-program run: identical output, step count,
-    /// final globals, and errors to [`CallSemantics::run_with`] with a
-    /// no-op monitor, but engines may skip all observation machinery.
-    /// Use when only the *result* matters (kill checks, differential
-    /// output comparison). On the VM a run whose machine state repeats
-    /// returns its step-limit error early, as soon as the repeat shows.
-    ///
-    /// # Errors
-    /// Same conditions as [`CallSemantics::run_with`].
-    fn run_fast(&self, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
-        self.run_with(input, limits, &mut NoopMonitor)
-    }
-
-    /// Monitor-free isolated procedure run (the verdict-only T-GEN
-    /// path); result-identical to [`CallSemantics::run_proc_with`] with
-    /// a no-op monitor, and like [`CallSemantics::run_fast`] it returns
-    /// a repeating run's step-limit error early on the VM.
-    ///
-    /// # Errors
-    /// Same conditions as [`CallSemantics::run_proc_with`].
-    fn run_proc_fast(&self, proc: ProcId, args: Vec<Value>, limits: Limits) -> Result<ProcRun> {
-        self.run_proc_with(proc, args, limits, &mut NoopMonitor)
-    }
-}
-
 enum Backend {
     /// Tree-walker: one shared lowering, handed by `Arc` to a fresh
     /// interpreter per run (no per-run CFG clone).
@@ -146,7 +90,11 @@ enum Backend {
     Vm(VmProgram),
 }
 
-/// A module paired with a ready-to-run execution backend.
+/// A module paired with a ready-to-run execution backend: it runs the
+/// whole program, or one top-level procedure in isolation, feeding
+/// events to a monitor. Every run method takes `&self` — all per-run
+/// state is internal to the call — so one prepared engine serves
+/// concurrent callers.
 pub struct PreparedEngine<'m> {
     module: &'m Module,
     engine: Engine,
@@ -179,18 +127,12 @@ impl<'m> PreparedEngine<'m> {
     pub fn module(&self) -> &'m Module {
         self.module
     }
-}
 
-impl std::fmt::Debug for PreparedEngine<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedEngine")
-            .field("engine", &self.engine)
-            .finish()
-    }
-}
-
-impl CallSemantics for PreparedEngine<'_> {
-    fn run_with(
+    /// Runs the whole program with the given input queue.
+    ///
+    /// # Errors
+    /// Runtime errors (identical across engines, message and span).
+    pub fn run_with(
         &self,
         input: Vec<Value>,
         limits: Limits,
@@ -212,7 +154,13 @@ impl CallSemantics for PreparedEngine<'_> {
         }
     }
 
-    fn run_proc_with(
+    /// Runs one top-level procedure in isolation (the T-GEN entry
+    /// point).
+    ///
+    /// # Errors
+    /// Runtime errors, plus the argument-arity/type and isolation
+    /// errors of [`Interpreter::run_proc_with`].
+    pub fn run_proc_with(
         &self,
         proc: ProcId,
         args: Vec<Value>,
@@ -233,7 +181,16 @@ impl CallSemantics for PreparedEngine<'_> {
         }
     }
 
-    fn run_fast(&self, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
+    /// Monitor-free whole-program run: identical output, step count,
+    /// final globals, and errors to [`PreparedEngine::run_with`] with a
+    /// no-op monitor, but engines may skip all observation machinery.
+    /// Use when only the *result* matters (kill checks, differential
+    /// output comparison). On the VM a run whose machine state repeats
+    /// returns its step-limit error early, as soon as the repeat shows.
+    ///
+    /// # Errors
+    /// Same conditions as [`PreparedEngine::run_with`].
+    pub fn run_fast(&self, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
         match &self.backend {
             Backend::Tree(cfg) => {
                 let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
@@ -250,7 +207,14 @@ impl CallSemantics for PreparedEngine<'_> {
         }
     }
 
-    fn run_proc_fast(&self, proc: ProcId, args: Vec<Value>, limits: Limits) -> Result<ProcRun> {
+    /// Monitor-free isolated procedure run (the verdict-only T-GEN
+    /// path); result-identical to [`PreparedEngine::run_proc_with`] with
+    /// a no-op monitor, and like [`PreparedEngine::run_fast`] it returns
+    /// a repeating run's step-limit error early on the VM.
+    ///
+    /// # Errors
+    /// Same conditions as [`PreparedEngine::run_proc_with`].
+    pub fn run_proc_fast(&self, proc: ProcId, args: Vec<Value>, limits: Limits) -> Result<ProcRun> {
         match &self.backend {
             Backend::Tree(cfg) => {
                 let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
@@ -263,5 +227,13 @@ impl CallSemantics for PreparedEngine<'_> {
                 vm.run_proc(proc, args)
             }
         }
+    }
+}
+
+impl std::fmt::Debug for PreparedEngine<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreparedEngine")
+            .field("engine", &self.engine)
+            .finish()
     }
 }

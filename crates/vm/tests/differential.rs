@@ -15,7 +15,7 @@ use gadt_pascal::testprogs;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use gadt_vm::conformance::EventLog;
-use gadt_vm::{CallSemantics, Engine, PreparedEngine};
+use gadt_vm::{Engine, PreparedEngine};
 
 fn compile(src: &str) -> Module {
     analyze(parse_program(src).expect("parse")).expect("analyze")

@@ -13,7 +13,7 @@
 //! * [`mutate`] — mutation-based localization conformance campaigns;
 //! * [`exec`] — the deterministic parallel batch executor;
 //! * [`obs`] — the structured observability layer (spans, counters,
-//!   journals, sinks);
+//!   journals);
 //! * [`store`] — the persistent crash-safe knowledge store (WAL +
 //!   snapshot) that carries test reports, oracle answers and campaign
 //!   verdicts across sessions (attach with [`Compiled::with_store`]).
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use gadt::oracle::{Answer, AssertionOracle, ChainOracle, GoldenOracle, ReferenceOracle};
     pub use gadt::session::{Engine, PhaseTimings, PreparedProgram, TracedRun};
     pub use gadt_corpus::{DiffConfig, GenConfig, GeneratedProgram};
-    pub use gadt_obs::{Journal, JsonLinesSink, MemorySink, Recorder, Sink};
+    pub use gadt_obs::{Journal, Recorder};
     pub use gadt_pascal::value::Value;
     pub use gadt_store::{KnowledgeStore, SharedStore, StoredAnswer};
 }

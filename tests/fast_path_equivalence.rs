@@ -24,7 +24,7 @@ use gadt_pascal::testprogs;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use gadt_transform::transform;
-use gadt_vm::{CallSemantics, Engine, PreparedEngine};
+use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeMap;
 
 /// Shared input queue: enough values to satisfy any fixture's `read`s.

@@ -4,11 +4,6 @@
 //! inline fast path, minimal contention, and more workers than cores.
 
 use gadt::session::{prepare, run_traced, run_traced_batch, Engine};
-use gadt_analysis::dyntrace::record_trace;
-use gadt_analysis::slice_batch::dynamic_slice_batch;
-use gadt_analysis::slice_dynamic::dynamic_slice_output;
-use gadt_bench::genprog::{generate, GenConfig};
-use gadt_pascal::cfg::lower;
 use gadt_pascal::sema::compile;
 use gadt_pascal::testprogs;
 use gadt_pascal::value::Value;
@@ -87,41 +82,6 @@ fn knowledge_store_bytes_are_thread_count_invariant() {
         fingerprints[0], fingerprints[2],
         "store bytes diverge at 8 threads"
     );
-}
-
-#[test]
-fn slice_batch_matches_per_criterion_slicing() {
-    let gp = generate(&GenConfig {
-        procs: 8,
-        max_calls: 2,
-        seed: 5,
-    });
-    let m = compile(&gp.source).unwrap();
-    let cfg = lower(&m);
-    let trace = record_trace(&m, &cfg, []).unwrap();
-    let criteria: Vec<(u64, usize)> = trace
-        .calls
-        .iter()
-        .flat_map(|c| (0..c.outs.len()).map(move |k| (c.id, k)))
-        .collect();
-    assert!(criteria.len() > 2, "need a multi-criterion workload");
-    let seq: Vec<_> = criteria
-        .iter()
-        .map(|&(c, k)| dynamic_slice_output(&m, &trace, c, k))
-        .collect();
-    for threads in THREADS {
-        let (par, cache) = dynamic_slice_batch(&m, &trace, &criteria, threads);
-        assert_eq!(par.len(), seq.len());
-        for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
-            assert_eq!(
-                s,
-                p.as_ref(),
-                "criterion {:?} diverges at {threads} threads",
-                criteria[i]
-            );
-        }
-        assert_eq!(cache.len(), criteria.len(), "all criteria unique here");
-    }
 }
 
 #[test]

@@ -13,7 +13,7 @@ use gadt_pascal::testprogs;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use gadt_vm::conformance::EventLog;
-use gadt_vm::{CallSemantics, PreparedEngine};
+use gadt_vm::PreparedEngine;
 
 /// Shared input queue: enough values to satisfy any fixture's `read`s;
 /// both engines always see the same stream.
