@@ -5,16 +5,21 @@
 //! They cover what users and later phases see: the transformed program
 //! as printed, its original↔transformed mapping, every parse
 //! diagnostic (message and span), the control dependences the slicers
-//! consume, and every campaign mutant as printed. A change to any pin changes observable behaviour;
-//! bump one only on purpose and say why in the CHANGELOG.
+//! consume, every campaign mutant as printed, and the dynamic traces
+//! the dependence recorder builds. A change to any pin changes
+//! observable behaviour; bump one only on purpose and say why in the
+//! CHANGELOG.
 
 use gadt_repro::analysis::controldep::{ControlDeps, PostDom};
 use gadt_repro::corpus::{corpus_subjects, generate_batch, CorpusCampaignConfig, GenConfig, Lcg};
+use gadt_repro::debugging::session::{prepare, run_traced_limited};
 use gadt_repro::mutate::{apply, enumerate_sites};
 use gadt_repro::pascal::cfg::{lower, ProcCfg, Terminator};
+use gadt_repro::pascal::interp::Limits;
 use gadt_repro::pascal::parser::parse_program;
 use gadt_repro::pascal::pretty::print_program;
 use gadt_repro::pascal::sema::{compile, Module};
+use gadt_repro::pascal::value::Value;
 use gadt_repro::testprogs;
 use gadt_repro::transform::transform;
 use std::collections::{BTreeMap, BTreeSet};
@@ -369,4 +374,65 @@ fn printed_mutants_are_pinned() {
     }
     assert!(mutants > 883, "only {mutants} mutants");
     assert_eq!(hash, PINNED_PRINTED_MUTANTS, "actual digest {hash:#018x}");
+}
+
+/// Folds `name` and the `Debug` text of the transformed program's
+/// dynamic trace on `input` (or of the error) into `hash`, counting the
+/// programs that traced.
+fn fold_trace(hash: u64, traced: &mut usize, name: &str, source: &str, input: Vec<Value>) -> u64 {
+    let limits = Limits {
+        max_steps: 2_000_000,
+        ..Limits::default()
+    };
+    let run = compile(source)
+        .and_then(|m| prepare(&m))
+        .and_then(|p| run_traced_limited(&p, input, limits));
+    let text = match run {
+        Ok(run) => {
+            *traced += 1;
+            format!("{name} {:?}\n", run.trace)
+        }
+        Err(e) => format!("{name} error {e}\n"),
+    };
+    fnv1a(hash, text.as_bytes())
+}
+
+/// Digests of every recorded trace: data and control dependences,
+/// unresolved uses, call records and loop snapshots. Fixtures run on no
+/// input except `figure2` (`5 6 7`); regressions on none; corpus seeds
+/// 0..500 on their generated input rows.
+const PINNED_TRACES_FIXTURES: u64 = 0x75c6_f455_b269_0579;
+const PINNED_TRACES_REGRESSIONS: u64 = 0xe3ea_ae64_95a2_d8e1;
+const PINNED_TRACES_CORPUS_0_500: u64 = 0x61e5_a735_a08f_7e62;
+
+#[test]
+fn dynamic_traces_are_pinned() {
+    let mut traced = 0;
+    let fixtures = testprogs::ALL.iter().fold(digest(b""), |h, (name, src)| {
+        let input = if *name == "figure2" {
+            vec![Value::Int(5), Value::Int(6), Value::Int(7)]
+        } else {
+            Vec::new()
+        };
+        fold_trace(h, &mut traced, name, src, input)
+    });
+    let regressions = regressions().iter().fold(digest(b""), |h, (name, src)| {
+        fold_trace(h, &mut traced, name, src, Vec::new())
+    });
+    let corpus = generate_batch(0, 500, &GenConfig::default(), 2)
+        .into_iter()
+        .fold(digest(b""), |h, p| {
+            fold_trace(h, &mut traced, &p.seed.to_string(), &p.source, p.input)
+        });
+    assert!(traced > 500, "only {traced} programs traced");
+    let actual = [fixtures, regressions, corpus];
+    assert_eq!(
+        actual,
+        [
+            PINNED_TRACES_FIXTURES,
+            PINNED_TRACES_REGRESSIONS,
+            PINNED_TRACES_CORPUS_0_500
+        ],
+        "actual digests {actual:#018x?}"
+    );
 }
