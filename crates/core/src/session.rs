@@ -149,7 +149,8 @@ impl PreparedProgram {
     }
 }
 
-/// Runs the transformation phase on a module.
+/// Runs the transformation phase on a copy of a module; a caller that
+/// is done with its module should move it into [`prepare_observed`].
 ///
 /// # Errors
 /// Propagates transformation errors (see
@@ -167,17 +168,18 @@ impl PreparedProgram {
 /// # }
 /// ```
 pub fn prepare(module: &Module) -> Result<PreparedProgram> {
-    prepare_observed(module, &mut Recorder::disabled())
+    prepare_observed(module.clone(), &mut Recorder::disabled())
 }
 
-/// [`prepare`] with instrumentation: the transformation runs inside a
-/// `transform` span with its round/growth counters (see
-/// [`gadt_transform::transform_observed`]), so a later
+/// [`prepare`] on a module it consumes, with instrumentation: the
+/// transformation rewrites the module's own program (see
+/// [`gadt_transform::transform_observed`]) inside a `transform` span
+/// with its round/growth counters, so a later
 /// [`gadt_obs::Journal::phase_timings`] attributes Phase I correctly.
 ///
 /// # Errors
 /// Same as [`prepare`].
-pub fn prepare_observed(module: &Module, rec: &mut Recorder) -> Result<PreparedProgram> {
+pub fn prepare_observed(module: Module, rec: &mut Recorder) -> Result<PreparedProgram> {
     let transformed = transform_observed(module, rec)?;
     let cfg = lower(&transformed.module);
     let prepared = PreparedProgram {
@@ -493,7 +495,7 @@ mod batch_session_tests {
         let m = compile(SUMMER).unwrap();
         let inputs: Vec<Vec<Value>> = (1..=4).map(|n| vec![Value::Int(n)]).collect();
         let mut rec = Recorder::new();
-        let prepared = prepare_observed(&m, &mut rec).unwrap();
+        let prepared = prepare_observed(m, &mut rec).unwrap();
         let runs = run_traced_batch(&prepared, inputs, 2, &mut rec).unwrap();
         assert_eq!(runs[2].output, "6\n");
         let journal = rec.finish();

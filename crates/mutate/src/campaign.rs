@@ -118,7 +118,7 @@ fn golden_ctx(p: &CampaignProgram, config: &CampaignConfig) -> Result<GoldenCtx,
     let ctx = |e: Error| e.context(format!("golden program `{}`", p.name));
     let ast = parse_program(&p.source).map_err(|e| ctx(e.into()))?;
     let module = analyze(ast.clone()).map_err(|e| ctx(e.into()))?;
-    let prepared = session::prepare(&module)
+    let prepared = session::prepare_observed(module, &mut Recorder::disabled())
         .map_err(|e| ctx(Error::from_diagnostic(Phase::Transform, e)))?
         .with_engine(config.engine);
     let golden_run =
@@ -385,7 +385,7 @@ fn run_mutant_status(
             Err(e) => return MutantStatus::Stillborn { reason: e.message },
         },
     };
-    let prepared = match session::prepare_observed(&module, rec) {
+    let prepared = match session::prepare_observed(module, rec) {
         Ok(p) => p.with_engine(ctx.prepared.engine()),
         Err(e) => return MutantStatus::Stillborn { reason: e.message },
     };

@@ -55,7 +55,7 @@ type RunKey = (String, Limits);
 pub(crate) fn compile(source: &str, engine: Engine) -> Result<Program, String> {
     let module = gadt_pascal::sema::compile(source).map_err(|e| format!("compile: {e}"))?;
     let mut rec = Recorder::untimed();
-    let prepared = prepare_observed(&module, &mut rec)
+    let prepared = prepare_observed(module, &mut rec)
         .map_err(|e| format!("transform: {e}"))?
         .with_engine(engine);
     Ok(Program {

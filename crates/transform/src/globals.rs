@@ -22,6 +22,7 @@
 //! in DESIGN.md as out of scope.
 
 use crate::mapping::{AddedParam, Mapping, ParamOrigin};
+use crate::Rewrite;
 use gadt_pascal::ast::*;
 use gadt_pascal::cfg::{lower, CallArg, InstrKind};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
@@ -32,17 +33,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Converts non-local variable accesses into explicit parameters.
 ///
-/// Returns the rewritten program (re-analyze it with
-/// [`gadt_pascal::sema::analyze`]) and the construct mapping, or `None`
-/// when no procedure touches a non-local variable: the program is then
-/// already in the target form and nothing is cloned.
+/// Returns the module's own program, rewritten in place, and the
+/// construct mapping, or [`Rewrite::Unchanged`] when no procedure
+/// touches a non-local variable: the program is then already in the
+/// target form.
 ///
 /// # Errors
 /// Returns an error if a non-local variable's type cannot be expressed as
 /// a parameter type (never happens for the supported type system).
-pub fn convert_globals(module: &Module) -> Result<Option<(Program, Mapping)>> {
-    let cfg = lower(module);
-    let (_cg, fx) = gadt_analysis::effects::analyze(module, &cfg);
+pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
+    let cfg = lower(&module);
+    let (_cg, fx) = gadt_analysis::effects::analyze(&module, &cfg);
 
     // Additions per procedure: sorted (var, mode) pairs.
     let mut additions: BTreeMap<ProcId, Vec<(VarId, ParamMode)>> = BTreeMap::new();
@@ -72,7 +73,7 @@ pub fn convert_globals(module: &Module) -> Result<Option<(Program, Mapping)>> {
         additions.insert(info.id, list);
     }
     if additions.is_empty() {
-        return Ok(None);
+        return Ok(Rewrite::Unchanged(module));
     }
 
     // Alias escalation: an `in` (copy) addition that is also passed by
@@ -146,28 +147,13 @@ pub fn convert_globals(module: &Module) -> Result<Option<(Program, Mapping)>> {
         }
     }
 
-    // The name by which `v` is reachable inside procedure `p` (for call
-    // arguments): its own name at the owner, otherwise p's added param.
-    let arg_name = |p: ProcId, v: VarId| -> String {
-        if module.var(v).owner == p {
-            module.var(v).name.clone()
-        } else {
-            param_name
-                .get(&(p, v))
-                .cloned()
-                .unwrap_or_else(|| module.var(v).name.clone())
-        }
-    };
-
-    // Rewrite the AST.
-    let mut program = module.program.clone();
     let mut ids = IdGen {
-        next_expr: program.next_expr_id,
+        next_expr: module.program.next_expr_id,
     };
     let mut mapping = Mapping::default();
 
     // Record mapping entries.
-    let paths = proc_paths(module);
+    let paths = proc_paths(&module);
     for (&p, adds) in &additions {
         for (v, _mode) in adds {
             mapping.add_param(
@@ -180,21 +166,20 @@ pub fn convert_globals(module: &Module) -> Result<Option<(Program, Mapping)>> {
         }
     }
 
-    // Walk the program: extend parameter lists and call argument lists.
-    {
-        let cx = RewriteCx {
-            module,
-            additions: &additions,
-            param_name: &param_name,
-            arg_name: &arg_name,
-        };
-        let mut block = std::mem::take(&mut program.block);
-        rewrite_block(&cx, &mut block, MAIN_PROC, &mut ids);
-        program.block = block;
-    }
+    // Walk the program's block, taken out of the module whose tables the
+    // walk reads: extend parameter lists and call argument lists.
+    let mut block = std::mem::take(&mut module.program.block);
+    let cx = RewriteCx {
+        module: &module,
+        additions: &additions,
+        param_name: &param_name,
+    };
+    rewrite_block(&cx, &mut block, MAIN_PROC, &mut ids);
+    let mut program = module.program;
+    program.block = block;
     program.next_expr_id = ids.next_expr;
 
-    Ok(Some((program, mapping)))
+    Ok(Rewrite::Rewritten(program, mapping))
 }
 
 /// Lowercase `/`-joined path for every procedure (`""` for main).
@@ -232,7 +217,22 @@ struct RewriteCx<'a> {
     module: &'a Module,
     additions: &'a BTreeMap<ProcId, Vec<(VarId, ParamMode)>>,
     param_name: &'a HashMap<(ProcId, VarId), String>,
-    arg_name: &'a dyn Fn(ProcId, VarId) -> String,
+}
+
+impl RewriteCx<'_> {
+    /// The name by which `v` is reachable inside procedure `p` (for call
+    /// arguments): its own name at the owner, otherwise p's added param.
+    fn arg_name(&self, p: ProcId, v: VarId) -> String {
+        let var = self.module.var(v);
+        if var.owner == p {
+            var.name.clone()
+        } else {
+            self.param_name
+                .get(&(p, v))
+                .cloned()
+                .unwrap_or_else(|| var.name.clone())
+        }
+    }
 }
 
 fn type_to_expr(ty: &Type) -> TypeExpr {
@@ -254,10 +254,8 @@ fn type_to_expr(ty: &Type) -> TypeExpr {
 fn rewrite_block(cx: &RewriteCx<'_>, block: &mut Block, owner: ProcId, ids: &mut IdGen) {
     // Nested procedure declarations first.
     for decl in &mut block.procs {
-        let pid = cx
-            .module
-            .proc_by_path(owner, &decl.name.key())
-            .expect("declared proc resolvable");
+        let pid =
+            proc_by_path(cx.module, owner, &decl.name.name).expect("declared proc resolvable");
         if let Some(adds) = cx.additions.get(&pid) {
             for (v, mode) in adds {
                 let name = cx.param_name[&(pid, *v)].clone();
@@ -402,7 +400,7 @@ fn extend_args(
         return;
     };
     for (v, _mode) in adds {
-        let name = (cx.arg_name)(owner, *v);
+        let name = cx.arg_name(owner, *v);
         args.push(Expr {
             id: ids.expr(),
             kind: ExprKind::Name(Ident::synthetic(name)),
@@ -411,19 +409,15 @@ fn extend_args(
     }
 }
 
-/// Extension used by the rewriter: resolve a directly-declared child
-/// procedure of `owner` by name.
-trait ProcByPath {
-    fn proc_by_path(&self, owner: ProcId, child_key: &str) -> Option<ProcId>;
-}
-
-impl ProcByPath for Module {
-    fn proc_by_path(&self, owner: ProcId, child_key: &str) -> Option<ProcId> {
-        self.procs
-            .iter()
-            .find(|p| p.parent == Some(owner) && p.name.to_ascii_lowercase() == child_key)
-            .map(|p| p.id)
-    }
+/// The procedure declared directly inside `owner` as `name`, matched
+/// case-insensitively. The rewriters walk declarations, not ids, so this
+/// is how they find the id of the declaration at hand.
+pub(crate) fn proc_by_path(module: &Module, owner: ProcId, name: &str) -> Option<ProcId> {
+    module
+        .procs
+        .iter()
+        .find(|p| p.parent == Some(owner) && p.name.eq_ignore_ascii_case(name))
+        .map(|p| p.id)
 }
 
 #[cfg(test)]
@@ -437,7 +431,9 @@ mod tests {
 
     fn transform(src: &str) -> (Module, Module, Mapping) {
         let m = compile(src).expect("compile original");
-        let (program, mapping) = convert_globals(&m).expect("transform").expect("rewrites");
+        let (program, mapping) = convert_globals(m.clone())
+            .expect("transform")
+            .expect_rewritten();
         let printed = print_program(&program);
         let tm = analyze(program)
             .unwrap_or_else(|e| panic!("transformed program fails sema: {e}\n{printed}"));
@@ -446,7 +442,9 @@ mod tests {
 
     fn behaves_identically(src: &str, inputs: Vec<Vec<i64>>) {
         let m = compile(src).expect("compile");
-        let (program, _) = convert_globals(&m).expect("transform").expect("rewrites");
+        let (program, _) = convert_globals(m.clone())
+            .expect("transform")
+            .expect_rewritten();
         let printed = print_program(&program);
         let tm = analyze(program).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         for input in inputs {
@@ -629,7 +627,11 @@ mod tests {
     #[test]
     fn programs_without_side_effects_are_untouched() {
         let m = compile(testprogs::SQRTEST).unwrap();
-        assert!(convert_globals(&m).unwrap().is_none());
+        let program = m.program.clone();
+        match convert_globals(m).unwrap() {
+            Rewrite::Unchanged(back) => assert_eq!(back.program, program),
+            Rewrite::Rewritten(..) => panic!("nothing to rewrite"),
+        }
     }
 
     #[test]
@@ -638,7 +640,7 @@ mod tests {
         // after transformations."
         let m = compile(testprogs::SECTION6_GLOBALS).unwrap();
         let before = m.program.stmt_count();
-        let (program, _) = convert_globals(&m).unwrap().unwrap();
+        let (program, _) = convert_globals(m).unwrap().expect_rewritten();
         let after = program.stmt_count();
         assert!(after <= before * 2, "{before} → {after}");
     }

@@ -17,11 +17,13 @@
 //! The dispatch chain after a call tests the exit codes in ascending
 //! order.
 //!
-//! Both phases return `None` when they have nothing to rewrite: phase B
-//! when no loop contains a goto to a label outside it, phase C when every
-//! goto is local. The pipeline iterates B and C until both return `None`.
+//! Both phases return [`Rewrite::Unchanged`] when they have nothing to
+//! rewrite: phase B when no loop contains a goto to a label outside it,
+//! phase C when every goto is local. The pipeline iterates B and C until
+//! both do.
 
 use crate::mapping::{AddedParam, ExitInfo, Mapping, ParamOrigin};
+use crate::Rewrite;
 use gadt_pascal::ast::*;
 use gadt_pascal::error::{Diagnostic, Result, Stage};
 use gadt_pascal::sema::{Module, ProcId, MAIN_PROC};
@@ -102,14 +104,14 @@ impl IdGen {
 // ----------------------------------------------------------------------
 
 /// Rewrites `while`/`repeat` loops containing gotos that exit the loop.
-/// Returns the new program and its mapping additions, or `None` when no
-/// loop contains such a goto. That is decided on the analyzed module, by
-/// reference, before anything is cloned.
-pub fn break_loop_gotos(module: &Module) -> Result<Option<(Program, Mapping)>> {
-    if !has_loop_exit_goto(module) {
-        return Ok(None);
+/// Returns the module's own program, rewritten in place, and its mapping
+/// additions, or [`Rewrite::Unchanged`] when no loop contains such a
+/// goto. The rewrite reads nothing but the program.
+pub fn break_loop_gotos(module: Module) -> Result<Rewrite> {
+    if !has_loop_exit_goto(&module) {
+        return Ok(Rewrite::Unchanged(module));
     }
-    let mut program = module.program.clone();
+    let mut program = module.program;
     let mut ids = IdGen {
         next_stmt: program.next_stmt_id,
         next_expr: program.next_expr_id,
@@ -173,7 +175,7 @@ pub fn break_loop_gotos(module: &Module) -> Result<Option<(Program, Mapping)>> {
     do_block(&mut program.block, &mut ids, &mut mapping, &mut counter);
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok(Some((program, mapping)))
+    Ok(Rewrite::Rewritten(program, mapping))
 }
 
 /// Whether some `while`/`repeat` loop of the program contains a goto to a
@@ -548,27 +550,27 @@ fn replace_exit_gotos(
 
 /// Breaks non-local gotos into exit-condition parameters plus local gotos
 /// at the call sites (one cascading round; iterate until it returns
-/// `None`). Returns the new program and its mapping additions, or `None`
-/// when every goto is local; that check comes before any clone and before
-/// the label table is built.
+/// [`Rewrite::Unchanged`]). Returns the module's own program, rewritten
+/// in place, and its mapping additions, or the module unchanged when
+/// every goto is local; that check comes before the label table is built.
 ///
 /// # Errors
 /// * a function performing a non-local goto is called inside an
 ///   expression (no statement position for the dispatch);
 /// * a caller declares a label that captures the target's name.
-pub fn break_global_gotos(module: &Module) -> Result<Option<(Program, Mapping)>> {
+pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     if module
         .goto_res
         .iter()
         .all(|(stmt, (owner, _))| module.proc_of_stmt[stmt] == *owner)
     {
-        return Ok(None);
+        return Ok(Rewrite::Unchanged(module));
     }
     // Globally stable label codes: every user-visible label of the program
     // gets a fixed integer, so cascading rounds (recursion, mutual
     // recursion) assign the same exit-condition value to the same label
     // and already-generated plumbing can be reused verbatim.
-    let paths = crate::globals::proc_paths(module);
+    let paths = crate::globals::proc_paths(&module);
     let mut all_labels: Vec<(String, ProcId, String)> = Vec::new();
     for (proc, labels) in &module.labels_of_proc {
         for l in labels {
@@ -637,10 +639,9 @@ pub fn break_global_gotos(module: &Module) -> Result<Option<(Program, Mapping)>>
     }
 
     let mut mapping = Mapping::default();
-    let mut program = module.program.clone();
     let mut ids = IdGen {
-        next_stmt: program.next_stmt_id,
-        next_expr: program.next_expr_id,
+        next_stmt: module.program.next_stmt_id,
+        next_expr: module.program.next_expr_id,
     };
 
     // Choose exit parameter / label names per transformed proc.
@@ -732,12 +733,7 @@ pub fn break_global_gotos(module: &Module) -> Result<Option<(Program, Mapping)>>
         mapping: &mut Mapping,
     ) {
         for decl in &mut block.procs {
-            let pid = cx
-                .module
-                .procs
-                .iter()
-                .find(|p| p.parent == Some(owner) && p.name.to_ascii_lowercase() == decl.name.key())
-                .map(|p| p.id)
+            let pid = crate::globals::proc_by_path(cx.module, owner, &decl.name.name)
                 .expect("declared proc resolvable");
             do_block(cx, &mut decl.block, pid, ids, mapping);
             if let Some(param) = cx.exit_param.get(&pid) {
@@ -906,20 +902,22 @@ pub fn break_global_gotos(module: &Module) -> Result<Option<(Program, Mapping)>>
         s
     }
 
+    // The block leaves the module, whose tables the walk reads.
+    let mut block = std::mem::take(&mut module.program.block);
     let cx = Cx {
-        module,
+        module: &module,
         targets_of: &targets_of,
         goto_stmts: &goto_stmts,
         exit_param: &exit_param,
         exit_label: &exit_label,
         caller_vars: &caller_vars,
     };
-    let mut block = std::mem::take(&mut program.block);
     do_block(&cx, &mut block, MAIN_PROC, &mut ids, &mut mapping);
+    let mut program = module.program;
     program.block = block;
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok(Some((program, mapping)))
+    Ok(Rewrite::Rewritten(program, mapping))
 }
 
 #[cfg(test)]
@@ -941,7 +939,7 @@ mod tests {
     #[test]
     fn loop_goto_rewrite_matches_paper_scheme() {
         let m = compile(testprogs::SECTION6_LOOP_GOTO).unwrap();
-        let (prog, mapping) = break_loop_gotos(&m).unwrap().expect("rewrites");
+        let (prog, mapping) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
         let printed = print_program(&prog);
         assert!(printed.contains("leave_1"), "{printed}");
         assert!(printed.contains("whilelab_1"), "{printed}");
@@ -963,7 +961,7 @@ mod tests {
              begin i := 0; while i < 3 do begin s := s + i; i := i + 1 end end.",
         )
         .unwrap();
-        assert!(break_loop_gotos(&m).unwrap().is_none());
+        assert!(break_loop_gotos(m).unwrap().is_unchanged());
     }
 
     #[test]
@@ -982,7 +980,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            break_loop_gotos(&m).unwrap().is_none(),
+            break_loop_gotos(m).unwrap().is_unchanged(),
             "goto targeting a label inside the loop is internal"
         );
     }
@@ -1000,7 +998,7 @@ mod tests {
                9: writeln(s)
              end.";
         let m = compile(src).unwrap();
-        let (prog, _) = break_loop_gotos(&m).unwrap().expect("rewrites");
+        let (prog, _) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
         let printed = print_program(&prog);
         let tm = analyze(prog).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         assert_eq!(run_output(&m), run_output(&tm));
@@ -1009,7 +1007,7 @@ mod tests {
     #[test]
     fn global_goto_gets_exit_parameter() {
         let m = compile(testprogs::SECTION6_GOTO).unwrap();
-        let (prog, mapping) = break_global_gotos(&m).unwrap().expect("rewrites");
+        let (prog, mapping) = break_global_gotos(m.clone()).unwrap().expect_rewritten();
         let printed = print_program(&prog);
         assert!(printed.contains("out exitcond_q: integer"), "{printed}");
         assert!(printed.contains("exitcond_q := 0"), "{printed}");
@@ -1029,7 +1027,7 @@ mod tests {
     #[test]
     fn no_global_gotos_means_no_change() {
         let m = compile(testprogs::SQRTEST).unwrap();
-        assert!(break_global_gotos(&m).unwrap().is_none());
+        assert!(break_global_gotos(m).unwrap().is_unchanged());
     }
 
     #[test]
@@ -1037,7 +1035,7 @@ mod tests {
         // A goto that leaves a loop is phase B's work but not phase C's.
         let m = compile(testprogs::SECTION6_LOOP_GOTO).unwrap();
         assert!(!m.goto_res.is_empty());
-        assert!(break_global_gotos(&m).unwrap().is_none());
+        assert!(break_global_gotos(m).unwrap().is_unchanged());
         // A local goto outside any loop is neither phase's work.
         let m = compile(
             "program t; label 9; var x: integer;
@@ -1058,8 +1056,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.goto_res.len(), 2);
-        assert!(break_loop_gotos(&m).unwrap().is_none());
-        assert!(break_global_gotos(&m).unwrap().is_none());
+        let Rewrite::Unchanged(m) = break_loop_gotos(m).unwrap() else {
+            panic!("phase B has nothing to rewrite");
+        };
+        assert!(break_global_gotos(m).unwrap().is_unchanged());
     }
 
     #[test]
@@ -1187,20 +1187,19 @@ mod tests {
              end;
              begin trace := 0; p; writeln(trace) end.";
         let m = compile(src).unwrap();
-        let mut cur = m.program.clone();
+        let mut cur = m.clone();
         let mut rounds = 0;
-        loop {
-            let module = analyze(cur.clone()).unwrap();
-            let Some((next, _)) = break_global_gotos(&module).unwrap() else {
-                break;
+        let tm = loop {
+            let next = match break_global_gotos(cur).unwrap() {
+                Rewrite::Unchanged(done) => break done,
+                Rewrite::Rewritten(next, _) => next,
             };
-            cur = next;
+            let printed = print_program(&next);
+            cur = analyze(next).unwrap_or_else(|e| panic!("{e}\n{printed}"));
             rounds += 1;
             assert!(rounds < 6, "cascade must terminate");
-        }
+        };
         assert_eq!(rounds, 2, "two cascading rounds expected");
-        let printed = print_program(&cur);
-        let tm = analyze(cur).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         assert_eq!(run_output(&m), run_output(&tm));
     }
 }

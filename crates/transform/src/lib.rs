@@ -25,12 +25,15 @@
 //!   `save_outgoing_values`); in this implementation actual tracing is
 //!   performed by interpreter monitors, so these calls are display-only.
 //!
-//! Each phase returns `Option<(Program, Mapping)>`: the rewritten
-//! program and what it added to the mapping, or `None` when the phase
-//! has nothing to rewrite. A phase decides that by walking the analyzed
-//! module by reference before it clones anything, so a program without
-//! non-locals or gotos costs the pipeline one effects analysis and a few
-//! walks, not three AST copies and a re-analysis.
+//! Each phase consumes the analyzed module and returns a [`Rewrite`]:
+//! the module itself when the phase has nothing to rewrite, or the
+//! module's own program, rewritten in place, with what the phase added
+//! to the mapping. A phase decides that from the module's tables and a
+//! walk of its program, and reads what the rewrite needs from those
+//! tables before it takes the program out, so no phase copies the
+//! program: a program without non-locals or gotos costs the pipeline one
+//! effects analysis and a few walks, and a rewriting phase one
+//! re-analysis.
 //!
 //! Every transformation is semantics-preserving; the test suite checks
 //! this differentially (original vs transformed on the same inputs).
@@ -42,6 +45,35 @@ pub mod globals;
 pub mod gotos;
 pub mod mapping;
 pub mod pipeline;
+
+use gadt_pascal::ast::Program;
+use gadt_pascal::sema::Module;
+
+/// What a transformation phase hands back.
+#[derive(Debug)]
+pub enum Rewrite {
+    /// The phase had nothing to rewrite: the module it consumed.
+    Unchanged(Module),
+    /// The module's program, rewritten (re-analyze it with
+    /// [`gadt_pascal::sema::analyze`]), and what the phase added to the
+    /// mapping.
+    Rewritten(Program, Mapping),
+}
+
+#[cfg(test)]
+impl Rewrite {
+    /// The rewritten program and mapping; panics on an unchanged module.
+    fn expect_rewritten(self) -> (Program, Mapping) {
+        match self {
+            Rewrite::Rewritten(program, mapping) => (program, mapping),
+            Rewrite::Unchanged(_) => panic!("the phase left the module unchanged"),
+        }
+    }
+
+    fn is_unchanged(&self) -> bool {
+        matches!(self, Rewrite::Unchanged(_))
+    }
+}
 
 pub use mapping::{AddedParam, ExitInfo, Mapping, ParamOrigin};
 pub use pipeline::{

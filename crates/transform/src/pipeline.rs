@@ -3,6 +3,7 @@
 
 use crate::gotos::{break_global_gotos, break_loop_gotos};
 use crate::mapping::Mapping;
+use crate::Rewrite;
 use gadt_pascal::ast::{Ident, ParamMode, ProcDecl, Stmt, StmtKind};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
 use gadt_pascal::pretty::print_program;
@@ -28,8 +29,11 @@ pub struct Transformed {
 ///
 /// phases B and C alternate until a fixpoint, because each can expose
 /// work for the other (the paper's "handled by a later transformation").
-/// A phase with nothing to rewrite returns `None` and costs no clone;
-/// the fixpoint is a round in which both do.
+/// A phase with nothing to rewrite hands the module back unchanged; the
+/// fixpoint is a round in which both do.
+///
+/// This copies `module` once and runs [`transform_observed`] on the
+/// copy; a caller that is done with its module should move it there.
 ///
 /// # Errors
 /// * semantic errors in intermediate programs (a transformation bug —
@@ -51,16 +55,19 @@ pub struct Transformed {
 /// # }
 /// ```
 pub fn transform(module: &Module) -> Result<Transformed> {
-    transform_observed(module, &mut gadt_obs::Recorder::disabled())
+    transform_observed(module.clone(), &mut gadt_obs::Recorder::disabled())
 }
 
-/// [`transform`] with instrumentation: wraps the phase in a
-/// `transform` span and records the counters `transform.rounds`,
-/// `transform.synthetic_stmts` and `transform.added_params`.
+/// [`transform`] on a module it consumes, with instrumentation: wraps
+/// the phase in a `transform` span and records the counters
+/// `transform.rounds`, `transform.synthetic_stmts` and
+/// `transform.added_params`. The program is never copied: each phase
+/// rewrites the module's own program in place, and the transformed
+/// module owns it.
 ///
 /// # Errors
 /// Same as [`transform`].
-pub fn transform_observed(module: &Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
+pub fn transform_observed(module: Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
     let span = gadt_obs::span!(rec, "transform");
     let result = transform_inner(module, rec);
     if let Ok(t) = &result {
@@ -81,20 +88,23 @@ pub fn transform_observed(module: &Module, rec: &mut gadt_obs::Recorder) -> Resu
     result
 }
 
-fn transform_inner(module: &Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
+fn transform_inner(module: Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
     let (mut m, mut mapping) = match crate::globals::convert_globals(module)? {
-        Some((prog, mapping)) => (reanalyze(prog)?, mapping),
-        None => (module.clone(), Mapping::default()),
+        Rewrite::Rewritten(prog, mapping) => (reanalyze(prog)?, mapping),
+        Rewrite::Unchanged(m) => (m, Mapping::default()),
     };
     for _round in 0..16 {
         rec.incr("transform.rounds");
         let mut fixpoint = true;
         for phase in [break_loop_gotos, break_global_gotos] {
-            if let Some((prog, map)) = phase(&m)? {
-                mapping.merge(map);
-                m = reanalyze(prog)?;
-                fixpoint = false;
-            }
+            m = match phase(m)? {
+                Rewrite::Unchanged(m) => m,
+                Rewrite::Rewritten(prog, map) => {
+                    mapping.merge(map);
+                    fixpoint = false;
+                    reanalyze(prog)?
+                }
+            };
         }
         if fixpoint {
             // Verify the §6 postconditions.
@@ -394,7 +404,7 @@ mod tests {
     fn observed_transform_records_span_and_counters() {
         let m = compile(testprogs::SECTION6_GOTO).unwrap();
         let mut rec = gadt_obs::Recorder::untimed();
-        let t = transform_observed(&m, &mut rec).unwrap();
+        let t = transform_observed(m, &mut rec).unwrap();
         let j = rec.finish();
         assert!(j.counter("transform.rounds") >= 1);
         assert_eq!(
@@ -406,6 +416,88 @@ mod tests {
             .filter(|e| e.kind == gadt_obs::EventKind::Exit)
             .collect();
         assert_eq!(exits.len(), 1);
+    }
+
+    /// A loop in `p` leaves through a goto to `p`'s own label: phase B's
+    /// work only.
+    const LOOP_EXIT_IN_PROC: &str = "program t; var r: integer;
+         procedure p(n: integer; var res: integer);
+         label 9;
+         var i: integer;
+         begin
+           i := 0;
+           while i < 10 do begin
+             i := i + 1;
+             if i = n then goto 9
+           end;
+           9: res := i
+         end;
+         begin p(3, r); writeln(r) end.";
+
+    /// `q` jumps to its parent's label and touches no non-local
+    /// variable: phase C's work only.
+    const GLOBAL_GOTO_ONLY: &str = "program t; var r: integer;
+         procedure p(n: integer; var res: integer);
+         label 9;
+           procedure q(k: integer);
+           begin
+             if k > 0 then goto 9
+           end;
+         begin
+           res := 1;
+           q(n);
+           res := 2;
+           9: res := res + 10
+         end;
+         begin p(1, r); writeln(r) end.";
+
+    #[test]
+    fn phase_one_moves_the_program() {
+        let leave_flag = |m: &Mapping| {
+            m.synthetic_stmts
+                .values()
+                .any(|d| d.starts_with("leave flag init"))
+        };
+        let fixtures: [(&str, &str, fn(&Mapping) -> bool); 4] = [
+            ("no phase rewrites", testprogs::SQRTEST, |m| {
+                m.added_params.is_empty() && m.synthetic_stmts.is_empty()
+            }),
+            ("phase A rewrites", testprogs::SECTION6_GLOBALS, |m| {
+                m.added_params
+                    .values()
+                    .flatten()
+                    .any(|p| matches!(p.origin, crate::ParamOrigin::Global(_)))
+            }),
+            ("phase B rewrites", LOOP_EXIT_IN_PROC, leave_flag),
+            ("phase C rewrites", GLOBAL_GOTO_ONLY, |m| {
+                !m.exit_info.is_empty()
+            }),
+        ];
+        for (what, src, did_its_work) in fixtures {
+            let m = compile(src).unwrap();
+            assert!(!m.program.block.procs.is_empty(), "{what}");
+            let procs = m.program.block.procs.as_ptr();
+            let t = transform_observed(m, &mut gadt_obs::Recorder::untimed()).unwrap();
+            assert!(did_its_work(&t.mapping), "{what}: {:?}", t.mapping);
+            assert_eq!(
+                t.module.program.block.procs.as_ptr(),
+                procs,
+                "{what}: the transformed module must own the input's program"
+            );
+        }
+        // Each goto fixture is its phase's work alone.
+        let b = transform(&compile(LOOP_EXIT_IN_PROC).unwrap()).unwrap();
+        assert!(b.mapping.added_params.is_empty() && b.mapping.exit_info.is_empty());
+        let c = transform(&compile(GLOBAL_GOTO_ONLY).unwrap()).unwrap();
+        assert!(!leave_flag(&c.mapping));
+        assert!(c
+            .mapping
+            .added_params
+            .values()
+            .flatten()
+            .all(|p| { p.origin == crate::ParamOrigin::ExitCondition }));
+        outputs_match(LOOP_EXIT_IN_PROC, vec![vec![]]);
+        outputs_match(GLOBAL_GOTO_ONLY, vec![vec![]]);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl Compiled {
     /// A [`Phase::Transform`] error when a transformation fails or does
     /// not converge.
     pub fn transform(mut self) -> Result<Prepared> {
-        let prepared = session::prepare_observed(&self.module, &mut self.rec)
+        let prepared = session::prepare_observed(self.module.clone(), &mut self.rec)
             .map_err(|e| Error::from_diagnostic(Phase::Transform, e))?
             .with_engine(self.engine);
         Ok(Prepared {

@@ -19,7 +19,7 @@ fn golden_sqrtest_journal() -> Journal {
     let fixed = compile(testprogs::SQRTEST_FIXED).unwrap();
 
     let mut rec = Recorder::new();
-    let prepared = session::prepare_observed(&m, &mut rec).unwrap();
+    let prepared = session::prepare_observed(m.clone(), &mut rec).unwrap();
     let runs = session::run_traced_batch(&prepared, vec![vec![]], 1, &mut rec).unwrap();
 
     let s = spec::parse_spec(spec::ARRSUM_SPEC).unwrap();
