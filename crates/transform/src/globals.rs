@@ -22,6 +22,7 @@
 //! in DESIGN.md as out of scope.
 
 use crate::mapping::{AddedParam, Mapping, ParamOrigin};
+use crate::pipeline::reanalyze;
 use crate::Rewrite;
 use gadt_pascal::ast::*;
 use gadt_pascal::cfg::{lower, CallArg, InstrKind};
@@ -33,14 +34,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Converts non-local variable accesses into explicit parameters.
 ///
-/// Returns the module's own program, rewritten in place, and the
-/// construct mapping, or [`Rewrite::Unchanged`] when no procedure
-/// touches a non-local variable: the program is then already in the
-/// target form.
+/// Returns the module of its own program, rewritten in place and
+/// re-analyzed, and the construct mapping, or [`Rewrite::Unchanged`]
+/// when no procedure touches a non-local variable: the program is then
+/// already in the target form.
 ///
 /// # Errors
 /// Returns an error if a non-local variable's type cannot be expressed as
-/// a parameter type (never happens for the supported type system).
+/// a parameter type (never happens for the supported type system), or if
+/// the rewritten program fails re-analysis (a transformation bug).
 pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     let cfg = lower(&module);
     let (_cg, fx) = gadt_analysis::effects::analyze(&module, &cfg);
@@ -179,7 +181,7 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     program.block = block;
     program.next_expr_id = ids.next_expr;
 
-    Ok(Rewrite::Rewritten(program, mapping))
+    Ok(Rewrite::Rewritten(reanalyze(program)?, mapping))
 }
 
 /// Lowercase `/`-joined path for every procedure (`""` for main).
@@ -425,28 +427,21 @@ mod tests {
     use super::*;
     use gadt_pascal::interp::Interpreter;
     use gadt_pascal::pretty::print_program;
-    use gadt_pascal::sema::{analyze, compile};
+    use gadt_pascal::sema::compile;
     use gadt_pascal::testprogs;
     use gadt_pascal::value::Value;
 
     fn transform(src: &str) -> (Module, Module, Mapping) {
         let m = compile(src).expect("compile original");
-        let (program, mapping) = convert_globals(m.clone())
+        let (tm, mapping) = convert_globals(m.clone())
             .expect("transform")
             .expect_rewritten();
-        let printed = print_program(&program);
-        let tm = analyze(program)
-            .unwrap_or_else(|e| panic!("transformed program fails sema: {e}\n{printed}"));
         (m, tm, mapping)
     }
 
     fn behaves_identically(src: &str, inputs: Vec<Vec<i64>>) {
-        let m = compile(src).expect("compile");
-        let (program, _) = convert_globals(m.clone())
-            .expect("transform")
-            .expect_rewritten();
-        let printed = print_program(&program);
-        let tm = analyze(program).unwrap_or_else(|e| panic!("{e}\n{printed}"));
+        let (m, tm, _) = transform(src);
+        let printed = print_program(&tm.program);
         for input in inputs {
             let mut i1 = Interpreter::new(&m);
             i1.set_input(input.iter().map(|&n| Value::Int(n)));
@@ -640,8 +635,8 @@ mod tests {
         // after transformations."
         let m = compile(testprogs::SECTION6_GLOBALS).unwrap();
         let before = m.program.stmt_count();
-        let (program, _) = convert_globals(m).unwrap().expect_rewritten();
-        let after = program.stmt_count();
+        let (tm, _) = convert_globals(m).unwrap().expect_rewritten();
+        let after = tm.program.stmt_count();
         assert!(after <= before * 2, "{before} → {after}");
     }
 }

@@ -23,6 +23,7 @@
 //! both do.
 
 use crate::mapping::{AddedParam, ExitInfo, Mapping, ParamOrigin};
+use crate::pipeline::reanalyze;
 use crate::Rewrite;
 use gadt_pascal::ast::*;
 use gadt_pascal::error::{Diagnostic, Result, Stage};
@@ -104,9 +105,13 @@ impl IdGen {
 // ----------------------------------------------------------------------
 
 /// Rewrites `while`/`repeat` loops containing gotos that exit the loop.
-/// Returns the module's own program, rewritten in place, and its mapping
-/// additions, or [`Rewrite::Unchanged`] when no loop contains such a
-/// goto. The rewrite reads nothing but the program.
+/// Returns the module of its own program, rewritten in place and
+/// re-analyzed, and its mapping additions, or [`Rewrite::Unchanged`]
+/// when no loop contains such a goto. The rewrite reads nothing but the
+/// program.
+///
+/// # Errors
+/// The rewritten program fails re-analysis (a transformation bug).
 pub fn break_loop_gotos(module: Module) -> Result<Rewrite> {
     if !has_loop_exit_goto(&module) {
         return Ok(Rewrite::Unchanged(module));
@@ -175,7 +180,7 @@ pub fn break_loop_gotos(module: Module) -> Result<Rewrite> {
     do_block(&mut program.block, &mut ids, &mut mapping, &mut counter);
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok(Rewrite::Rewritten(program, mapping))
+    Ok(Rewrite::Rewritten(reanalyze(program)?, mapping))
 }
 
 /// Whether some `while`/`repeat` loop of the program contains a goto to a
@@ -550,14 +555,16 @@ fn replace_exit_gotos(
 
 /// Breaks non-local gotos into exit-condition parameters plus local gotos
 /// at the call sites (one cascading round; iterate until it returns
-/// [`Rewrite::Unchanged`]). Returns the module's own program, rewritten
-/// in place, and its mapping additions, or the module unchanged when
-/// every goto is local; that check comes before the label table is built.
+/// [`Rewrite::Unchanged`]). Returns the module of its own program,
+/// rewritten in place and re-analyzed, and its mapping additions, or the
+/// module unchanged when every goto is local; that check comes before
+/// the label table is built.
 ///
 /// # Errors
 /// * a function performing a non-local goto is called inside an
 ///   expression (no statement position for the dispatch);
-/// * a caller declares a label that captures the target's name.
+/// * a caller declares a label that captures the target's name;
+/// * the rewritten program fails re-analysis (a transformation bug).
 pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     if module
         .goto_res
@@ -917,7 +924,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     program.block = block;
     program.next_stmt_id = ids.next_stmt;
     program.next_expr_id = ids.next_expr;
-    Ok(Rewrite::Rewritten(program, mapping))
+    Ok(Rewrite::Rewritten(reanalyze(program)?, mapping))
 }
 
 #[cfg(test)]
@@ -925,7 +932,7 @@ mod tests {
     use super::*;
     use gadt_pascal::interp::Interpreter;
     use gadt_pascal::pretty::print_program;
-    use gadt_pascal::sema::{analyze, compile};
+    use gadt_pascal::sema::compile;
     use gadt_pascal::testprogs;
 
     fn run_output(m: &Module) -> String {
@@ -939,8 +946,8 @@ mod tests {
     #[test]
     fn loop_goto_rewrite_matches_paper_scheme() {
         let m = compile(testprogs::SECTION6_LOOP_GOTO).unwrap();
-        let (prog, mapping) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
-        let printed = print_program(&prog);
+        let (tm, mapping) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
+        let printed = print_program(&tm.program);
         assert!(printed.contains("leave_1"), "{printed}");
         assert!(printed.contains("whilelab_1"), "{printed}");
         assert!(
@@ -950,7 +957,6 @@ mod tests {
         assert!(printed.contains("if leave_1 = 1 then"), "{printed}");
         assert!(!mapping.synthetic_stmts.is_empty());
         // Semantics preserved.
-        let tm = analyze(prog).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         assert_eq!(run_output(&m), run_output(&tm));
     }
 
@@ -998,17 +1004,15 @@ mod tests {
                9: writeln(s)
              end.";
         let m = compile(src).unwrap();
-        let (prog, _) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
-        let printed = print_program(&prog);
-        let tm = analyze(prog).unwrap_or_else(|e| panic!("{e}\n{printed}"));
+        let (tm, _) = break_loop_gotos(m.clone()).unwrap().expect_rewritten();
         assert_eq!(run_output(&m), run_output(&tm));
     }
 
     #[test]
     fn global_goto_gets_exit_parameter() {
         let m = compile(testprogs::SECTION6_GOTO).unwrap();
-        let (prog, mapping) = break_global_gotos(m.clone()).unwrap().expect_rewritten();
-        let printed = print_program(&prog);
+        let (tm, mapping) = break_global_gotos(m.clone()).unwrap().expect_rewritten();
+        let printed = print_program(&tm.program);
         assert!(printed.contains("out exitcond_q: integer"), "{printed}");
         assert!(printed.contains("exitcond_q := 0"), "{printed}");
         assert!(printed.contains("exitcond_q := 1"), "{printed}");
@@ -1020,7 +1024,6 @@ mod tests {
             "{:?}",
             mapping.exit_info
         );
-        let tm = analyze(prog).unwrap_or_else(|e| panic!("{e}\n{printed}"));
         assert_eq!(run_output(&m), run_output(&tm));
     }
 
@@ -1190,12 +1193,10 @@ mod tests {
         let mut cur = m.clone();
         let mut rounds = 0;
         let tm = loop {
-            let next = match break_global_gotos(cur).unwrap() {
+            cur = match break_global_gotos(cur).unwrap() {
                 Rewrite::Unchanged(done) => break done,
                 Rewrite::Rewritten(next, _) => next,
             };
-            let printed = print_program(&next);
-            cur = analyze(next).unwrap_or_else(|e| panic!("{e}\n{printed}"));
             rounds += 1;
             assert!(rounds < 6, "cascade must terminate");
         };

@@ -27,13 +27,13 @@
 //!
 //! Each phase consumes the analyzed module and returns a [`Rewrite`]:
 //! the module itself when the phase has nothing to rewrite, or the
-//! module's own program, rewritten in place, with what the phase added
-//! to the mapping. A phase decides that from the module's tables and a
-//! walk of its program, and reads what the rewrite needs from those
-//! tables before it takes the program out, so no phase copies the
-//! program: a program without non-locals or gotos costs the pipeline one
-//! effects analysis and a few walks, and a rewriting phase one
-//! re-analysis.
+//! module's own program, rewritten in place and re-analyzed, with what
+//! the phase added to the mapping. A phase decides that from the
+//! module's tables and a walk of its program, and reads what the rewrite
+//! needs from those tables before it takes the program out, so no phase
+//! copies the program: a program without non-locals or gotos costs the
+//! pipeline one effects analysis and a few walks, and a rewriting phase
+//! one re-analysis.
 //!
 //! Every transformation is semantics-preserving; the test suite checks
 //! this differentially (original vs transformed on the same inputs).
@@ -46,26 +46,25 @@ pub mod gotos;
 pub mod mapping;
 pub mod pipeline;
 
-use gadt_pascal::ast::Program;
 use gadt_pascal::sema::Module;
 
-/// What a transformation phase hands back.
+/// What a transformation phase hands back: the module it consumed, or
+/// the module of its own program, rewritten in place and re-analyzed.
 #[derive(Debug)]
 pub enum Rewrite {
-    /// The phase had nothing to rewrite: the module it consumed.
+    /// The phase had nothing to rewrite.
     Unchanged(Module),
-    /// The module's program, rewritten (re-analyze it with
-    /// [`gadt_pascal::sema::analyze`]), and what the phase added to the
+    /// The rewritten, re-analyzed module and what the phase added to the
     /// mapping.
-    Rewritten(Program, Mapping),
+    Rewritten(Module, Mapping),
 }
 
 #[cfg(test)]
 impl Rewrite {
-    /// The rewritten program and mapping; panics on an unchanged module.
-    fn expect_rewritten(self) -> (Program, Mapping) {
+    /// The rewritten module and mapping; panics on an unchanged module.
+    fn expect_rewritten(self) -> (Module, Mapping) {
         match self {
-            Rewrite::Rewritten(program, mapping) => (program, mapping),
+            Rewrite::Rewritten(module, mapping) => (module, mapping),
             Rewrite::Unchanged(_) => panic!("the phase left the module unchanged"),
         }
     }

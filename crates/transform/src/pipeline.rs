@@ -90,7 +90,7 @@ pub fn transform_observed(module: Module, rec: &mut gadt_obs::Recorder) -> Resul
 
 fn transform_inner(module: Module, rec: &mut gadt_obs::Recorder) -> Result<Transformed> {
     let (mut m, mut mapping) = match crate::globals::convert_globals(module)? {
-        Rewrite::Rewritten(prog, mapping) => (reanalyze(prog)?, mapping),
+        Rewrite::Rewritten(m, mapping) => (m, mapping),
         Rewrite::Unchanged(m) => (m, Mapping::default()),
     };
     for _round in 0..16 {
@@ -99,10 +99,10 @@ fn transform_inner(module: Module, rec: &mut gadt_obs::Recorder) -> Result<Trans
         for phase in [break_loop_gotos, break_global_gotos] {
             m = match phase(m)? {
                 Rewrite::Unchanged(m) => m,
-                Rewrite::Rewritten(prog, map) => {
+                Rewrite::Rewritten(m, map) => {
                     mapping.merge(map);
                     fixpoint = false;
-                    reanalyze(prog)?
+                    m
                 }
             };
         }
@@ -126,7 +126,7 @@ fn transform_inner(module: Module, rec: &mut gadt_obs::Recorder) -> Result<Trans
 
 /// Re-analyzes a transformed program. The program is printed only when
 /// analysis fails, for the message of what is then a transformation bug.
-fn reanalyze(prog: gadt_pascal::ast::Program) -> Result<Module> {
+pub(crate) fn reanalyze(prog: gadt_pascal::ast::Program) -> Result<Module> {
     analyze_or_else(prog, |e, prog| {
         Diagnostic::new(
             Stage::Sema,
@@ -453,51 +453,43 @@ mod tests {
 
     #[test]
     fn phase_one_moves_the_program() {
+        // Transforms `src` and checks that the transformed module owns the
+        // input's program: its procedure list is the same buffer.
+        let moved = |src: &str| {
+            let m = compile(src).unwrap();
+            assert!(!m.program.block.procs.is_empty());
+            let procs = m.program.block.procs.as_ptr();
+            let t = transform_observed(m, &mut gadt_obs::Recorder::untimed()).unwrap();
+            assert_eq!(t.module.program.block.procs.as_ptr(), procs, "{src}");
+            outputs_match(src, vec![vec![]]);
+            t.mapping
+        };
         let leave_flag = |m: &Mapping| {
             m.synthetic_stmts
                 .values()
                 .any(|d| d.starts_with("leave flag init"))
         };
-        let fixtures: [(&str, &str, fn(&Mapping) -> bool); 4] = [
-            ("no phase rewrites", testprogs::SQRTEST, |m| {
-                m.added_params.is_empty() && m.synthetic_stmts.is_empty()
-            }),
-            ("phase A rewrites", testprogs::SECTION6_GLOBALS, |m| {
-                m.added_params
-                    .values()
-                    .flatten()
-                    .any(|p| matches!(p.origin, crate::ParamOrigin::Global(_)))
-            }),
-            ("phase B rewrites", LOOP_EXIT_IN_PROC, leave_flag),
-            ("phase C rewrites", GLOBAL_GOTO_ONLY, |m| {
-                !m.exit_info.is_empty()
-            }),
-        ];
-        for (what, src, did_its_work) in fixtures {
-            let m = compile(src).unwrap();
-            assert!(!m.program.block.procs.is_empty(), "{what}");
-            let procs = m.program.block.procs.as_ptr();
-            let t = transform_observed(m, &mut gadt_obs::Recorder::untimed()).unwrap();
-            assert!(did_its_work(&t.mapping), "{what}: {:?}", t.mapping);
-            assert_eq!(
-                t.module.program.block.procs.as_ptr(),
-                procs,
-                "{what}: the transformed module must own the input's program"
-            );
-        }
-        // Each goto fixture is its phase's work alone.
-        let b = transform(&compile(LOOP_EXIT_IN_PROC).unwrap()).unwrap();
-        assert!(b.mapping.added_params.is_empty() && b.mapping.exit_info.is_empty());
-        let c = transform(&compile(GLOBAL_GOTO_ONLY).unwrap()).unwrap();
-        assert!(!leave_flag(&c.mapping));
-        assert!(c
-            .mapping
+        // No phase rewrites.
+        let none = moved(testprogs::SQRTEST);
+        assert!(none.added_params.is_empty() && none.synthetic_stmts.is_empty());
+        // Phase A rewrites: globals become parameters.
+        let a = moved(testprogs::SECTION6_GLOBALS);
+        assert!(a
             .added_params
             .values()
             .flatten()
-            .all(|p| { p.origin == crate::ParamOrigin::ExitCondition }));
-        outputs_match(LOOP_EXIT_IN_PROC, vec![vec![]]);
-        outputs_match(GLOBAL_GOTO_ONLY, vec![vec![]]);
+            .any(|p| matches!(p.origin, crate::ParamOrigin::Global(_))));
+        // Phase B alone rewrites: a leave flag, no parameters.
+        let b = moved(LOOP_EXIT_IN_PROC);
+        assert!(leave_flag(&b) && b.added_params.is_empty());
+        // Phase C alone rewrites: exit parameters, no leave flag.
+        let c = moved(GLOBAL_GOTO_ONLY);
+        assert!(!c.exit_info.is_empty() && !leave_flag(&c));
+        assert!(c
+            .added_params
+            .values()
+            .flatten()
+            .all(|p| p.origin == crate::ParamOrigin::ExitCondition));
     }
 
     #[test]
