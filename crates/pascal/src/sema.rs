@@ -147,17 +147,12 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// The intrinsic spelled `name`, in any case.
     fn lookup(name: &str) -> Option<Intrinsic> {
-        Some(match name {
-            "abs" => Intrinsic::Abs,
-            "sqr" => Intrinsic::Sqr,
-            "odd" => Intrinsic::Odd,
-            "ord" => Intrinsic::Ord,
-            "chr" => Intrinsic::Chr,
-            "trunc" => Intrinsic::Trunc,
-            "round" => Intrinsic::Round,
-            _ => return None,
-        })
+        use Intrinsic::*;
+        [Abs, Sqr, Odd, Ord, Chr, Trunc, Round]
+            .into_iter()
+            .find(|i| i.name().eq_ignore_ascii_case(name))
     }
 
     /// The intrinsic's name.
@@ -453,13 +448,29 @@ impl Checker {
         Ok(())
     }
 
-    fn lookup(&self, key: &str) -> Option<&ScopeEntry> {
+    /// Resolves `name` case-insensitively through the scope stack. The
+    /// lowercased key is built on the stack; only a name longer than 64
+    /// bytes with an uppercase letter in it costs an allocation.
+    fn lookup(&self, name: &str) -> Option<&ScopeEntry> {
+        let mut buf = [0u8; 64];
+        let long;
+        let key = if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+            name
+        } else if let Some(lower) = buf.get_mut(..name.len()) {
+            lower.copy_from_slice(name.as_bytes());
+            lower.make_ascii_lowercase();
+            std::str::from_utf8(lower).expect("ASCII lowercasing keeps UTF-8 valid")
+        } else {
+            long = name.to_ascii_lowercase();
+            &long
+        };
         self.scopes.iter().rev().find_map(|s| s.entries.get(key))
     }
 
     fn new_var(
         &mut self,
-        name: &Ident,
+        name: String,
+        span: Span,
         ty: Type,
         kind: VarKind,
         owner: ProcId,
@@ -468,12 +479,12 @@ impl Checker {
         let id = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo {
             id,
-            name: name.name.clone(),
+            name,
             ty,
             kind,
             owner,
             level,
-            span: name.span,
+            span,
         });
         id
     }
@@ -523,7 +534,7 @@ impl Checker {
                 } else {
                     VarKind::Local
                 };
-                let id = self.new_var(name, ty.clone(), kind, owner, level);
+                let id = self.new_var(name.name.clone(), name.span, ty.clone(), kind, owner, level);
                 self.define(name, ScopeEntry::Var(id))?;
             }
         }
@@ -573,7 +584,8 @@ impl Checker {
         for s in &block.body {
             s.walk(&mut |s| {
                 if let StmtKind::Labeled { label, .. } = &s.kind {
-                    if !declared.contains(&label.key()) && label_err.is_none() {
+                    let known = declared.iter().any(|d| d.eq_ignore_ascii_case(&label.name));
+                    if !known && label_err.is_none() {
                         label_err = Some(err(
                             format!("label `{label}` not declared in this block"),
                             label.span,
@@ -599,7 +611,8 @@ impl Checker {
             let ty = self.resolve_type(&group.ty)?;
             for name in &group.names {
                 let id = self.new_var(
-                    name,
+                    name.name.clone(),
+                    name.span,
                     ty.clone(),
                     VarKind::Param {
                         mode: group.mode,
@@ -617,8 +630,8 @@ impl Checker {
 
         // Function result pseudo-variable.
         if let Some(rt) = self.procs[pid.0 as usize].return_type.clone() {
-            let result_name = Ident::new(decl.name.name.clone(), decl.name.span);
-            let rid = self.new_var(&result_name, rt, VarKind::Result, pid, level);
+            let (name, span) = (decl.name.name.clone(), decl.name.span);
+            let rid = self.new_var(name, span, rt, VarKind::Result, pid, level);
             self.procs[pid.0 as usize].result_var = Some(rid);
             // NOTE: the function's own name stays visible as a Proc from the
             // enclosing scope; assignment `f := e` special-cases the result
@@ -633,16 +646,24 @@ impl Checker {
 
     fn resolve_type(&self, t: &TypeExpr) -> Result<Type> {
         match t {
-            TypeExpr::Named(name) => match name.key().as_str() {
-                "integer" => Ok(Type::Integer),
-                "real" => Ok(Type::Real),
-                "boolean" => Ok(Type::Boolean),
-                "char" => Ok(Type::Char),
-                other => match self.lookup(other) {
+            TypeExpr::Named(name) => {
+                let builtin = [
+                    ("integer", Type::Integer),
+                    ("real", Type::Real),
+                    ("boolean", Type::Boolean),
+                    ("char", Type::Char),
+                ];
+                if let Some((_, ty)) = builtin
+                    .into_iter()
+                    .find(|(n, _)| name.name.eq_ignore_ascii_case(n))
+                {
+                    return Ok(ty);
+                }
+                match self.lookup(&name.name) {
                     Some(ScopeEntry::TypeName(ty)) => Ok(ty.clone()),
                     _ => Err(err(format!("unknown type `{name}`"), name.span)),
-                },
-            },
+                }
+            }
             TypeExpr::Array { lo, hi, elem, span } => {
                 let lo = self.resolve_bound(lo, *span)?;
                 let hi = self.resolve_bound(hi, *span)?;
@@ -661,7 +682,7 @@ impl Checker {
     fn resolve_bound(&self, b: &ArrayBound, span: Span) -> Result<i64> {
         match b {
             ArrayBound::Lit(n) => Ok(*n),
-            ArrayBound::Const(name) => match self.lookup(&name.key()) {
+            ArrayBound::Const(name) => match self.lookup(&name.name) {
                 Some(ScopeEntry::Const(Value::Int(n))) => Ok(*n),
                 Some(ScopeEntry::Const(_)) => Err(err(
                     format!("array bound `{name}` is not an integer constant"),
@@ -689,7 +710,7 @@ impl Checker {
                 Ok(())
             }
             StmtKind::Call { name, args } => {
-                let pid = match self.lookup(&name.key()) {
+                let pid = match self.lookup(&name.name) {
                     Some(ScopeEntry::Proc(pid)) => *pid,
                     Some(_) => return Err(err(format!("`{name}` is not a procedure"), name.span)),
                     None => return Err(err(format!("undeclared procedure `{name}`"), name.span)),
@@ -769,8 +790,8 @@ impl Checker {
                 // Scrutinee temp (evaluated once).
                 let owner = self.current_proc;
                 let level = self.procs[owner.0 as usize].level;
-                let tmp_name = Ident::synthetic(format!("case@{}", s.id.0));
-                let tmp = self.new_var(&tmp_name, sty, VarKind::Temp, owner, level);
+                let tmp_name = format!("case@{}", s.id.0);
+                let tmp = self.new_var(tmp_name, Span::dummy(), sty, VarKind::Temp, owner, level);
                 self.case_temps.insert(s.id, tmp);
                 Ok(())
             }
@@ -791,7 +812,7 @@ impl Checker {
                 body,
                 ..
             } => {
-                let vid = match self.lookup(&var.key()) {
+                let vid = match self.lookup(&var.name) {
                     Some(ScopeEntry::Var(v)) => *v,
                     _ => return Err(err(format!("undeclared loop variable `{var}`"), var.span)),
                 };
@@ -818,8 +839,15 @@ impl Checker {
                 // the final value once).
                 let owner = self.current_proc;
                 let level = self.procs[owner.0 as usize].level;
-                let tmp_name = Ident::synthetic(format!("limit@{}", s.id.0));
-                let tmp = self.new_var(&tmp_name, Type::Integer, VarKind::Temp, owner, level);
+                let tmp_name = format!("limit@{}", s.id.0);
+                let tmp = self.new_var(
+                    tmp_name,
+                    Span::dummy(),
+                    Type::Integer,
+                    VarKind::Temp,
+                    owner,
+                    level,
+                );
                 self.for_temps.insert(s.id, tmp);
                 self.check_stmt(body)
             }
@@ -831,7 +859,7 @@ impl Checker {
                     if self
                         .labels_of_proc
                         .get(&p)
-                        .is_some_and(|ls| ls.contains(&label.key()))
+                        .is_some_and(|ls| ls.iter().any(|l| l.eq_ignore_ascii_case(&label.name)))
                     {
                         self.goto_res.insert(s.id, (p, label.key()));
                         return Ok(());
@@ -871,21 +899,17 @@ impl Checker {
     }
 
     fn check_call_args(&mut self, pid: ProcId, name: &Ident, args: &[Expr]) -> Result<()> {
-        let params = self.procs[pid.0 as usize].params.clone();
-        if params.len() != args.len() {
+        let arity = self.procs[pid.0 as usize].params.len();
+        if arity != args.len() {
             return Err(err(
-                format!(
-                    "`{name}` expects {} argument(s), got {}",
-                    params.len(),
-                    args.len()
-                ),
+                format!("`{name}` expects {arity} argument(s), got {}", args.len()),
                 name.span,
             ));
         }
-        for (param, arg) in params.iter().zip(args) {
-            let pinfo = self.vars[param.0 as usize].clone();
-            let mode = pinfo.param_mode().expect("param var has param kind");
+        for (i, arg) in args.iter().enumerate() {
             let aty = self.check_expr(arg)?;
+            let pinfo = &self.vars[self.procs[pid.0 as usize].params[i].0 as usize];
+            let mode = pinfo.param_mode().expect("param var has param kind");
             if mode.is_reference() {
                 // Must be an lvalue of the exact same type.
                 let is_lvalue = match &arg.kind {
@@ -939,13 +963,12 @@ impl Checker {
     /// the lvalue's id. Handles the `f := expr` function-result convention
     /// and rejects writes to `in` parameters and loop temps.
     fn resolve_lvalue(&mut self, lv: &LValue) -> Result<Type> {
-        let key = lv.base.key();
         // Function result assignment: the base names the current function
         // (or an enclosing one, per Pascal).
         let mut cur = Some(self.current_proc);
         while let Some(p) = cur {
             let info = &self.procs[p.0 as usize];
-            if info.name.to_ascii_lowercase() == key {
+            if info.name.eq_ignore_ascii_case(&lv.base.name) {
                 if let Some(rv) = info.result_var {
                     if lv.index.is_some() {
                         return Err(err("cannot index a function result", lv.span));
@@ -959,7 +982,7 @@ impl Checker {
             cur = info.parent;
         }
 
-        let vid = match self.lookup(&key) {
+        let vid = match self.lookup(&lv.base.name) {
             Some(ScopeEntry::Var(v)) => *v,
             Some(ScopeEntry::Const(_)) => {
                 return Err(err(
@@ -969,7 +992,7 @@ impl Checker {
             }
             _ => return Err(err(format!("undeclared variable `{}`", lv.base), lv.span)),
         };
-        let info = self.vars[vid.0 as usize].clone();
+        let info = &self.vars[vid.0 as usize];
         if info.param_mode() == Some(ParamMode::In) {
             return Err(err(
                 format!("cannot assign to read-only `in` parameter `{}`", info.name),
@@ -978,12 +1001,13 @@ impl Checker {
         }
         self.res.insert(lv.id, NameRes::Var(vid));
         let ty = match &lv.index {
-            None => info.ty.clone(),
+            None => self.vars[vid.0 as usize].ty.clone(),
             Some(idx) => {
                 let ity = self.check_expr(idx)?;
                 if ity != Type::Integer {
                     return Err(err("array index must be integer", idx.span));
                 }
+                let info = &self.vars[vid.0 as usize];
                 match &info.ty {
                     Type::Array { elem, .. } => (**elem).clone(),
                     other => {
@@ -1019,7 +1043,7 @@ impl Checker {
             } else {
                 Type::String
             }),
-            ExprKind::Name(name) => match self.lookup(&name.key()) {
+            ExprKind::Name(name) => match self.lookup(&name.name) {
                 Some(ScopeEntry::Var(v)) => {
                     let v = *v;
                     if self.vars[v.0 as usize].kind == VarKind::Result {
@@ -1039,9 +1063,10 @@ impl Checker {
                 }
                 Some(ScopeEntry::Proc(pid)) => {
                     let pid = *pid;
-                    let info = self.procs[pid.0 as usize].clone();
-                    match info.return_type {
+                    let info = &self.procs[pid.0 as usize];
+                    match &info.return_type {
                         Some(rt) if info.params.is_empty() => {
+                            let rt = rt.clone();
                             self.res.insert(e.id, NameRes::Proc(pid));
                             Ok(rt)
                         }
@@ -1065,7 +1090,7 @@ impl Checker {
                 if ity != Type::Integer {
                     return Err(err("array index must be integer", index.span));
                 }
-                match self.lookup(&base.key()) {
+                match self.lookup(&base.name) {
                     Some(ScopeEntry::Var(v)) => {
                         let v = *v;
                         self.res.insert(e.id, NameRes::Var(v));
@@ -1080,31 +1105,29 @@ impl Checker {
                     _ => Err(err(format!("undeclared array `{base}`"), base.span)),
                 }
             }
-            ExprKind::Call { name, args } => {
-                if let Some(intr) = Intrinsic::lookup(&name.key()) {
-                    if self.lookup(&name.key()).is_none() {
+            ExprKind::Call { name, args } => match self.lookup(&name.name) {
+                Some(ScopeEntry::Proc(pid)) => {
+                    let pid = *pid;
+                    let Some(rt) = self.procs[pid.0 as usize].return_type.clone() else {
+                        return Err(err(
+                            format!("procedure `{name}` used in an expression"),
+                            name.span,
+                        ));
+                    };
+                    self.check_call_args(pid, name, args)?;
+                    self.res.insert(e.id, NameRes::Proc(pid));
+                    Ok(rt)
+                }
+                Some(_) => Err(err(format!("`{name}` is not a function"), name.span)),
+                // A declaration shadows an intrinsic of the same name.
+                None => match Intrinsic::lookup(&name.name) {
+                    Some(intr) => {
                         self.res.insert(e.id, NameRes::Intrinsic(intr));
-                        return self.check_intrinsic(intr, name, args);
+                        self.check_intrinsic(intr, name, args)
                     }
-                }
-                match self.lookup(&name.key()) {
-                    Some(ScopeEntry::Proc(pid)) => {
-                        let pid = *pid;
-                        let info = self.procs[pid.0 as usize].clone();
-                        let Some(rt) = info.return_type else {
-                            return Err(err(
-                                format!("procedure `{name}` used in an expression"),
-                                name.span,
-                            ));
-                        };
-                        self.check_call_args(pid, name, args)?;
-                        self.res.insert(e.id, NameRes::Proc(pid));
-                        Ok(rt)
-                    }
-                    Some(_) => Err(err(format!("`{name}` is not a function"), name.span)),
                     None => Err(err(format!("undeclared function `{name}`"), name.span)),
-                }
-            }
+                },
+            },
             ExprKind::Unary { op, operand } => {
                 let ty = self.check_expr(operand)?;
                 match op {
