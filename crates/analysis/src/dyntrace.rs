@@ -230,34 +230,24 @@ impl<'a> DependenceRecorder<'a> {
         self.trace
     }
 
-    fn resolve_use(&self, u: &MemLoc) -> Vec<usize> {
+    /// Appends the events that last defined `u` to `deps` (the caller
+    /// sorts and dedups); false when no event did.
+    fn resolve_use(&self, u: &MemLoc, deps: &mut Vec<usize>) -> bool {
         let Some(slot) = self.last_def.get(&(u.frame, u.var)) else {
-            return vec![];
+            return false;
         };
+        let before = deps.len();
         match u.elem {
-            Some(i) => {
-                // Element use: the later of the element def and whole def.
-                let mut best: Option<usize> = None;
-                if let Some(&e) = slot.elems.get(&i) {
-                    best = Some(e);
-                }
-                if let Some(w) = slot.whole {
-                    best = Some(best.map_or(w, |b| b.max(w)));
-                }
-                best.into_iter().collect()
-            }
+            // Element use: the later of the element def and whole def.
+            Some(i) => deps.extend(slot.elems.get(&i).copied().max(slot.whole)),
             None => {
                 // Whole use (scalar, or whole-array copy): all element defs
                 // after the whole def still matter.
-                let mut deps: Vec<usize> = slot.elems.values().copied().collect();
-                if let Some(w) = slot.whole {
-                    deps.push(w);
-                }
-                deps.sort_unstable();
-                deps.dedup();
-                deps
+                deps.extend(slot.elems.values().copied());
+                deps.extend(slot.whole);
             }
         }
+        deps.len() > before
     }
 
     fn register_def(&mut self, d: &MemLoc, idx: usize) {
@@ -276,19 +266,14 @@ impl<'a> DependenceRecorder<'a> {
     fn control_parent(&self, frame: u64, proc: ProcId, stmt: StmtId) -> Option<usize> {
         // Most recent branch instance in this frame whose statement
         // statically controls `stmt`; otherwise the frame's call event.
-        let controlling: Vec<StmtId> = self.cd.of(proc).controlling(stmt).collect();
-        if !controlling.is_empty() {
-            if let Some(branches) = self.frame_branches.get(&frame) {
-                let best = controlling
-                    .iter()
-                    .filter_map(|b| branches.get(b).copied())
-                    .max();
-                if let Some(b) = best {
-                    return Some(b);
-                }
-            }
-        }
-        self.frame_call_event.get(&frame).copied().flatten()
+        let branch = self.frame_branches.get(&frame).and_then(|branches| {
+            self.cd
+                .of(proc)
+                .controlling(stmt)
+                .filter_map(|b| branches.get(&b).copied())
+                .max()
+        });
+        branch.or_else(|| self.frame_call_event.get(&frame).copied().flatten())
     }
 }
 
@@ -309,11 +294,9 @@ impl Monitor for DependenceRecorder<'_> {
                 let mut data_deps: Vec<usize> = Vec::new();
                 let mut unresolved_uses: Vec<MemLoc> = Vec::new();
                 for u in *uses {
-                    let resolved = self.resolve_use(u);
-                    if resolved.is_empty() {
+                    if !self.resolve_use(u, &mut data_deps) {
                         unresolved_uses.push(*u);
                     }
-                    data_deps.extend(resolved);
                 }
                 data_deps.sort_unstable();
                 data_deps.dedup();

@@ -746,11 +746,10 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
             if let Some(param) = cx.exit_param.get(&pid) {
                 // Reuse plumbing installed by an earlier cascading round
                 // (recursive/mutually-recursive procedures).
-                let already = decl.params.iter().any(|g| {
-                    g.names
-                        .iter()
-                        .any(|n| n.key() == param.to_ascii_lowercase())
-                });
+                let already = decl
+                    .params
+                    .iter()
+                    .any(|g| g.names.iter().any(|n| n.name.eq_ignore_ascii_case(param)));
                 if !already {
                     decl.params.push(ParamGroup {
                         mode: ParamMode::Out,
@@ -776,7 +775,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
                 let exists = block
                     .vars
                     .iter()
-                    .any(|g| g.names.iter().any(|n| n.key() == name.to_ascii_lowercase()));
+                    .any(|g| g.names.iter().any(|n| n.name.eq_ignore_ascii_case(name)));
                 if !exists {
                     block.vars.push(VarDecl {
                         names: vec![Ident::synthetic(name.clone())],
@@ -825,7 +824,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
                     // the call — leave it untouched.
                     let already = matches!(
                         args.last().map(|a| &a.kind),
-                        Some(ExprKind::Name(n)) if n.key() == ec.to_ascii_lowercase()
+                        Some(ExprKind::Name(n)) if n.name.eq_ignore_ascii_case(&ec)
                     );
                     if already {
                         return s;
