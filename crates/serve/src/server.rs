@@ -991,9 +991,14 @@ fn op_slice(_state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json
     };
     let stats = dynamic_slice_output(module, &run.traced.trace, call, out_idx).stats();
     sess.rec.incr("serve.slices");
+    // A client's request, not a debugging prune: the debugger's `slice`
+    // events count `debug.slices`, these count `serve.slices`.
     gadt_obs::event!(
         &mut sess.rec,
-        "slice",
+        "slice_request",
+        run = run_idx,
+        unit = unit,
+        output = out_idx,
         events = stats.events,
         stmts = stats.stmts,
         calls = stats.calls,

@@ -43,6 +43,13 @@ fn golden_answers() -> BTreeMap<String, Verdict> {
 /// per-session journal fingerprint.
 fn run_full_session(addr: &ServerAddr, golden: &BTreeMap<String, Verdict>, pool: bool) -> String {
     let mut client = Client::connect(addr).expect("connect");
+    let sid = drive_to_done(&mut client, golden, pool);
+    client.journal_fingerprint(sid).expect("journal")
+}
+
+/// Creates a §8 session on `client`, traces it and answers from `golden`
+/// until it localizes the bug; returns the session id.
+fn drive_to_done(client: &mut Client, golden: &BTreeMap<String, Verdict>, pool: bool) -> u64 {
     let opts = SessionOptions {
         pool: Some(pool),
         ..SessionOptions::default()
@@ -68,7 +75,7 @@ fn run_full_session(addr: &ServerAddr, golden: &BTreeMap<String, Verdict>, pool:
             }
         }
     }
-    client.journal_fingerprint(sid).expect("journal")
+    sid
 }
 
 #[test]
@@ -328,6 +335,44 @@ fn questions_slices_and_debug_counters(fingerprint: &str) -> (Vec<String>, Vec<S
         }
     }
     (events, counters)
+}
+
+/// A client's `slice` request journals a `slice_request` event of its
+/// own, so a session's journal still tells its debugging prunes apart:
+/// one `slice` event per `debug.slices`, and one `slice_request`.
+#[test]
+fn slice_requests_journal_apart_from_debugging_prunes() {
+    let dir = TempDir::new("serve-slice-request");
+    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
+    cfg.threads = 1;
+    let handle = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let sid = drive_to_done(&mut client, &golden_answers(), false);
+    client.slice(sid, 0, "decrement", 0).expect("slice");
+    let fingerprint = client.journal_fingerprint(sid).expect("journal");
+    handle.shutdown().unwrap();
+
+    let (mut prunes, mut requests, mut debug_slices, mut serve_slices) = (0, Vec::new(), 0, 0);
+    for line in fingerprint.lines() {
+        let json = gadt_store::parse(line).expect("fingerprint lines are JSON");
+        let name = json.get("name").and_then(Json::as_str).unwrap_or_default();
+        let value = json.get("value").and_then(Json::as_int).unwrap_or_default();
+        match (json.get("k").and_then(Json::as_str), name) {
+            (Some("point"), "slice") => prunes += 1,
+            (Some("point"), "slice_request") => requests.push(json.get("fields").unwrap().clone()),
+            (Some("counter"), "debug.slices") => debug_slices = value,
+            (Some("counter"), "serve.slices") => serve_slices = value,
+            _ => {}
+        }
+    }
+    assert!(debug_slices > 0, "§8 prunes by slicing:\n{fingerprint}");
+    assert_eq!(prunes, debug_slices, "{fingerprint}");
+    assert_eq!(serve_slices, 1, "{fingerprint}");
+    assert_eq!(requests.len(), 1, "{fingerprint}");
+    let fields = &requests[0];
+    assert_eq!(fields.get("run").and_then(Json::as_int), Some(0));
+    assert_eq!(fields.get("unit").and_then(Json::as_str), Some("decrement"));
+    assert_eq!(fields.get("output").and_then(Json::as_int), Some(0));
 }
 
 #[test]
