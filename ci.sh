@@ -4,11 +4,17 @@
 # sequential-vs-parallel checks for every batch entry point).
 set -eu
 
+# perfbench, the repo benchmark, is its own workspace, so `--all` and
+# `--workspace` do not reach it; it is formatted and linted on its own,
+# so an API change that breaks the benchmark or makes it warn fails
+# here. Its builds rewrite perfbench/Cargo.lock (see ROADMAP item 1).
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
