@@ -448,21 +448,15 @@ impl Checker {
         Ok(())
     }
 
-    /// Resolves `name` case-insensitively through the scope stack. The
-    /// lowercased key is built on the stack; only a name longer than 64
-    /// bytes with an uppercase letter in it costs an allocation.
+    /// Resolves `name` case-insensitively through the scope stack. Only a
+    /// name with an uppercase letter in it costs an allocation.
     fn lookup(&self, name: &str) -> Option<&ScopeEntry> {
-        let mut buf = [0u8; 64];
-        let long;
-        let key = if !name.bytes().any(|b| b.is_ascii_uppercase()) {
-            name
-        } else if let Some(lower) = buf.get_mut(..name.len()) {
-            lower.copy_from_slice(name.as_bytes());
-            lower.make_ascii_lowercase();
-            std::str::from_utf8(lower).expect("ASCII lowercasing keeps UTF-8 valid")
+        let lower;
+        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower = name.to_ascii_lowercase();
+            &lower
         } else {
-            long = name.to_ascii_lowercase();
-            &long
+            name
         };
         self.scopes.iter().rev().find_map(|s| s.entries.get(key))
     }
@@ -1343,6 +1337,31 @@ mod tests {
                 .message
                 .contains("duplicate")
         );
+    }
+
+    #[test]
+    fn names_resolve_in_any_case() {
+        let m = check(
+            "program t; var Total: integer;
+             procedure Bump(N: integer); begin TOTAL := total + n end;
+             begin BUMP(2); Total := ABS(-1) end.",
+        );
+        let total = m.var_in_scope(MAIN_PROC, "total").unwrap();
+        let uses = m
+            .res
+            .values()
+            .filter(|r| matches!(r, NameRes::Var(v) if *v == total));
+        assert_eq!(uses.count(), 3);
+        assert_eq!(
+            m.call_res.values().copied().collect::<Vec<_>>(),
+            vec![m.proc_by_name("bump").unwrap()]
+        );
+        assert!(m
+            .res
+            .values()
+            .any(|r| matches!(r, NameRes::Intrinsic(Intrinsic::Abs))));
+        let e = check_err("program t; var x: integer; X: integer; begin end.");
+        assert_eq!(e.message, "duplicate declaration of `X`");
     }
 
     #[test]
