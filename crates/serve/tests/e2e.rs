@@ -337,51 +337,18 @@ fn questions_slices_and_debug_counters(fingerprint: &str) -> (Vec<String>, Vec<S
     (events, counters)
 }
 
-/// A client's `slice` request journals a `slice_request` event of its
-/// own, so a session's journal still tells its debugging prunes apart:
-/// one `slice` event per `debug.slices`, and one `slice_request`.
-#[test]
-fn slice_requests_journal_apart_from_debugging_prunes() {
-    let dir = TempDir::new("serve-slice-request");
-    let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
-    cfg.threads = 1;
-    let handle = Server::start(cfg).expect("server starts");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let sid = drive_to_done(&mut client, &golden_answers(), false);
-    client.slice(sid, 0, "decrement", 0).expect("slice");
-    let fingerprint = client.journal_fingerprint(sid).expect("journal");
-    handle.shutdown().unwrap();
-
-    let (mut prunes, mut requests, mut debug_slices, mut serve_slices) = (0, Vec::new(), 0, 0);
-    for line in fingerprint.lines() {
-        let json = gadt_store::parse(line).expect("fingerprint lines are JSON");
-        let name = json.get("name").and_then(Json::as_str).unwrap_or_default();
-        let value = json.get("value").and_then(Json::as_int).unwrap_or_default();
-        match (json.get("k").and_then(Json::as_str), name) {
-            (Some("point"), "slice") => prunes += 1,
-            (Some("point"), "slice_request") => requests.push(json.get("fields").unwrap().clone()),
-            (Some("counter"), "debug.slices") => debug_slices = value,
-            (Some("counter"), "serve.slices") => serve_slices = value,
-            _ => {}
-        }
-    }
-    assert!(debug_slices > 0, "§8 prunes by slicing:\n{fingerprint}");
-    assert_eq!(prunes, debug_slices, "{fingerprint}");
-    assert_eq!(serve_slices, 1, "{fingerprint}");
-    assert_eq!(requests.len(), 1, "{fingerprint}");
-    let fields = &requests[0];
-    assert_eq!(fields.get("run").and_then(Json::as_int), Some(0));
-    assert_eq!(fields.get("unit").and_then(Json::as_str), Some("decrement"));
-    assert_eq!(fields.get("output").and_then(Json::as_int), Some(0));
-}
-
 #[test]
 fn served_questions_and_slices_journal_like_the_library() {
     let dir = TempDir::new("serve-journal-parity");
     let mut cfg = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), dir.path().join("store"));
     cfg.threads = 1;
     let handle = Server::start(cfg).expect("server starts");
-    let served = run_full_session(handle.addr(), &golden_answers(), false);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let sid = drive_to_done(&mut client, &golden_answers(), false);
+    // A client's own slice request is not a debugging prune: it journals
+    // `slice_request`, so the served `slice` events still match the library's.
+    client.slice(sid, 0, "decrement", 0).expect("slice");
+    let served = client.journal_fingerprint(sid).expect("journal");
     handle.shutdown().unwrap();
 
     // The same verdicts through the library's `Debugger`, answered as `user`.
@@ -415,6 +382,23 @@ fn served_questions_and_slices_journal_like_the_library() {
     assert_eq!(served_events, library_events);
     assert!(!served_counters.is_empty());
     assert_eq!(served_counters, library_counters);
+
+    let served: Vec<Json> = served.lines().filter_map(gadt_store::parse).collect();
+    let named = |name: &'static str| {
+        served
+            .iter()
+            .filter(move |j| j.get("name").and_then(Json::as_str) == Some(name))
+    };
+    let requests: Vec<&Json> = named("slice_request").collect();
+    assert_eq!(requests.len(), 1);
+    let fields = requests[0].get("fields").expect("fields");
+    assert_eq!(fields.get("run").and_then(Json::as_int), Some(0));
+    assert_eq!(fields.get("unit").and_then(Json::as_str), Some("decrement"));
+    assert_eq!(fields.get("output").and_then(Json::as_int), Some(0));
+    let serve_slices: Vec<_> = named("serve.slices")
+        .map(|j| j.get("value").and_then(Json::as_int))
+        .collect();
+    assert_eq!(serve_slices, [Some(1)]);
 }
 
 #[test]
