@@ -5,20 +5,23 @@
 //! They cover what users and later phases see: the transformed program
 //! as printed, its original↔transformed mapping, every parse
 //! diagnostic (message and span), the control dependences the slicers
-//! consume, every campaign mutant as printed, and the dynamic traces
-//! the dependence recorder builds. A change to any pin changes
+//! consume, every campaign mutant as printed, the dynamic traces the
+//! dependence recorder builds, and the side-effect summaries that drive
+//! the §6 transformation and the static slicer. A change to any pin changes
 //! observable behaviour; bump one only on purpose and say why in the
 //! CHANGELOG.
 
 use gadt_repro::analysis::controldep::{ControlDeps, PostDom};
+use gadt_repro::analysis::slice_static::SliceContext;
 use gadt_repro::corpus::{corpus_subjects, generate_batch, CorpusCampaignConfig, GenConfig, Lcg};
 use gadt_repro::debugging::session::{prepare, run_traced_limited};
-use gadt_repro::mutate::{apply, enumerate_sites};
+use gadt_repro::mutate::{apply, enumerate_sites, materialize};
 use gadt_repro::pascal::cfg::{lower, ProcCfg, Terminator};
+use gadt_repro::pascal::error::Result as PascalResult;
 use gadt_repro::pascal::interp::Limits;
 use gadt_repro::pascal::parser::parse_program;
 use gadt_repro::pascal::pretty::print_program;
-use gadt_repro::pascal::sema::{compile, Module};
+use gadt_repro::pascal::sema::{analyze, compile, Module};
 use gadt_repro::pascal::value::Value;
 use gadt_repro::testprogs;
 use gadt_repro::transform::transform;
@@ -432,6 +435,85 @@ fn dynamic_traces_are_pinned() {
             PINNED_TRACES_FIXTURES,
             PINNED_TRACES_REGRESSIONS,
             PINNED_TRACES_CORPUS_0_500
+        ],
+        "actual digests {actual:#018x?}"
+    );
+}
+
+/// Folds `name`, then every procedure's name and the `Debug` text of its
+/// side-effect summary, into `hash`.
+fn fold_module_effects(hash: u64, name: &str, module: &Module) -> u64 {
+    let cfg = lower(module);
+    let fx = SliceContext::new(module, &cfg).fx;
+    let mut hash = fnv1a(hash, format!("{name}\n").as_bytes());
+    for info in &module.procs {
+        let line = format!("{} {:?}\n", info.name, fx.of(info.id));
+        hash = fnv1a(hash, line.as_bytes());
+    }
+    hash
+}
+
+/// Folds the effects of `module` and, when it transforms, of the
+/// transformed module; a module that failed analysis folds its error.
+fn fold_effects(hash: u64, name: &str, module: PascalResult<Module>) -> u64 {
+    let module = match module {
+        Ok(m) => m,
+        Err(e) => return fnv1a(hash, format!("{name} error {e}\n").as_bytes()),
+    };
+    let hash = fold_module_effects(hash, name, &module);
+    match transform(&module) {
+        Ok(t) => fold_module_effects(hash, &format!("{name} transformed"), &t.module),
+        Err(e) => fnv1a(hash, format!("{name} transform error {e}\n").as_bytes()),
+    }
+}
+
+/// Digests of every procedure's MOD, REF, parameter read/write and exit
+/// sets, before and after the transformation: fixtures, regressions,
+/// corpus seeds 0..500, and every mutant of the benchmark campaign's
+/// subjects (generator seeds 5–7) as the campaign analyzes it.
+const PINNED_EFFECTS_FIXTURES: u64 = 0x776f_4c60_19b2_9e81;
+const PINNED_EFFECTS_REGRESSIONS: u64 = 0x5b4e_b589_03c2_8203;
+const PINNED_EFFECTS_CORPUS_0_500: u64 = 0x51ff_624f_ea93_02b2;
+const PINNED_EFFECTS_MUTANTS: u64 = 0x7617_33c8_0250_33d5;
+
+#[test]
+fn side_effects_are_pinned() {
+    let fixtures = testprogs::ALL.iter().fold(digest(b""), |h, (name, src)| {
+        fold_effects(h, name, compile(src))
+    });
+    let regressions = regressions().iter().fold(digest(b""), |h, (name, src)| {
+        fold_effects(h, name, compile(src))
+    });
+    let corpus = generate_batch(0, 500, &GenConfig::default(), 2)
+        .iter()
+        .fold(digest(b""), |h, p| {
+            fold_effects(h, &p.seed.to_string(), compile(&p.source))
+        });
+    let subjects = corpus_subjects(&CorpusCampaignConfig {
+        start_seed: 5,
+        programs: 3,
+        ..CorpusCampaignConfig::default()
+    });
+    let mut mutants = 0;
+    let mut hash = digest(b"");
+    for subject in &subjects {
+        let ast = parse_program(&subject.source).expect("campaign subject parses");
+        for site in enumerate_sites(&ast) {
+            let name = format!("{} {} {}", subject.name, site.op, site.ordinal);
+            let mutant = materialize(&ast, &site).expect("enumerated site applies");
+            hash = fold_effects(hash, &name, mutant.and_then(analyze));
+            mutants += 1;
+        }
+    }
+    assert!(mutants > 850, "only {mutants} mutants");
+    let actual = [fixtures, regressions, corpus, hash];
+    assert_eq!(
+        actual,
+        [
+            PINNED_EFFECTS_FIXTURES,
+            PINNED_EFFECTS_REGRESSIONS,
+            PINNED_EFFECTS_CORPUS_0_500,
+            PINNED_EFFECTS_MUTANTS
         ],
         "actual digests {actual:#018x?}"
     );
