@@ -1,8 +1,10 @@
 //! Static call graph construction.
 //!
 //! Built from the lowered CFG, so calls inside expressions are included.
-//! The call graph drives the side-effect fixpoint ([`crate::effects`]) and
-//! the interprocedural slicer.
+//! The static slicer's context ([`crate::slice_static::SliceContext`])
+//! builds one. The side-effect fixpoint ([`crate::effects`]) does not use
+//! it: that analysis notes each procedure's calls while it walks the
+//! body, without a CFG.
 
 use gadt_pascal::ast::StmtId;
 use gadt_pascal::cfg::{CallArg, InstrKind, ProgramCfg, RExpr, Terminator};

@@ -187,15 +187,13 @@ impl Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
     use gadt_pascal::cfg::lower;
     use gadt_pascal::sema::{compile, MAIN_PROC};
 
     fn setup(src: &str) -> (Module, gadt_pascal::cfg::ProgramCfg, Effects) {
         let m = compile(src).expect("compile");
         let cfg = lower(&m);
-        let cg = CallGraph::build(&m, &cfg);
-        let fx = Effects::compute(&m, &cfg, &cg);
+        let fx = Effects::compute(&m);
         (m, cfg, fx)
     }
 

@@ -13,13 +13,33 @@
 //!   via a global `goto` (directly or through callees).
 //!
 //! These sets drive the §6 transformations (which non-locals become
-//! `in`/`out` parameters, which procedures need exit parameters) and make
-//! call instructions' effects available to the static slicer.
+//! `in`/`out`/`var` parameters, which procedures need exit parameters)
+//! and make call instructions' effects available to the static slicer.
+//!
+//! [`Effects::compute`] reads each procedure body once, off the analyzed
+//! AST through sema's resolutions, and notes what the body's CFG
+//! ([`gadt_pascal::cfg::lower`]) would contain. It copies the lowering's
+//! rules:
+//!
+//! * a `for` loop writes its control variable and reads it (the header
+//!   compares it with the limit, the step increments it);
+//! * a call statement's reference argument binds the place without
+//!   reading it, but a function call's counts as a read of it
+//!   ([`RExpr::collect_uses`]);
+//! * the lowerer parks statements after a `goto` in a fresh block, so
+//!   they still count, but it drops the terminator of a block that a
+//!   `goto` already ended: an `if` condition, an `until` condition or a
+//!   non-local `goto` directly after a `goto` adds nothing. One
+//!   `terminated` flag, set and cleared where the lowerer's is, tracks
+//!   this.
+//!
+//! The case-scrutinee and `for`-limit temporaries belong to the
+//! procedure and are not parameters, so they add nothing.
 
-use crate::callgraph::CallGraph;
-use gadt_pascal::cfg::{CallArg, InstrKind, ProgramCfg, RExpr, Terminator};
-use gadt_pascal::sema::{Module, ProcId, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use gadt_pascal::ast::{Expr, ExprId, ExprKind, LValue, Stmt, StmtKind};
+use gadt_pascal::cfg::{CallArg, InstrKind, RExpr};
+use gadt_pascal::sema::{for_var_key, Module, NameRes, ProcId, VarId};
+use std::collections::BTreeSet;
 
 /// Side-effect summary of one procedure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,10 +57,69 @@ pub struct ProcEffects {
     pub exits: BTreeSet<(ProcId, String)>,
 }
 
+impl ProcEffects {
+    /// Notes that procedure `p` writes `v`; returns whether that was new.
+    fn note_write(&mut self, module: &Module, p: ProcId, v: VarId) -> bool {
+        let info = module.var(v);
+        if info.owner != p {
+            self.mods.insert(v)
+        } else if info.is_param() {
+            self.param_writes.insert(v)
+        } else {
+            false
+        }
+    }
+
+    /// Notes that procedure `p` reads `v`; returns whether that was new.
+    fn note_read(&mut self, module: &Module, p: ProcId, v: VarId) -> bool {
+        let info = module.var(v);
+        if info.owner != p {
+            self.refs.insert(v)
+        } else if info.is_param() {
+            self.param_reads.insert(v)
+        } else {
+            false
+        }
+    }
+
+    /// Folds the summary of a procedure that `caller` calls into the
+    /// caller's; returns whether anything was new.
+    fn absorb(&mut self, module: &Module, caller: ProcId, callee: &ProcEffects) -> bool {
+        let mut changed = false;
+        for &v in &callee.mods {
+            changed |= self.note_write(module, caller, v);
+        }
+        for &v in &callee.refs {
+            changed |= self.note_read(module, caller, v);
+        }
+        // Exit effects propagate until the label's owner is reached.
+        for exit in &callee.exits {
+            if exit.0 != caller && !self.exits.contains(exit) {
+                self.exits.insert(exit.clone());
+                changed = true;
+            }
+        }
+        changed
+    }
+}
+
+/// A variable bound to a reference (`var`/`out`) parameter at a call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefArg {
+    /// The procedure making the call.
+    pub caller: ProcId,
+    /// The callee's formal parameter.
+    pub param: VarId,
+    /// The caller's variable (or array) passed for it.
+    pub arg: VarId,
+}
+
 /// Side-effect summaries for every procedure.
 #[derive(Debug, Clone)]
 pub struct Effects {
     per_proc: Vec<ProcEffects>,
+    /// Per callee, the reference arguments of its calls.
+    ref_args: Vec<Vec<RefArg>>,
 }
 
 impl Effects {
@@ -59,224 +138,317 @@ impl Effects {
         !e.mods.is_empty() || !e.refs.is_empty() || !e.exits.is_empty()
     }
 
-    /// Computes effects for all procedures by fixpoint over the call graph.
+    /// The reference arguments of every call to `p`, statement or
+    /// expression, except calls the lowering drops (in a condition
+    /// directly after a `goto`, which never runs).
+    ///
+    /// # Panics
+    /// Panics if `p` is out of range.
+    pub fn ref_args(&self, p: ProcId) -> &[RefArg] {
+        &self.ref_args[p.0 as usize]
+    }
+
+    /// Computes effects for all procedures: one walk over each body for
+    /// its direct effects, then a worklist fixpoint over the call graph
+    /// that folds each callee's summary into its callers and maps its
+    /// parameter reads and writes back through reference arguments.
     ///
     /// # Examples
     /// ```
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// use gadt_pascal::{sema::compile, cfg::lower};
-    /// use gadt_analysis::{callgraph::CallGraph, effects::Effects};
+    /// use gadt_pascal::sema::compile;
+    /// use gadt_analysis::effects::Effects;
     /// let m = compile(gadt_pascal::testprogs::SECTION6_GLOBALS)?;
-    /// let cfg = lower(&m);
-    /// let fx = Effects::compute(&m, &cfg, &CallGraph::build(&m, &cfg));
+    /// let fx = Effects::compute(&m);
     /// let p = m.proc_by_name("p").unwrap();
     /// assert!(fx.has_global_side_effects(p));
     /// # Ok(())
     /// # }
     /// ```
-    pub fn compute(module: &Module, cfg: &ProgramCfg, cg: &CallGraph) -> Self {
+    pub fn compute(module: &Module) -> Self {
         let n = module.procs.len();
-        let mut fx: Vec<ProcEffects> = vec![ProcEffects::default(); n];
-
-        // Local (direct) contributions, plus a record of ref-arg flows:
-        // (caller, callee, callee_param → caller place var) per call.
-        let mut ref_flows: Vec<(ProcId, ProcId, BTreeMap<VarId, VarId>)> = Vec::new();
-        for pcfg in &cfg.procs {
-            let p = pcfg.proc;
-            let mut direct = ProcEffects::default();
-            let note_write = |v: VarId, direct: &mut ProcEffects| {
-                if module.var(v).owner != p {
-                    direct.mods.insert(v);
-                } else if module.var(v).is_param() {
-                    direct.param_writes.insert(v);
-                }
+        let mut per_proc = Vec::with_capacity(n);
+        let mut callers: Vec<Vec<ProcId>> = vec![Vec::new(); n];
+        let mut ref_args: Vec<Vec<RefArg>> = vec![Vec::new(); n];
+        for info in &module.procs {
+            let mut walk = BodyWalk {
+                module,
+                proc: info.id,
+                fx: ProcEffects::default(),
+                callers: &mut callers,
+                ref_args: &mut ref_args,
+                terminated: false,
             };
-            let note_expr = |e: &RExpr, direct: &mut ProcEffects| {
-                let mut uses = Vec::new();
-                e.collect_uses(&mut uses);
-                for u in uses {
-                    if module.var(u).owner != p {
-                        direct.refs.insert(u);
-                    } else if module.var(u).is_param() {
-                        direct.param_reads.insert(u);
-                    }
-                }
-            };
-            let note_call_args =
-                |callee: ProcId,
-                 args: &[CallArg],
-                 direct: &mut ProcEffects,
-                 flows: &mut Vec<(ProcId, ProcId, BTreeMap<VarId, VarId>)>| {
-                    let mut map = BTreeMap::new();
-                    for (&param, a) in module.proc(callee).params.iter().zip(args) {
-                        match a {
-                            CallArg::Value(e) => note_expr(e, direct),
-                            CallArg::Ref(place) => {
-                                if let Some(ix) = &place.index {
-                                    note_expr(ix, direct);
-                                }
-                                map.insert(param, place.var);
-                            }
-                        }
-                    }
-                    if !map.is_empty() {
-                        flows.push((p, callee, map));
-                    }
-                };
-
-            // Walk expressions for nested calls too.
-            fn walk_calls(e: &RExpr, f: &mut dyn FnMut(ProcId, &[CallArg])) {
-                match e {
-                    RExpr::Call { callee, args } => {
-                        f(*callee, args);
-                        for a in args {
-                            match a {
-                                CallArg::Value(x) => walk_calls(x, f),
-                                CallArg::Ref(pl) => {
-                                    if let Some(ix) = &pl.index {
-                                        walk_calls(ix, f);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    RExpr::Index { index, .. } => walk_calls(index, f),
-                    RExpr::Intrinsic { arg, .. } => walk_calls(arg, f),
-                    RExpr::Unary { operand, .. } => walk_calls(operand, f),
-                    RExpr::Binary { lhs, rhs, .. } => {
-                        walk_calls(lhs, f);
-                        walk_calls(rhs, f);
-                    }
-                    RExpr::Lit(_) | RExpr::Var(_) => {}
-                }
+            for s in module.proc_body(info.id) {
+                walk.stmt(s);
             }
-
-            let mut exprs_with_calls: Vec<RExpr> = Vec::new();
-            for (_, b) in pcfg.iter() {
-                for ins in &b.instrs {
-                    match &ins.kind {
-                        InstrKind::Assign { lhs, rhs } => {
-                            note_expr(rhs, &mut direct);
-                            if let Some(ix) = &lhs.index {
-                                note_expr(ix, &mut direct);
-                                // Element write also reads the base array
-                                // conceptually, but only writes it for
-                                // side-effect purposes.
-                            }
-                            note_write(lhs.var, &mut direct);
-                            exprs_with_calls.push(rhs.clone());
-                            if let Some(ix) = &lhs.index {
-                                exprs_with_calls.push((**ix).clone());
-                            }
-                        }
-                        InstrKind::Call { callee, args } => {
-                            note_call_args(*callee, args, &mut direct, &mut ref_flows);
-                            for a in args {
-                                if let Some(e) = arg_expr(a) {
-                                    exprs_with_calls.push(e.clone());
-                                }
-                            }
-                        }
-                        InstrKind::Read { target } => {
-                            if let Some(ix) = &target.index {
-                                note_expr(ix, &mut direct);
-                                exprs_with_calls.push((**ix).clone());
-                            }
-                            note_write(target.var, &mut direct);
-                        }
-                        InstrKind::Write { args, .. } => {
-                            for a in args {
-                                note_expr(a, &mut direct);
-                                exprs_with_calls.push(a.clone());
-                            }
-                        }
-                    }
-                }
-                match &b.term {
-                    Terminator::Branch { cond, .. } => {
-                        note_expr(cond, &mut direct);
-                        exprs_with_calls.push(cond.clone());
-                    }
-                    Terminator::NonLocalGoto { owner, label, .. } => {
-                        direct.exits.insert((*owner, label.clone()));
-                    }
-                    _ => {}
-                }
-            }
-            // Ref args of calls nested in expressions.
-            for e in &exprs_with_calls {
-                walk_calls(e, &mut |callee, args| {
-                    note_call_args(callee, args, &mut direct, &mut ref_flows);
-                });
-            }
-            fx[p.0 as usize] = direct;
+            per_proc.push(walk.fx);
         }
 
-        // Fixpoint: propagate callee effects into callers.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for site in cg.sites() {
-                let callee_fx = fx[site.callee.0 as usize].clone();
-                let caller_fx = &mut fx[site.caller.0 as usize];
-                // Non-local variables of the callee that are still
-                // non-local (or param) from the caller's perspective.
-                for v in &callee_fx.mods {
-                    let info = module.var(*v);
-                    if info.owner != site.caller {
-                        changed |= caller_fx.mods.insert(*v);
-                    } else if info.is_param() {
-                        changed |= caller_fx.param_writes.insert(*v);
-                    }
+        // Every summary starts queued; a summary that grows re-queues the
+        // procedures whose summaries are built from it. A self-call adds
+        // nothing, but its reference arguments still map parameter to
+        // parameter, so those run for every callee.
+        let mut queued = vec![true; n];
+        let mut work: Vec<ProcId> = module.procs.iter().map(|p| p.id).collect();
+        while let Some(callee) = work.pop() {
+            queued[callee.0 as usize] = false;
+            let mut requeue = |p: ProcId, work: &mut Vec<ProcId>| {
+                if !std::mem::replace(&mut queued[p.0 as usize], true) {
+                    work.push(p);
                 }
-                for v in &callee_fx.refs {
-                    let info = module.var(*v);
-                    if info.owner != site.caller {
-                        changed |= caller_fx.refs.insert(*v);
-                    } else if info.is_param() {
-                        changed |= caller_fx.param_reads.insert(*v);
-                    }
-                }
-                // Exit effects propagate until the owner is reached.
-                for (owner, label) in &callee_fx.exits {
-                    if *owner != site.caller {
-                        changed |= caller_fx.exits.insert((*owner, label.clone()));
-                    }
+            };
+            for &caller in &callers[callee.0 as usize] {
+                let (caller_fx, callee_fx) = caller_and_callee(&mut per_proc, caller, callee);
+                if caller_fx.absorb(module, caller, callee_fx) {
+                    requeue(caller, &mut work);
                 }
             }
-            // Ref-parameter flows: callee reading/writing its param means
-            // the caller reads/writes the bound place.
-            for (caller, callee, map) in &ref_flows {
-                let callee_fx = fx[callee.0 as usize].clone();
-                let caller_fx = &mut fx[caller.0 as usize];
-                for (param, caller_var) in map {
-                    let caller_var_info = module.var(*caller_var);
-                    if callee_fx.param_writes.contains(param) {
-                        if caller_var_info.owner != *caller {
-                            changed |= caller_fx.mods.insert(*caller_var);
-                        } else if caller_var_info.is_param() {
-                            changed |= caller_fx.param_writes.insert(*caller_var);
-                        }
-                    }
-                    if callee_fx.param_reads.contains(param) {
-                        if caller_var_info.owner != *caller {
-                            changed |= caller_fx.refs.insert(*caller_var);
-                        } else if caller_var_info.is_param() {
-                            changed |= caller_fx.param_reads.insert(*caller_var);
-                        }
-                    }
+            for a in &ref_args[callee.0 as usize] {
+                let callee_fx = &per_proc[callee.0 as usize];
+                let writes = callee_fx.param_writes.contains(&a.param);
+                let reads = callee_fx.param_reads.contains(&a.param);
+                let caller_fx = &mut per_proc[a.caller.0 as usize];
+                let mut changed = false;
+                if writes {
+                    changed |= caller_fx.note_write(module, a.caller, a.arg);
+                }
+                if reads {
+                    changed |= caller_fx.note_read(module, a.caller, a.arg);
+                }
+                if changed {
+                    requeue(a.caller, &mut work);
                 }
             }
         }
 
-        Effects { per_proc: fx }
+        Effects { per_proc, ref_args }
     }
 }
 
-fn arg_expr(a: &CallArg) -> Option<&RExpr> {
-    match a {
-        CallArg::Value(e) => Some(e),
-        CallArg::Ref(p) => p.index.as_deref(),
+/// The caller's summary, mutably, and the callee's, borrowed; the two
+/// must differ.
+fn caller_and_callee(
+    fx: &mut [ProcEffects],
+    caller: ProcId,
+    callee: ProcId,
+) -> (&mut ProcEffects, &ProcEffects) {
+    let (a, b) = (caller.0 as usize, callee.0 as usize);
+    if a < b {
+        let (lo, hi) = fx.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = fx.split_at_mut(a);
+        (&mut hi[0], &lo[b])
+    }
+}
+
+/// One pass over a procedure body, noting its direct effects, its calls
+/// and their reference arguments.
+struct BodyWalk<'a> {
+    module: &'a Module,
+    proc: ProcId,
+    fx: ProcEffects,
+    /// Per callee, its callers other than itself.
+    callers: &'a mut [Vec<ProcId>],
+    ref_args: &'a mut [Vec<RefArg>],
+    /// The lowerer's flag of the same name: whether the current block
+    /// already has a terminator (only a `goto` leaves it set).
+    terminated: bool,
+}
+
+impl BodyWalk<'_> {
+    /// The lowerer's `terminate`: whether the terminator is kept.
+    fn terminate(&mut self) -> bool {
+        !std::mem::replace(&mut self.terminated, true)
+    }
+
+    fn read(&mut self, v: VarId) {
+        self.fx.note_read(self.module, self.proc, v);
+    }
+
+    fn write(&mut self, v: VarId) {
+        self.fx.note_write(self.module, self.proc, v);
+    }
+
+    fn stmt(&mut self, s: &Stmt) {
+        match &s.kind {
+            StmtKind::Empty => {}
+            StmtKind::Assign { lhs, rhs } => {
+                self.lvalue(lhs);
+                self.expr(rhs);
+                self.terminated = false;
+            }
+            StmtKind::Call { args, .. } => {
+                self.call(self.module.call_res[&s.id], args, false);
+                self.terminated = false;
+            }
+            StmtKind::Compound(stmts) => {
+                for st in stmts {
+                    self.stmt(st);
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                if self.terminate() {
+                    self.expr(cond);
+                }
+                self.terminated = false;
+                self.stmt(then_branch);
+                if let Some(e) = else_branch {
+                    self.terminated = false;
+                    self.stmt(e);
+                }
+                self.terminated = false;
+            }
+            StmtKind::Case {
+                scrutinee,
+                arms,
+                else_arm,
+            } => {
+                // The arms branch on the scrutinee's temporary alone.
+                self.expr(scrutinee);
+                for arm in arms {
+                    self.terminated = false;
+                    self.stmt(&arm.stmt);
+                }
+                if let Some(e) = else_arm {
+                    self.terminated = false;
+                    self.stmt(e);
+                }
+                self.terminated = false;
+            }
+            StmtKind::While { cond, body } => {
+                // The condition opens the loop header's own block.
+                self.expr(cond);
+                self.terminated = false;
+                self.stmt(body);
+                self.terminated = false;
+            }
+            StmtKind::Repeat { body, cond } => {
+                self.terminated = false;
+                for st in body {
+                    self.stmt(st);
+                }
+                if self.terminate() {
+                    self.expr(cond);
+                }
+                self.terminated = false;
+            }
+            StmtKind::For { from, to, body, .. } => {
+                let ctrl = self.var(for_var_key(s.id));
+                self.expr(from);
+                self.expr(to);
+                self.write(ctrl);
+                self.read(ctrl);
+                self.terminated = false;
+                self.stmt(body);
+                self.terminated = false;
+            }
+            StmtKind::Goto(_) => {
+                let (owner, label) = &self.module.goto_res[&s.id];
+                if self.terminate() && *owner != self.proc {
+                    self.fx.exits.insert((*owner, label.clone()));
+                }
+            }
+            StmtKind::Labeled { stmt, .. } => {
+                self.terminated = false;
+                self.stmt(stmt);
+            }
+            StmtKind::Read { args, .. } => {
+                for lv in args {
+                    self.lvalue(lv);
+                    self.terminated = false;
+                }
+            }
+            StmtKind::Write { args, .. } => {
+                for a in args {
+                    self.expr(a);
+                }
+                self.terminated = false;
+            }
+        }
+    }
+
+    /// The variable an lvalue-like expression id resolved to.
+    fn var(&self, id: ExprId) -> VarId {
+        match &self.module.res[&id] {
+            NameRes::Var(v) => *v,
+            other => unreachable!("place resolved to {other:?}"),
+        }
+    }
+
+    /// An assignment or `read` target: written, its index read.
+    fn lvalue(&mut self, lv: &LValue) {
+        let v = self.var(lv.id);
+        if let Some(ix) = &lv.index {
+            self.expr(ix);
+        }
+        self.write(v);
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::RealLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::StrLit(_) => {}
+            ExprKind::Name(_) => match &self.module.res[&e.id] {
+                NameRes::Var(v) => self.read(*v),
+                NameRes::Const(_) => {}
+                NameRes::Proc(callee) => self.call(*callee, &[], true),
+                NameRes::Intrinsic(_) => unreachable!("bare intrinsic name"),
+            },
+            ExprKind::Index { index, .. } => {
+                let base = self.var(e.id);
+                self.read(base);
+                self.expr(index);
+            }
+            ExprKind::Call { args, .. } => match &self.module.res[&e.id] {
+                NameRes::Proc(callee) => self.call(*callee, args, true),
+                NameRes::Intrinsic(_) => self.expr(&args[0]),
+                other => unreachable!("call resolved to {other:?}"),
+            },
+            ExprKind::Unary { operand, .. } => self.expr(operand),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+        }
+    }
+
+    /// A call of `callee`; `in_expr` for a function call, whose
+    /// reference arguments count as reads of their places.
+    fn call(&mut self, callee: ProcId, args: &[Expr], in_expr: bool) {
+        let module = self.module;
+        let callers = &mut self.callers[callee.0 as usize];
+        if callee != self.proc && callers.last() != Some(&self.proc) {
+            callers.push(self.proc);
+        }
+        for (&param, arg) in module.proc(callee).params.iter().zip(args) {
+            let mode = module.var(param).param_mode();
+            if !mode.expect("callee param has a mode").is_reference() {
+                self.expr(arg);
+                continue;
+            }
+            let place = self.var(arg.id);
+            if in_expr {
+                self.read(place);
+            }
+            match &arg.kind {
+                ExprKind::Name(_) => {}
+                ExprKind::Index { index, .. } => self.expr(index),
+                other => unreachable!("reference arg is not an lvalue: {other:?}"),
+            }
+            self.ref_args[callee.0 as usize].push(RefArg {
+                caller: self.proc,
+                param,
+                arg: place,
+            });
+        }
     }
 }
 
@@ -391,13 +563,6 @@ fn collect_expr_call_effects(module: &Module, fx: &Effects, e: &RExpr, out: &mut
     }
 }
 
-/// Convenience wrapper: computes call graph and effects for a module.
-pub fn analyze(module: &Module, cfg: &ProgramCfg) -> (CallGraph, Effects) {
-    let cg = CallGraph::build(module, cfg);
-    let fx = Effects::compute(module, cfg, &cg);
-    (cg, fx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,9 +572,7 @@ mod tests {
 
     fn effects(src: &str) -> (Module, Effects) {
         let m = compile(src).expect("compile");
-        let cfg = lower(&m);
-        let cg = CallGraph::build(&m, &cfg);
-        let fx = Effects::compute(&m, &cfg, &cg);
+        let fx = Effects::compute(&m);
         (m, fx)
     }
 
@@ -562,5 +725,99 @@ mod tests {
         let p = m.proc_by_name("p").unwrap();
         assert!(fx.of(p).param_reads.is_empty());
         assert_eq!(fx.of(p).param_writes.len(), 1);
+    }
+
+    #[test]
+    fn conditions_directly_after_a_goto_add_nothing() {
+        for body in [
+            "goto 9; if g > 0 then x := 1; 9: x := 2",
+            "repeat x := 1; goto 9 until g > 0; 9: x := 2",
+        ] {
+            let (m, fx) = effects(&format!(
+                "program t; var g, x: integer;
+                 procedure p; label 9; begin {body} end;
+                 begin p end."
+            ));
+            let e = fx.of(m.proc_by_name("p").unwrap());
+            assert!(e.refs.is_empty(), "{body}: {:?}", names(&m, &e.refs));
+            assert_eq!(names(&m, &e.mods), vec!["x"], "{body}");
+        }
+    }
+
+    #[test]
+    fn dead_statements_after_a_goto_still_count() {
+        let (m, fx) = effects(
+            "program t; var g, x: integer;
+             procedure p; label 9; begin goto 9; x := g; 9: end;
+             begin p end.",
+        );
+        let e = fx.of(m.proc_by_name("p").unwrap());
+        assert_eq!(names(&m, &e.refs), vec!["g"]);
+        assert_eq!(names(&m, &e.mods), vec!["x"]);
+    }
+
+    #[test]
+    fn non_local_goto_directly_after_a_goto_adds_no_exit() {
+        let (m, fx) = effects(
+            "program t; var x: integer;
+             procedure p;
+             label 8, 9;
+               procedure q; begin goto 8; goto 9 end;
+             begin q; 8: x := 1; 9: x := 2 end;
+             begin p end.",
+        );
+        let p = m.proc_by_name("p").unwrap();
+        let q = m.proc_by_name("q").unwrap();
+        assert_eq!(
+            fx.of(q).exits.iter().collect::<Vec<_>>(),
+            vec![&(p, "8".to_string())]
+        );
+    }
+
+    #[test]
+    fn only_a_function_calls_reference_argument_is_a_read() {
+        let (m, fx) = effects(
+            "program t; var g, r: integer;
+             procedure s(var b: integer); begin b := 1 end;
+             function f(var b: integer): integer; begin b := 1; f := 0 end;
+             procedure viastmt; begin s(g) end;
+             procedure viaexpr; begin r := f(g) end;
+             begin viastmt; viaexpr end.",
+        );
+        let viastmt = fx.of(m.proc_by_name("viastmt").unwrap());
+        assert_eq!(names(&m, &viastmt.mods), vec!["g"]);
+        assert!(viastmt.refs.is_empty());
+        let viaexpr = fx.of(m.proc_by_name("viaexpr").unwrap());
+        assert_eq!(names(&m, &viaexpr.mods), vec!["g", "r"]);
+        assert_eq!(names(&m, &viaexpr.refs), vec!["g"]);
+    }
+
+    #[test]
+    fn for_loop_over_a_global_modifies_and_reads_it() {
+        let (m, fx) = effects(
+            "program t; var i, s: integer;
+             procedure p; begin for i := 1 to 3 do s := 0 end;
+             begin p end.",
+        );
+        let e = fx.of(m.proc_by_name("p").unwrap());
+        assert_eq!(names(&m, &e.mods), vec!["i", "s"]);
+        assert_eq!(names(&m, &e.refs), vec!["i"]);
+    }
+
+    #[test]
+    fn self_call_maps_reference_parameters_onto_each_other() {
+        let (m, fx) = effects(
+            "program t; var x, y: integer;
+             procedure p(var a, b: integer; n: integer);
+             begin if n > 0 then p(b, a, n - 1) else a := 1 end;
+             begin p(x, y, 1) end.",
+        );
+        let e = fx.of(m.proc_by_name("p").unwrap());
+        assert_eq!(names(&m, &e.param_writes), vec!["a", "b"]);
+        assert_eq!(names(&m, &e.param_reads), vec!["n"]);
+        let main = fx.of(MAIN_PROC);
+        assert!(main.mods.is_empty() && main.refs.is_empty());
+        let p = m.proc_by_name("p").unwrap();
+        assert_eq!(fx.ref_args(p).len(), 4);
     }
 }

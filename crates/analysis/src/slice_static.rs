@@ -112,7 +112,7 @@ impl<'m> SliceContext<'m> {
     /// Builds the analysis context for a module.
     pub fn new(module: &'m Module, cfg: &'m ProgramCfg) -> Self {
         let cg = CallGraph::build(module, cfg);
-        let fx = Effects::compute(module, cfg, &cg);
+        let fx = Effects::compute(module);
         let cd = ProgramControlDeps::compute(module, cfg);
         SliceContext {
             module,

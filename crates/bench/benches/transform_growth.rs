@@ -2,11 +2,9 @@
 //! full §6 pipeline on the paper's examples and generated programs, plus
 //! the side-effect analysis feeding it.
 
-use gadt_analysis::callgraph::CallGraph;
 use gadt_analysis::effects::Effects;
 use gadt_bench::genprog::{generate, GenConfig};
 use gadt_bench::timing::Harness;
-use gadt_pascal::cfg::lower;
 use gadt_pascal::sema::compile;
 use gadt_pascal::testprogs;
 use gadt_transform::transform;
@@ -15,11 +13,7 @@ fn main() {
     let h = Harness::new();
 
     let m = compile(testprogs::SQRTEST).unwrap();
-    let cfg = lower(&m);
-    h.bench("analysis/effects_sqrtest", || {
-        let cg = CallGraph::build(&m, &cfg);
-        Effects::compute(&m, &cfg, &cg)
-    });
+    h.bench("analysis/effects_sqrtest", || Effects::compute(&m));
 
     for (name, src) in [
         ("globals", testprogs::SECTION6_GLOBALS),

@@ -332,8 +332,7 @@ mod effectful_tests {
                 gadt_pascal::pretty::print_program(&t.module.program)
             );
             // Postcondition: side-effect free at the procedure level.
-            let cfgl = gadt_pascal::cfg::lower(&t.module);
-            let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfgl);
+            let fx = gadt_analysis::effects::Effects::compute(&t.module);
             for p in &t.module.procs {
                 if p.id != gadt_pascal::sema::MAIN_PROC {
                     assert!(

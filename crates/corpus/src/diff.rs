@@ -14,6 +14,11 @@
 //!    its final value, printed and re-run on the same input, must
 //!    reproduce that value.
 //!
+//! The transformation's own postcondition is checked too: no procedure
+//! of the transformed program but the main body may keep a global side
+//! effect (a non-local read, write or `goto`), as
+//! [`Effects::compute`] reads it.
+//!
 //! A violation of any of these is a [`Divergence`], addressed by the
 //! generating `(seed, config)` pair; [`run_sweep`] additionally shrinks
 //! each divergent program to a minimal reproducer.
@@ -26,13 +31,14 @@
 use crate::gen::{generate, GenConfig, GeneratedProgram};
 use crate::shrink::shrink_source;
 use gadt::session;
+use gadt_analysis::effects::Effects;
 use gadt_exec::BatchExecutor;
 use gadt_obs::Recorder;
 use gadt_pascal::ast::{Program, Stmt, StmtId, StmtKind};
 use gadt_pascal::cfg::lower;
 use gadt_pascal::interp::{Interpreter, Limits, Monitor, Outcome};
 use gadt_pascal::pretty::print_slice;
-use gadt_pascal::sema::{compile, Module};
+use gadt_pascal::sema::{compile, Module, MAIN_PROC};
 use gadt_vm::conformance::EventHasher;
 use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeSet;
@@ -79,6 +85,9 @@ pub enum DivergenceKind {
     /// The transformation returned an error on a program it should
     /// handle.
     TransformError,
+    /// A procedure of the transformed program other than the main body
+    /// still has a global side effect (§6's postcondition).
+    ResidualSideEffect,
     /// The transformed program hit a runtime error the original did not.
     TransformedRunError,
     /// Original and transformed outputs differ.
@@ -98,6 +107,7 @@ impl fmt::Display for DivergenceKind {
             DivergenceKind::CompileError => "compile-error",
             DivergenceKind::OriginalRunError => "original-run-error",
             DivergenceKind::TransformError => "transform-error",
+            DivergenceKind::ResidualSideEffect => "residual-side-effect",
             DivergenceKind::TransformedRunError => "transformed-run-error",
             DivergenceKind::OutputMismatch => "output-mismatch",
             DivergenceKind::VmDivergence => "vm-divergence",
@@ -308,6 +318,11 @@ fn check_inner(p: &GeneratedProgram, config: &DiffConfig) -> Result<(), Divergen
         })
     })?;
 
+    // 3b. §6 postcondition: only the main body keeps global side effects.
+    guard("transform-postcondition", || {
+        residual_side_effect(&prepared.transformed.module)
+    })?;
+
     // 4. Transformed run (event-hashed so the VM leg can compare the
     //    full monitor stream without a second reference run).
     let mut tree_hash = EventHasher::new();
@@ -355,6 +370,24 @@ fn check_inner(p: &GeneratedProgram, config: &DiffConfig) -> Result<(), Divergen
         check_slices(p, &prepared, &transformed, config)?;
     }
     Ok(())
+}
+
+/// Fails when a procedure other than the main body of the transformed
+/// `module` still reads, writes or jumps to something non-local.
+fn residual_side_effect(module: &Module) -> Result<(), Divergence> {
+    let fx = Effects::compute(module);
+    match module
+        .procs
+        .iter()
+        .find(|p| p.id != MAIN_PROC && fx.has_global_side_effects(p.id))
+    {
+        None => Ok(()),
+        Some(p) => Err(Divergence {
+            kind: DivergenceKind::ResidualSideEffect,
+            stage: "transform-postcondition".into(),
+            detail: format!("`{}` keeps global side effects: {:?}", p.name, fx.of(p.id)),
+        }),
+    }
 }
 
 /// Runs the transformed module on the bytecode VM and compares every
@@ -540,5 +573,21 @@ pub fn run_sweep_observed(
         checked,
         clean,
         divergent,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gadt_pascal::testprogs;
+
+    #[test]
+    fn untransformed_global_access_is_a_residual_side_effect() {
+        let m = compile(testprogs::SECTION6_GLOBALS).expect("fixture compiles");
+        let d = residual_side_effect(&m).expect_err("p reads and writes globals");
+        assert_eq!(d.kind, DivergenceKind::ResidualSideEffect);
+        assert!(d.detail.starts_with("`p`"), "{}", d.detail);
+        let t = gadt_transform::transform(&m).expect("fixture transforms");
+        assert!(residual_side_effect(&t.module).is_ok());
     }
 }

@@ -14,18 +14,19 @@
 //! end;                           end;
 //! ```
 //!
-//! Aliasing caveat: if a call passes a variable by reference *and* the
-//! callee receives the same variable as a synthesized read-only parameter,
-//! an `in` (copy) parameter would break the alias. Such parameters are
-//! escalated to `var` (reference) mode; see `escalations` below. Deeper
-//! alias chains (the paper defers to full alias analysis) are documented
-//! in DESIGN.md as out of scope.
+//! Aliasing caveat: if a call — a call statement or a function call
+//! inside an expression — passes a variable by reference *and* the callee
+//! receives the same variable as a synthesized read-only parameter, an
+//! `in` (copy) parameter would break the alias. Such parameters are
+//! escalated to `var` (reference) mode, from the reference arguments
+//! [`Effects::ref_args`] records. Deeper alias chains (the paper defers
+//! to full alias analysis) are documented in DESIGN.md as out of scope.
 
 use crate::mapping::{AddedParam, Mapping, ParamOrigin};
 use crate::pipeline::reanalyze;
 use crate::Rewrite;
+use gadt_analysis::effects::Effects;
 use gadt_pascal::ast::*;
-use gadt_pascal::cfg::{lower, CallArg, InstrKind};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
 use gadt_pascal::sema::{Module, NameRes, ProcId, VarId, MAIN_PROC};
 use gadt_pascal::span::Span;
@@ -44,8 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// a parameter type (never happens for the supported type system), or if
 /// the rewritten program fails re-analysis (a transformation bug).
 pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
-    let cfg = lower(&module);
-    let (_cg, fx) = gadt_analysis::effects::analyze(&module, &cfg);
+    let fx = Effects::compute(&module);
 
     // Additions per procedure: sorted (var, mode) pairs.
     let mut additions: BTreeMap<ProcId, Vec<(VarId, ParamMode)>> = BTreeMap::new();
@@ -60,11 +60,16 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
         if vars.is_empty() {
             continue;
         }
+        // Alias escalation: an `in` (copy) addition that some call also
+        // passes by reference would break the alias → make it `var`.
         let list: Vec<(VarId, ParamMode)> = vars
             .into_iter()
             .map(|v| {
                 let mode = match (e.refs.contains(&v), e.mods.contains(&v)) {
                     (true, true) => ParamMode::Var,
+                    (true, false) if fx.ref_args(info.id).iter().any(|a| a.arg == v) => {
+                        ParamMode::Var
+                    }
                     (true, false) => ParamMode::In,
                     (false, true) => ParamMode::Out,
                     (false, false) => unreachable!("v came from refs ∪ mods"),
@@ -76,38 +81,6 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     }
     if additions.is_empty() {
         return Ok(Rewrite::Unchanged(module));
-    }
-
-    // Alias escalation: an `in` (copy) addition that is also passed by
-    // reference in the same call would break aliasing → make it `var`.
-    let mut escalate: BTreeSet<(ProcId, VarId)> = BTreeSet::new();
-    for pcfg in &cfg.procs {
-        for (_, b) in pcfg.iter() {
-            for ins in &b.instrs {
-                if let InstrKind::Call { callee, args } = &ins.kind {
-                    if let Some(adds) = additions.get(callee) {
-                        for a in args {
-                            if let CallArg::Ref(place) = a {
-                                for (v, mode) in adds {
-                                    if *v == place.var && *mode == ParamMode::In {
-                                        escalate.insert((*callee, *v));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (p, v) in &escalate {
-        if let Some(adds) = additions.get_mut(p) {
-            for (av, mode) in adds.iter_mut() {
-                if av == v {
-                    *mode = ParamMode::Var;
-                }
-            }
-        }
     }
 
     // Choose parameter names per (proc, var), mangling on collision with
@@ -173,6 +146,7 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     let mut block = std::mem::take(&mut module.program.block);
     let cx = RewriteCx {
         module: &module,
+        declared: &declared_procs(&module),
         additions: &additions,
         param_name: &param_name,
     };
@@ -217,6 +191,7 @@ impl IdGen {
 
 struct RewriteCx<'a> {
     module: &'a Module,
+    declared: &'a [Vec<ProcId>],
     additions: &'a BTreeMap<ProcId, Vec<(VarId, ParamMode)>>,
     param_name: &'a HashMap<(ProcId, VarId), String>,
 }
@@ -255,9 +230,8 @@ fn type_to_expr(ty: &Type) -> TypeExpr {
 
 fn rewrite_block(cx: &RewriteCx<'_>, block: &mut Block, owner: ProcId, ids: &mut IdGen) {
     // Nested procedure declarations first.
-    for decl in &mut block.procs {
-        let pid =
-            proc_by_path(cx.module, owner, &decl.name.name).expect("declared proc resolvable");
+    for (i, decl) in block.procs.iter_mut().enumerate() {
+        let pid = cx.declared[owner.0 as usize][i];
         if let Some(adds) = cx.additions.get(&pid) {
             for (v, mode) in adds {
                 let name = cx.param_name[&(pid, *v)].clone();
@@ -411,15 +385,24 @@ fn extend_args(
     }
 }
 
-/// The procedure declared directly inside `owner` as `name`, matched
-/// case-insensitively. The rewriters walk declarations, not ids, so this
-/// is how they find the id of the declaration at hand.
-pub(crate) fn proc_by_path(module: &Module, owner: ProcId, name: &str) -> Option<ProcId> {
-    module
-        .procs
-        .iter()
-        .find(|p| p.parent == Some(owner) && p.name.eq_ignore_ascii_case(name))
-        .map(|p| p.id)
+/// Per procedure, the ids of the procedures declared directly inside it,
+/// in the order of its block's `procs` (from [`ProcInfo::decl_path`]).
+/// The rewriters walk declarations, not ids, so this is how they find
+/// the id of the declaration at hand.
+///
+/// [`ProcInfo::decl_path`]: gadt_pascal::sema::ProcInfo::decl_path
+pub(crate) fn declared_procs(module: &Module) -> Vec<Vec<ProcId>> {
+    let mut declared = vec![Vec::new(); module.procs.len()];
+    for info in &module.procs {
+        if let (Some(parent), Some(&i)) = (info.parent, info.decl_path.last()) {
+            let list: &mut Vec<ProcId> = &mut declared[parent.0 as usize];
+            if list.len() <= i {
+                list.resize(i + 1, MAIN_PROC);
+            }
+            list[i] = info.id;
+        }
+    }
+    declared
 }
 
 #[cfg(test)]
@@ -481,8 +464,7 @@ mod tests {
              begin g := 0; outer; writeln(g) end.",
         ] {
             let (_, tm, _) = transform(src);
-            let cfg = lower(&tm);
-            let (_cg, fx) = gadt_analysis::effects::analyze(&tm, &cfg);
+            let fx = Effects::compute(&tm);
             for p in &tm.procs {
                 if p.id == MAIN_PROC {
                     continue;
@@ -615,6 +597,22 @@ mod tests {
         // g is read-only inside p, but p(g) aliases it with y → var mode.
         assert!(
             printed.contains("procedure p(var y: integer; var g: integer);"),
+            "{printed}"
+        );
+    }
+
+    #[test]
+    fn aliasing_through_a_function_call_escalates_in_to_var() {
+        let src = "program t; var g, r: integer;
+             function f(var b: integer): integer;
+             begin b := 5; f := g end;
+             begin g := 1; r := f(g); writeln(r, ' ', g) end.";
+        behaves_identically(src, vec![vec![]]);
+        let (_, tm, _) = transform(src);
+        let printed = print_program(&tm.program);
+        // g is read-only inside f, but f(g) aliases it with b → var mode.
+        assert!(
+            printed.contains("function f(var b: integer; var g: integer): integer;"),
             "{printed}"
         );
     }

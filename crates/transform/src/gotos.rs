@@ -725,6 +725,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     // Rewrite.
     struct Cx<'a> {
         module: &'a Module,
+        declared: &'a [Vec<ProcId>],
         targets_of: &'a BTreeMap<ProcId, Vec<(ProcId, String, i64)>>,
         goto_stmts: &'a BTreeMap<StmtId, (ProcId, i64)>,
         exit_param: &'a HashMap<ProcId, String>,
@@ -739,9 +740,8 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
         ids: &mut IdGen,
         mapping: &mut Mapping,
     ) {
-        for decl in &mut block.procs {
-            let pid = crate::globals::proc_by_path(cx.module, owner, &decl.name.name)
-                .expect("declared proc resolvable");
+        for (i, decl) in block.procs.iter_mut().enumerate() {
+            let pid = cx.declared[owner.0 as usize][i];
             do_block(cx, &mut decl.block, pid, ids, mapping);
             if let Some(param) = cx.exit_param.get(&pid) {
                 // Reuse plumbing installed by an earlier cascading round
@@ -912,6 +912,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     let mut block = std::mem::take(&mut module.program.block);
     let cx = Cx {
         module: &module,
+        declared: &crate::globals::declared_procs(&module),
         targets_of: &targets_of,
         goto_stmts: &goto_stmts,
         exit_param: &exit_param,

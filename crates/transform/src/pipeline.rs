@@ -301,8 +301,7 @@ mod tests {
     fn pipeline_removes_all_global_side_effects() {
         let m = compile(testprogs::SECTION6_GOTO).unwrap();
         let t = transform(&m).unwrap();
-        let cfg = gadt_pascal::cfg::lower(&t.module);
-        let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfg);
+        let fx = gadt_analysis::effects::Effects::compute(&t.module);
         for p in &t.module.procs {
             if p.id == gadt_pascal::sema::MAIN_PROC {
                 continue;
@@ -338,8 +337,7 @@ mod tests {
         outputs_match(src, vec![vec![]]);
         let m = compile(src).unwrap();
         let t = transform(&m).unwrap();
-        let cfg = gadt_pascal::cfg::lower(&t.module);
-        let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfg);
+        let fx = gadt_analysis::effects::Effects::compute(&t.module);
         let q = t.module.proc_by_name("q").unwrap();
         assert!(!fx.has_global_side_effects(q));
     }

@@ -168,8 +168,7 @@ fn transformation_of_deeply_nested_mixed_effects() {
         .unwrap();
     assert_eq!(o1.output_text(), o2.output_text());
     // Zero residual side effects.
-    let cfg = lower(&t.module);
-    let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfg);
+    let fx = gadt_analysis::effects::Effects::compute(&t.module);
     for p in &t.module.procs {
         if p.id != gadt_pascal::sema::MAIN_PROC {
             assert!(
@@ -367,8 +366,7 @@ fn case_with_global_side_effects_transforms() {
         .unwrap();
     assert_eq!(o1.output_text(), "111\n");
     assert_eq!(o1.output_text(), o2.output_text());
-    let cfg = lower(&t.module);
-    let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfg);
+    let fx = gadt_analysis::effects::Effects::compute(&t.module);
     let bump = t.module.proc_by_name("bump").unwrap();
     assert!(!fx.has_global_side_effects(bump));
 }

@@ -320,8 +320,7 @@ fn e11_transformations() {
             );
         }
         // No procedure-level variable side effects remain.
-        let cfg = lower(&t.module);
-        let (_cg, fx) = gadt_analysis::effects::analyze(&t.module, &cfg);
+        let fx = gadt_analysis::effects::Effects::compute(&t.module);
         for p in &t.module.procs {
             if p.id != gadt_pascal::sema::MAIN_PROC {
                 assert!(
