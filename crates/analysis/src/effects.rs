@@ -192,20 +192,24 @@ impl Effects {
         let mut queued = vec![true; n];
         let mut work: Vec<ProcId> = module.procs.iter().map(|p| p.id).collect();
         while let Some(callee) = work.pop() {
-            queued[callee.0 as usize] = false;
+            let c = callee.0 as usize;
+            queued[c] = false;
             let mut requeue = |p: ProcId, work: &mut Vec<ProcId>| {
                 if !std::mem::replace(&mut queued[p.0 as usize], true) {
                     work.push(p);
                 }
             };
-            for &caller in &callers[callee.0 as usize] {
-                let (caller_fx, callee_fx) = caller_and_callee(&mut per_proc, caller, callee);
-                if caller_fx.absorb(module, caller, callee_fx) {
+            // `callers` lists no self-calls, so the callee's summary can be
+            // lent out while its callers absorb it.
+            let callee_fx = std::mem::take(&mut per_proc[c]);
+            for &caller in &callers[c] {
+                if per_proc[caller.0 as usize].absorb(module, caller, &callee_fx) {
                     requeue(caller, &mut work);
                 }
             }
-            for a in &ref_args[callee.0 as usize] {
-                let callee_fx = &per_proc[callee.0 as usize];
+            per_proc[c] = callee_fx;
+            for a in &ref_args[c] {
+                let callee_fx = &per_proc[c];
                 let writes = callee_fx.param_writes.contains(&a.param);
                 let reads = callee_fx.param_reads.contains(&a.param);
                 let caller_fx = &mut per_proc[a.caller.0 as usize];
@@ -223,23 +227,6 @@ impl Effects {
         }
 
         Effects { per_proc, ref_args }
-    }
-}
-
-/// The caller's summary, mutably, and the callee's, borrowed; the two
-/// must differ.
-fn caller_and_callee(
-    fx: &mut [ProcEffects],
-    caller: ProcId,
-    callee: ProcId,
-) -> (&mut ProcEffects, &ProcEffects) {
-    let (a, b) = (caller.0 as usize, callee.0 as usize);
-    if a < b {
-        let (lo, hi) = fx.split_at_mut(b);
-        (&mut lo[a], &hi[0])
-    } else {
-        let (lo, hi) = fx.split_at_mut(a);
-        (&mut hi[0], &lo[b])
     }
 }
 
