@@ -411,6 +411,8 @@ impl BodyWalk<'_> {
     /// reference arguments count as reads of their places.
     fn call(&mut self, callee: ProcId, args: &[Expr], in_expr: bool) {
         let module = self.module;
+        // A procedure's calls are all noted during its own walk, so an
+        // earlier call to the same callee is the list's last entry.
         let callers = &mut self.callers[callee.0 as usize];
         if callee != self.proc && callers.last() != Some(&self.proc) {
             callers.push(self.proc);

@@ -413,6 +413,9 @@ impl<'m> Lowerer<'m> {
             .push(Instr { kind, stmt, span });
     }
 
+    /// Ends the current block with `term`, unless a `goto` already ended
+    /// it. `gadt_analysis::effects` reads side effects off the AST by
+    /// this same rule, so a change here needs one there.
     fn terminate(&mut self, term: Terminator) {
         if !self.terminated {
             self.blocks[self.cur.0 as usize].term = term;
