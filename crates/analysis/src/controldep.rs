@@ -9,7 +9,6 @@
 use gadt_pascal::ast::StmtId;
 use gadt_pascal::cfg::{BlockId, ProcCfg, ProgramCfg, Terminator};
 use gadt_pascal::sema::{Module, ProcId};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Postdominator sets for one procedure's CFG.
 #[derive(Debug, Clone)]
@@ -37,28 +36,25 @@ impl PostDom {
         rows[exit * words..].fill(0);
         rows[exit * words + exit / 64] |= 1 << (exit % 64);
 
-        let succs: Vec<Vec<usize>> = cfg
-            .blocks
-            .iter()
-            .map(|blk| match &blk.term {
-                Terminator::Return | Terminator::NonLocalGoto { .. } => vec![exit],
-                t => t.successors().iter().map(|s| s.0 as usize).collect(),
-            })
-            .collect();
         let mut new = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
             for b in (0..n).rev() {
-                // The intersection of the successors' rows (empty when
-                // there are none), plus `b` itself.
-                new.fill(0);
-                if let Some((&first, rest)) = succs[b].split_first() {
-                    new.copy_from_slice(&rows[first * words..(first + 1) * words]);
-                    for &s in rest {
-                        for (w, x) in new.iter_mut().zip(&rows[s * words..(s + 1) * words]) {
-                            *w &= x;
-                        }
+                // The intersection of the successors' rows, plus `b`
+                // itself. A block that leaves the procedure has the
+                // virtual exit as its one successor.
+                let (first, second) = match &cfg.blocks[b].term {
+                    Terminator::Jump(t) => (t.0 as usize, None),
+                    Terminator::Branch {
+                        then_bb, else_bb, ..
+                    } => (then_bb.0 as usize, Some(else_bb.0 as usize)),
+                    Terminator::Return | Terminator::NonLocalGoto { .. } => (exit, None),
+                };
+                new.copy_from_slice(&rows[first * words..(first + 1) * words]);
+                if let Some(s) = second {
+                    for (w, x) in new.iter_mut().zip(&rows[s * words..(s + 1) * words]) {
+                        *w &= x;
                     }
                 }
                 new[b / 64] |= 1 << (b % 64);
@@ -79,87 +75,66 @@ impl PostDom {
     }
 }
 
-/// Control dependence for one procedure, at block and statement level.
+/// Control dependence for one procedure, at statement level.
+///
+/// One sorted list of `(statement, controlling branch statement)`
+/// pairs: a lookup is a binary search, and computing it allocates the
+/// list and the postdominator rows, not a set per statement.
 #[derive(Debug, Clone)]
 pub struct ControlDeps {
-    /// Per block: the branch blocks it is control-dependent on.
-    pub block_deps: BTreeMap<BlockId, BTreeSet<BlockId>>,
-    /// Per statement: the branch statements it is control-dependent on.
-    pub stmt_deps: BTreeMap<StmtId, BTreeSet<StmtId>>,
+    pairs: Vec<(StmtId, StmtId)>,
 }
 
 impl ControlDeps {
     /// Computes control dependence for one procedure.
+    ///
+    /// A block `b` is control-dependent on a branch block `a` when `b`
+    /// is a successor `s` of `a` or postdominates one, and does not
+    /// strictly postdominate `a`; every statement of `b` (its
+    /// instructions' and its terminator's) is then controlled by `a`'s
+    /// branch statement. A loop predicate controls itself.
     pub fn compute(cfg: &ProcCfg) -> Self {
         let pdom = PostDom::compute(cfg);
-        let mut block_deps: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
-
+        let mut pairs = Vec::new();
         for (a, blk) in cfg.iter() {
             let Terminator::Branch {
-                then_bb, else_bb, ..
+                then_bb,
+                else_bb,
+                stmt: branch,
+                ..
             } = &blk.term
             else {
                 continue;
             };
-            for s in [*then_bb, *else_bb] {
-                // Every block b that postdominates s but does not strictly
-                // postdominate a is control-dependent on a.
-                for b in cfg.iter().map(|(id, _)| id) {
-                    let pd_s = b == s || pdom.postdominates(b, s);
-                    let strictly_pd_a = b != a && pdom.postdominates(b, a);
-                    if pd_s && !strictly_pd_a {
-                        block_deps.entry(b).or_default().insert(a);
-                    }
+            for (b, dependent) in cfg.iter() {
+                let pd_succ = [*then_bb, *else_bb]
+                    .into_iter()
+                    .any(|s| b == s || pdom.postdominates(b, s));
+                let strictly_pd_a = b != a && pdom.postdominates(b, a);
+                if pd_succ && !strictly_pd_a {
+                    let stmts = dependent.instrs.iter().map(|i| i.stmt);
+                    pairs.extend(stmts.chain(dependent.term.stmt()).map(|s| (s, *branch)));
                 }
             }
         }
-
-        // Statement-level projection.
-        let mut stmt_deps: BTreeMap<StmtId, BTreeSet<StmtId>> = BTreeMap::new();
-        let branch_stmt_of = |b: BlockId| -> Option<StmtId> {
-            match &cfg.block(b).term {
-                Terminator::Branch { stmt, .. } => Some(*stmt),
-                _ => None,
-            }
-        };
-        for (b, blk) in cfg.iter() {
-            let Some(deps) = block_deps.get(&b) else {
-                continue;
-            };
-            let dep_stmts: BTreeSet<StmtId> =
-                deps.iter().filter_map(|a| branch_stmt_of(*a)).collect();
-            if dep_stmts.is_empty() {
-                continue;
-            }
-            for ins in &blk.instrs {
-                let e = stmt_deps.entry(ins.stmt).or_default();
-                e.extend(dep_stmts.iter().copied());
-            }
-            if let Some(ts) = blk.term.stmt() {
-                // A branch's own statement may be control-dependent on
-                // another branch (e.g. loop predicates on themselves).
-                let deps_for_term: BTreeSet<StmtId> =
-                    dep_stmts.iter().copied().filter(|s| *s != ts).collect();
-                let self_dep = dep_stmts.contains(&ts);
-                let e = stmt_deps.entry(ts).or_default();
-                e.extend(deps_for_term);
-                if self_dep {
-                    e.insert(ts);
-                }
-            }
-        }
-        ControlDeps {
-            block_deps,
-            stmt_deps,
-        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        ControlDeps { pairs }
     }
 
-    /// Branch statements controlling `stmt` (empty if none).
+    /// Branch statements controlling `stmt`, in ascending order (empty
+    /// if none).
     pub fn controlling(&self, stmt: StmtId) -> impl Iterator<Item = StmtId> + '_ {
-        self.stmt_deps
-            .get(&stmt)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        let start = self.pairs.partition_point(|&(s, _)| s < stmt);
+        self.pairs[start..]
+            .iter()
+            .take_while(move |&&(s, _)| s == stmt)
+            .map(|&(_, branch)| branch)
+    }
+
+    /// Every `(statement, controlling branch statement)` pair, sorted.
+    pub fn pairs(&self) -> &[(StmtId, StmtId)] {
+        &self.pairs
     }
 }
 
@@ -283,7 +258,7 @@ mod tests {
         let m = compile("program t; var x: integer; begin x := 1; x := 2 end.").unwrap();
         let cfg = lower(&m);
         let cd = ControlDeps::compute(cfg.proc(MAIN_PROC));
-        assert!(cd.stmt_deps.is_empty());
+        assert!(cd.pairs().is_empty());
     }
 
     #[test]
@@ -330,7 +305,7 @@ mod tests {
         // arrsum's loop body assign is controlled by the for statement.
         let arrsum = m.proc_by_name("arrsum").unwrap();
         let cd = pcd.of(arrsum);
-        assert!(!cd.stmt_deps.is_empty());
+        assert!(!cd.pairs().is_empty());
     }
 }
 
@@ -355,12 +330,23 @@ mod unreachable_tests {
         )
         .unwrap();
         let cfg = lower(&m);
-        // Must not panic or loop; control dependences stay well-formed.
-        let cd = ControlDeps::compute(cfg.proc(MAIN_PROC));
-        for deps in cd.stmt_deps.values() {
-            assert!(!deps.is_empty());
+        // Must not panic or loop; control dependences stay well-formed:
+        // sorted, without repeats, and every controller is a branch.
+        let main = cfg.proc(MAIN_PROC);
+        let cd = ControlDeps::compute(main);
+        assert!(cd.pairs().windows(2).all(|w| w[0] < w[1]));
+        let branches: Vec<StmtId> = main
+            .iter()
+            .filter_map(|(_, b)| match &b.term {
+                Terminator::Branch { stmt, .. } => Some(*stmt),
+                _ => None,
+            })
+            .collect();
+        assert!(!branches.is_empty());
+        for &(_, branch) in cd.pairs() {
+            assert!(branches.contains(&branch));
         }
-        let _ = PostDom::compute(cfg.proc(MAIN_PROC));
+        let _ = PostDom::compute(main);
     }
 
     #[test]

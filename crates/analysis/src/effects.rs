@@ -38,6 +38,7 @@
 
 use gadt_pascal::ast::{Expr, ExprId, ExprKind, LValue, Stmt, StmtKind};
 use gadt_pascal::cfg::{CallArg, InstrKind, RExpr};
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::{for_var_key, Module, NameRes, ProcId, VarId};
 use std::collections::BTreeSet;
 
@@ -54,7 +55,7 @@ pub struct ProcEffects {
     pub param_writes: BTreeSet<VarId>,
     /// Non-local goto targets: `(owner proc, label)` pairs this procedure
     /// may transfer control to (the paper's *exit side-effects*).
-    pub exits: BTreeSet<(ProcId, String)>,
+    pub exits: BTreeSet<(ProcId, Name)>,
 }
 
 impl ProcEffects {
@@ -566,7 +567,7 @@ mod tests {
     }
 
     fn names(m: &Module, set: &BTreeSet<VarId>) -> Vec<String> {
-        let mut v: Vec<String> = set.iter().map(|x| m.var(*x).name.clone()).collect();
+        let mut v: Vec<String> = set.iter().map(|x| m.var(*x).name.to_string()).collect();
         v.sort();
         v
     }
@@ -759,7 +760,7 @@ mod tests {
         let q = m.proc_by_name("q").unwrap();
         assert_eq!(
             fx.of(q).exits.iter().collect::<Vec<_>>(),
-            vec![&(p, "8".to_string())]
+            vec![&(p, Name::new("8"))]
         );
     }
 

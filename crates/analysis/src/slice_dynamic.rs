@@ -513,7 +513,7 @@ mod tests {
         t.calls
             .iter()
             .filter(|c| s.keeps_call(c.id))
-            .map(|c| m.proc(c.proc).name.clone())
+            .map(|c| m.proc(c.proc).name.to_string())
             .collect()
     }
 

@@ -206,7 +206,7 @@ fn e5() {
     let names: Vec<String> = pruned
         .preorder()
         .into_iter()
-        .map(|n| pruned.node(n).name.clone())
+        .map(|n| pruned.node(n).name.to_string())
         .collect();
     let want = [
         "computs",
@@ -240,7 +240,7 @@ fn e6() {
     let names: Vec<String> = pruned
         .preorder()
         .into_iter()
-        .map(|n| pruned.node(n).name.clone())
+        .map(|n| pruned.node(n).name.to_string())
         .collect();
     println!(
         "paper Figure 9 (partialsums → sum2 → decrement): {}",
@@ -517,7 +517,7 @@ fn e14() {
     let names: Vec<String> = pruned
         .preorder()
         .into_iter()
-        .map(|n| pruned.node(n).name.clone())
+        .map(|n| pruned.node(n).name.to_string())
         .collect();
     let ok = names.contains(&"pn".to_string())
         && !names.iter().any(|n| n == "p1" || n == "p2" || n == "p3");

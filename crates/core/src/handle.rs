@@ -24,6 +24,7 @@ use crate::strategy::{AnswerProbe, Knowledge, TraversalStrategy};
 use gadt_analysis::dyntrace::DynTrace;
 use gadt_analysis::slice_dynamic::{dynamic_slice_output, SliceStats};
 use gadt_obs::Recorder;
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::Module;
 use gadt_pascal::Value;
 use gadt_trace::{ExecTree, NodeId, NodeKind};
@@ -49,9 +50,9 @@ pub struct Question {
     /// `computs(In y: 3, Out r1: 12, Out r2: 9)`.
     pub query: String,
     /// The unit's input values at this invocation.
-    pub ins: Vec<(String, Value)>,
+    pub ins: Vec<(Name, Value)>,
     /// The unit's output values at this invocation.
-    pub outs: Vec<(String, Value)>,
+    pub outs: Vec<(Name, Value)>,
 }
 
 /// What one [`DebugHandle::answer`] call did to the session.
@@ -351,7 +352,7 @@ impl DebugState {
                 let node = self.tree.node(n);
                 self.pending = Some(Question {
                     node: n,
-                    unit: node.name.clone(),
+                    unit: node.name.to_string(),
                     query: render(module, mapping, &self.tree, n),
                     ins: node.ins.clone(),
                     outs: node.outs.clone(),
@@ -359,7 +360,7 @@ impl DebugState {
             }
             None => {
                 self.done = Some(DebugResult::BugLocalized {
-                    unit: self.tree.node(focus).name.clone(),
+                    unit: self.tree.node(focus).name.to_string(),
                     rendering: render(module, mapping, &self.tree, focus),
                 });
             }

@@ -8,11 +8,15 @@
 //! [`CountingOracle`] measures what the paper calls "the number of user
 //! interactions".
 
+use gadt_pascal::cfg::ProgramCfg;
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::Module;
 use gadt_pascal::value::Value;
 use gadt_trace::{ExecTree, NodeId, NodeKind};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An oracle's verdict on one execution-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,12 +68,14 @@ pub trait Oracle {
 /// 3. otherwise answer [`Answer::DontKnow`].
 pub struct ReferenceOracle<'m> {
     reference: &'m Module,
-    reference_tree: ExecTree,
+    /// Owned when the oracle ran the reference itself, borrowed when a
+    /// caller recorded it once for many oracles (mutation campaigns).
+    reference_tree: Cow<'m, ExecTree>,
     /// Lowered at most once — seeded by [`ReferenceOracle::new`]'s
-    /// reference run, or lazily on the first isolated re-execution
-    /// (judgement rule 2). Every later question shares it instead of
-    /// re-lowering the reference module.
-    cfg: std::sync::OnceLock<std::sync::Arc<gadt_pascal::cfg::ProgramCfg>>,
+    /// reference run or by [`ReferenceOracle::with_cfg`], else lazily on
+    /// the first isolated re-execution (judgement rule 2). Every later
+    /// question shares it instead of re-lowering the reference module.
+    cfg: OnceLock<Arc<ProgramCfg>>,
 }
 
 impl<'m> ReferenceOracle<'m> {
@@ -82,34 +88,35 @@ impl<'m> ReferenceOracle<'m> {
         reference: &'m Module,
         input: impl IntoIterator<Item = Value>,
     ) -> gadt_pascal::error::Result<Self> {
-        let cfg = std::sync::Arc::new(gadt_pascal::cfg::lower(reference));
-        let trace = gadt_analysis::dyntrace::record_trace_shared(
-            reference,
-            std::sync::Arc::clone(&cfg),
-            input,
-        )?;
+        let cfg = Arc::new(gadt_pascal::cfg::lower(reference));
+        let trace =
+            gadt_analysis::dyntrace::record_trace_shared(reference, Arc::clone(&cfg), input)?;
         let reference_tree = gadt_trace::build_tree(reference, &trace);
-        let cell = std::sync::OnceLock::new();
-        let _ = cell.set(cfg);
-        Ok(ReferenceOracle {
-            reference,
-            reference_tree,
-            cfg: cell,
-        })
+        Ok(ReferenceOracle::from_tree(reference, reference_tree).with_cfg(cfg))
     }
 
     /// Builds the oracle from an execution tree recorded earlier for the
     /// reference program — saves the reference re-run when many oracles
-    /// over the same reference are constructed (mutation campaigns).
-    pub fn from_tree(reference: &'m Module, reference_tree: ExecTree) -> Self {
+    /// over the same reference are constructed (mutation campaigns). A
+    /// borrowed tree is judged in place, never copied.
+    pub fn from_tree(reference: &'m Module, reference_tree: impl Into<Cow<'m, ExecTree>>) -> Self {
         ReferenceOracle {
             reference,
-            reference_tree,
-            cfg: std::sync::OnceLock::new(),
+            reference_tree: reference_tree.into(),
+            cfg: OnceLock::new(),
         }
     }
 
-    fn compare_outs(expected: &[(String, Value)], actual: &[(String, Value)]) -> Answer {
+    /// Seeds the reference module's CFG, which isolated re-executions
+    /// (judgement rule 2) run on, so the oracle never lowers it again.
+    /// `cfg` must be the reference module's own.
+    #[must_use]
+    pub fn with_cfg(self, cfg: Arc<ProgramCfg>) -> Self {
+        let _ = self.cfg.set(cfg);
+        self
+    }
+
+    fn compare_outs(expected: &[(Name, Value)], actual: &[(Name, Value)]) -> Answer {
         if expected.len() != actual.len() {
             return Answer::Incorrect { wrong_output: None };
         }
@@ -132,31 +139,26 @@ impl Oracle for ReferenceOracle<'_> {
             // unambiguous case — exactly one loop instance with this name
             // in the reference run — by comparing final snapshots.
             if matches!(n.kind, NodeKind::Loop { .. }) {
-                let matches: Vec<_> = self
-                    .reference_tree
-                    .preorder()
-                    .into_iter()
-                    .filter(|&rid| {
-                        let r = self.reference_tree.node(rid);
-                        matches!(r.kind, NodeKind::Loop { .. }) && r.name == n.name
-                    })
-                    .collect();
-                if let [rid] = matches[..] {
-                    let r = self.reference_tree.node(rid);
+                let tree = &*self.reference_tree;
+                let mut matches = tree
+                    .preorder_iter()
+                    .map(|rid| tree.node(rid))
+                    .filter(|r| matches!(r.kind, NodeKind::Loop { .. }) && r.name == n.name);
+                if let (Some(r), None) = (matches.next(), matches.next()) {
                     return Self::compare_outs(&r.outs, &n.outs);
                 }
             }
             return Answer::DontKnow;
         };
-        let name = module.proc(*proc).name.to_ascii_lowercase();
+        let name = &module.proc(*proc).name;
 
         // 1. Same-name call with identical In values in the reference run.
-        for rid in self.reference_tree.preorder() {
-            let r = self.reference_tree.node(rid);
+        let tree = &*self.reference_tree;
+        for r in tree.preorder_iter().map(|rid| tree.node(rid)) {
             let NodeKind::Call { proc: rp, .. } = &r.kind else {
                 continue;
             };
-            if self.reference.proc(*rp).name.to_ascii_lowercase() != name {
+            if !self.reference.proc(*rp).name.eq_ignore_ascii_case(name) {
                 continue;
             }
             if r.ins == n.ins {
@@ -165,7 +167,7 @@ impl Oracle for ReferenceOracle<'_> {
         }
 
         // 2. Isolated re-execution of a top-level reference unit.
-        if let Some(rp) = self.reference.proc_by_name(&name) {
+        if let Some(rp) = self.reference.proc_by_name(name) {
             let rinfo = self.reference.proc(rp);
             if rinfo.parent == Some(gadt_pascal::sema::MAIN_PROC) {
                 // Reconstruct the argument list from the node's In values
@@ -174,9 +176,9 @@ impl Oracle for ReferenceOracle<'_> {
                 let mut args = Vec::new();
                 let mut ok = true;
                 for &p in &rinfo.params {
-                    let pname = self.reference.var(p).name.clone();
-                    let from_ins = n.ins.iter().find(|(i, _)| *i == pname);
-                    let from_outs = n.outs.iter().find(|(o, _)| *o == pname);
+                    let pname = &self.reference.var(p).name;
+                    let from_ins = n.ins.iter().find(|(i, _)| i == pname);
+                    let from_outs = n.outs.iter().find(|(o, _)| o == pname);
                     match from_ins {
                         Some((_, v)) => args.push(v.clone()),
                         None if from_outs.is_some() => {
@@ -189,15 +191,15 @@ impl Oracle for ReferenceOracle<'_> {
                     }
                 }
                 if ok {
-                    let cfg = self.cfg.get_or_init(|| {
-                        std::sync::Arc::new(gadt_pascal::cfg::lower(self.reference))
-                    });
+                    let cfg = self
+                        .cfg
+                        .get_or_init(|| Arc::new(gadt_pascal::cfg::lower(self.reference)));
                     let mut interp = gadt_pascal::interp::Interpreter::with_shared_cfg(
                         self.reference,
-                        std::sync::Arc::clone(cfg),
+                        Arc::clone(cfg),
                     );
                     if let Ok(run) = interp.run_proc(rp, args) {
-                        let mut expected: Vec<(String, Value)> = run
+                        let mut expected: Vec<(Name, Value)> = run
                             .outs
                             .iter()
                             .map(|(v, val)| (self.reference.var(*v).name.clone(), val.clone()))
@@ -247,10 +249,18 @@ impl<'m> GoldenOracle<'m> {
 
     /// Builds the oracle from a pre-recorded golden execution tree — the
     /// per-mutant fast path: the campaign records the golden run once and
-    /// clones its tree into each worker's oracle.
-    pub fn from_tree(golden: &'m Module, golden_tree: ExecTree) -> Self {
+    /// lends its tree to each session's oracle.
+    pub fn from_tree(golden: &'m Module, golden_tree: impl Into<Cow<'m, ExecTree>>) -> Self {
         GoldenOracle {
             inner: ReferenceOracle::from_tree(golden, golden_tree),
+        }
+    }
+
+    /// Seeds the golden module's CFG; see [`ReferenceOracle::with_cfg`].
+    #[must_use]
+    pub fn with_cfg(self, cfg: Arc<ProgramCfg>) -> Self {
+        GoldenOracle {
+            inner: self.inner.with_cfg(cfg),
         }
     }
 }
@@ -312,7 +322,7 @@ impl AssertionOracle {
 
     /// Evaluates one assertion against a node's In/Out values by
     /// synthesizing and running a tiny program.
-    fn eval(expr: &str, values: &[(String, Value)]) -> Option<bool> {
+    fn eval(expr: &str, values: &[(Name, Value)]) -> Option<bool> {
         let mut decls = String::new();
         let mut inits = String::new();
         for (name, v) in values {
@@ -352,14 +362,14 @@ impl Oracle for AssertionOracle {
     fn judge(&mut self, _module: &Module, tree: &ExecTree, node: NodeId) -> Answer {
         let n = tree.node(node);
         let key = n.name.to_ascii_lowercase();
-        let whole = self.assertions.get(&key);
-        let per_output = self.output_assertions.get(&key);
+        let whole = self.assertions.get(key.as_str());
+        let per_output = self.output_assertions.get(key.as_str());
         if whole.is_none() && per_output.is_none() {
             return Answer::DontKnow;
         }
         let exprs = whole.cloned().unwrap_or_default();
         let exprs = &exprs;
-        let mut values: Vec<(String, Value)> = n.ins.clone();
+        let mut values: Vec<(Name, Value)> = n.ins.clone();
         for (name, v) in &n.outs {
             if !values.iter().any(|(vn, _)| vn == name) {
                 values.push((name.clone(), v.clone()));

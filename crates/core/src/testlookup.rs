@@ -61,7 +61,7 @@ impl Oracle for TestLookup {
         if !matches!(n.kind, NodeKind::Call { .. }) {
             return Answer::DontKnow;
         }
-        let Some(unit) = self.units.get_mut(&n.name.to_ascii_lowercase()) else {
+        let Some(unit) = self.units.get_mut(n.name.to_ascii_lowercase().as_str()) else {
             return Answer::DontKnow;
         };
         // The frame selector receives the In values in parameter order.
@@ -70,7 +70,7 @@ impl Oracle for TestLookup {
             return Answer::DontKnow;
         };
         let verdict = unit.db.frame_verdict(&code);
-        self.log.push((n.name.clone(), code, verdict));
+        self.log.push((n.name.to_string(), code, verdict));
         match verdict {
             // A good report: the debugger skips this procedure.
             Some(true) => Answer::Correct,

@@ -33,8 +33,8 @@ pub fn render_query_original(
         return tree.render_node(node);
     };
     let path = proc_path(module, *proc);
-    let added = mapping.added_params.get(&path);
-    let exit = mapping.exit_info.get(&path);
+    let added = mapping.added_params.get(path.as_str());
+    let exit = mapping.exit_info.get(path.as_str());
 
     let origin_of = |name: &str| -> Option<&ParamOrigin> {
         added?

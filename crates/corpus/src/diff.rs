@@ -470,7 +470,7 @@ fn check_slices(
     })?;
     let tmodule = &prepared.transformed.module;
     let reads = read_stmts(&tmodule.program);
-    let globals: Vec<String> = tmodule
+    let globals: Vec<gadt_pascal::name::Name> = tmodule
         .vars_of(gadt_pascal::sema::MAIN_PROC)
         .filter(|v| v.kind == gadt_pascal::sema::VarKind::Global)
         .map(|v| v.name.clone())

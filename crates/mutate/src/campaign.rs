@@ -22,6 +22,7 @@ use gadt_pascal::interp::Limits;
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::sema::{analyze, Module};
 use gadt_pascal::value::Value;
+use std::sync::Arc;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -483,7 +484,8 @@ fn debug_against_golden(
     // The oracle judges the mutant's transformed tree against the golden
     // program's transformed tree, so In/Out shapes line up.
     let golden_module: &Module = &ctx.prepared.transformed.module;
-    let oracle = GoldenOracle::from_tree(golden_module, ctx.golden_run.tree.clone());
+    let oracle = GoldenOracle::from_tree(golden_module, &ctx.golden_run.tree)
+        .with_cfg(Arc::clone(&ctx.prepared.cfg));
     let mut chain = ChainOracle::new();
     chain.push(CountingOracle::new(oracle));
     session::debug_observed(

@@ -15,6 +15,7 @@
 use gadt_pascal::ast::*;
 use gadt_pascal::ast_mut::{renumber, reshape, walk_stmt_exprs_mut, walk_stmt_mut};
 use gadt_pascal::error::Diagnostic;
+use gadt_pascal::name::Name;
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::pretty;
 use std::collections::{BTreeMap, BTreeSet};
@@ -228,7 +229,7 @@ fn visit_unit(unit: &str, unit_key: &str, body: &mut Vec<Stmt>, act: &mut Action
     }
 }
 
-fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Action) {
+fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<Name>, act: &mut Action) {
     if act.done {
         return;
     }
@@ -280,14 +281,14 @@ fn stmt_loci(s: &mut Stmt, unit: &str, cands: &BTreeSet<String>, act: &mut Actio
     walk_stmt_exprs_mut(s, &mut |e| expr_locus(e, unit, cands, act));
 }
 
-fn expr_locus(e: &mut Expr, unit: &str, cands: &BTreeSet<String>, act: &mut Action) {
+fn expr_locus(e: &mut Expr, unit: &str, cands: &BTreeSet<Name>, act: &mut Action) {
     if act.done {
         return;
     }
     enum Plan {
         Op(BinOp, BinOp),
         Lit(i64),
-        Name(String),
+        Name(Name),
     }
     let (op, plan) = match &e.kind {
         ExprKind::Binary { op, .. } if op.is_relational() => {
@@ -380,10 +381,10 @@ fn negate(cond: &mut Expr) {
 /// Staying inside names the body already uses keeps most mutants
 /// well-typed; a mistyped survivor is rejected at compile time and
 /// classified stillborn.
-fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<String> {
+fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<Name> {
     enum Occ {
-        Name(String),
-        Excl(String),
+        Name(Name),
+        Excl(Name),
     }
     fn collect_expr(e: &Expr, occs: &mut Vec<Occ>) {
         match &e.kind {
@@ -415,7 +416,7 @@ fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<String> {
             }
         }
     }
-    let mut occs = vec![Occ::Excl(unit_key.to_string())];
+    let mut occs = vec![Occ::Excl(Name::new(unit_key))];
     for s in body {
         s.walk(&mut |s| match &s.kind {
             StmtKind::Assign { lhs, rhs } => {
@@ -450,8 +451,8 @@ fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<String> {
             _ => {}
         });
     }
-    let mut names: BTreeSet<String> = BTreeSet::new();
-    let mut excluded: BTreeSet<String> = BTreeSet::new();
+    let mut names: BTreeSet<Name> = BTreeSet::new();
+    let mut excluded: BTreeSet<Name> = BTreeSet::new();
     for occ in occs {
         match occ {
             Occ::Name(n) => {
@@ -469,7 +470,7 @@ fn wrongvar_candidates(body: &[Stmt], unit_key: &str) -> BTreeSet<String> {
 /// The cyclic-next candidate after `name`, or `None` when `name` is not
 /// a candidate or has no alternative. Loci with no replacement are
 /// skipped entirely (they consume no ordinal).
-fn replacement(cands: &BTreeSet<String>, name: &Ident) -> Option<String> {
+fn replacement(cands: &BTreeSet<Name>, name: &Ident) -> Option<Name> {
     if cands.len() < 2 {
         return None;
     }

@@ -10,6 +10,7 @@
 //! variables to parameters (§6, "Conversion of global variables to
 //! parameters").
 
+use crate::name::Name;
 use crate::span::Span;
 use std::fmt;
 
@@ -39,14 +40,14 @@ impl fmt::Display for ExprId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ident {
     /// Original spelling.
-    pub name: String,
+    pub name: Name,
     /// Source location.
     pub span: Span,
 }
 
 impl Ident {
     /// Creates an identifier with a given span.
-    pub fn new(name: impl Into<String>, span: Span) -> Self {
+    pub fn new(name: impl Into<Name>, span: Span) -> Self {
         Ident {
             name: name.into(),
             span,
@@ -54,12 +55,12 @@ impl Ident {
     }
 
     /// Creates an identifier with a dummy span (for synthesized code).
-    pub fn synthetic(name: impl Into<String>) -> Self {
+    pub fn synthetic(name: impl Into<Name>) -> Self {
         Ident::new(name, Span::dummy())
     }
 
     /// The case-normalized resolution key.
-    pub fn key(&self) -> String {
+    pub fn key(&self) -> Name {
         self.name.to_ascii_lowercase()
     }
 }

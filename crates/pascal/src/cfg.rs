@@ -19,6 +19,7 @@
 //! dynamic traces.
 
 use crate::ast::{BinOp, Expr, ExprKind, ForDir, Stmt, StmtId, StmtKind, UnOp};
+use crate::name::Name;
 use crate::sema::{for_var_key, Intrinsic, Module, NameRes, ProcId, VarId};
 use crate::span::Span;
 use crate::value::Value;
@@ -182,7 +183,7 @@ pub enum Terminator {
         /// The procedure lexically owning the label.
         owner: ProcId,
         /// Normalized label name.
-        label: String,
+        label: Name,
         /// The `goto` statement.
         stmt: StmtId,
     },
@@ -232,7 +233,7 @@ pub struct ProcCfg {
     /// Blocks that labels resolve to (normalized label name → block),
     /// used to execute `goto` — including non-local gotos arriving from
     /// nested procedures.
-    pub labels: HashMap<String, BlockId>,
+    pub labels: HashMap<Name, BlockId>,
 }
 
 impl ProcCfg {
@@ -348,7 +349,7 @@ struct Lowerer<'m> {
     cur: BlockId,
     /// Whether the current block already has a terminator.
     terminated: bool,
-    label_blocks: HashMap<String, BlockId>,
+    label_blocks: HashMap<Name, BlockId>,
     loop_stack: Vec<LoopId>,
     loops: &'m mut Vec<LoopInfo>,
 }
@@ -423,7 +424,7 @@ impl<'m> Lowerer<'m> {
         }
     }
 
-    fn label_block(&mut self, key: &str) -> BlockId {
+    fn label_block(&mut self, key: &Name) -> BlockId {
         if let Some(&b) = self.label_blocks.get(key) {
             return b;
         }
@@ -433,7 +434,7 @@ impl<'m> Lowerer<'m> {
             term: Terminator::Return,
             loops: Vec::new(),
         });
-        self.label_blocks.insert(key.to_string(), b);
+        self.label_blocks.insert(key.clone(), b);
         b
     }
 

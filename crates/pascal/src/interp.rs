@@ -24,6 +24,7 @@ use crate::cfg::{
     lower, BlockId, CallArg, Instr, InstrKind, LoopId, ProgramCfg, RExpr, Terminator,
 };
 use crate::error::{Diagnostic, Result, Stage};
+use crate::name::Name;
 use crate::sema::{Intrinsic, Module, ProcId, VarId, VarKind, MAIN_PROC};
 use crate::span::Span;
 use crate::types::Type;
@@ -174,14 +175,14 @@ pub struct Outcome {
     /// Number of step events executed.
     pub steps: u64,
     /// Final values of program-level (global) variables, by lowercase name.
-    pub globals: HashMap<String, Value>,
+    pub globals: HashMap<Name, Value>,
 }
 
 impl Outcome {
     /// Assembles an outcome from engine-produced parts. Used by other
     /// execution engines (the bytecode VM in `gadt-vm`) that construct
     /// outcomes identical to this interpreter's.
-    pub fn from_parts(output: String, steps: u64, globals: HashMap<String, Value>) -> Outcome {
+    pub fn from_parts(output: String, steps: u64, globals: HashMap<Name, Value>) -> Outcome {
         Outcome {
             output,
             steps,
@@ -196,7 +197,7 @@ impl Outcome {
 
     /// Final value of a global variable, by case-insensitive name.
     pub fn global(&self, name: &str) -> Option<&Value> {
-        self.globals.get(&name.to_ascii_lowercase())
+        self.globals.get(&Name::new(name).to_ascii_lowercase())
     }
 }
 
@@ -1025,7 +1026,7 @@ impl<'m> Interpreter<'m> {
 
     /// Executes the top frame's procedure. Returns `Some((owner, label))`
     /// if a non-local goto unwound past this frame.
-    fn exec_proc(&mut self, monitor: &mut dyn Monitor) -> Result<Option<(ProcId, String)>> {
+    fn exec_proc(&mut self, monitor: &mut dyn Monitor) -> Result<Option<(ProcId, Name)>> {
         let proc = self.top().proc;
         let entry = self.cfg.proc(proc).entry;
         self.exec_from(entry, monitor)
@@ -1035,7 +1036,7 @@ impl<'m> Interpreter<'m> {
         &mut self,
         mut block: BlockId,
         monitor: &mut dyn Monitor,
-    ) -> Result<Option<(ProcId, String)>> {
+    ) -> Result<Option<(ProcId, Name)>> {
         let proc = self.top().proc;
         self.transfer_loops(block, monitor);
         // Cheap handle so instructions can be borrowed while `self` is
@@ -1143,7 +1144,7 @@ impl<'m> Interpreter<'m> {
         block: BlockId,
         index: usize,
         monitor: &mut dyn Monitor,
-    ) -> Result<Option<(ProcId, String)>> {
+    ) -> Result<Option<(ProcId, Name)>> {
         self.cur_ctx = (block, Some(index), instr.stmt);
         match &instr.kind {
             InstrKind::Assign { lhs, rhs } => {
@@ -1551,7 +1552,7 @@ enum CallFlow {
     /// The call returned normally (with the function result, if any).
     Normal(Option<Value>),
     /// A non-local goto is unwinding toward `(owner, label)`.
-    Unwind(ProcId, String),
+    Unwind(ProcId, Name),
 }
 
 #[cfg(test)]
@@ -1901,7 +1902,7 @@ mod tests {
 
     #[test]
     fn call_exit_reports_nonlocal_writes() {
-        struct Check(Vec<(String, Vec<String>)>);
+        struct Check(Vec<(Name, Vec<Name>)>);
         impl Monitor for Check {
             fn on_event(&mut self, m: &Module, ev: &Event<'_>) {
                 if let Event::CallExit {

@@ -5,6 +5,7 @@
 //! doubled-quote escape (`'it''s'`).
 
 use crate::error::{Diagnostic, Result, Stage};
+use crate::name::Name;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -32,6 +33,7 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>> {
 }
 
 struct Lexer<'s> {
+    text: &'s str,
     src: &'s [u8],
     pos: usize,
     tokens: Vec<Token>,
@@ -40,6 +42,7 @@ struct Lexer<'s> {
 impl<'s> Lexer<'s> {
     fn new(source: &'s str) -> Self {
         Lexer {
+            text: source,
             src: source.as_bytes(),
             pos: 0,
             tokens: Vec::new(),
@@ -136,8 +139,9 @@ impl<'s> Lexer<'s> {
         ) {
             self.bump();
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]);
-        let kind = TokenKind::keyword(&text).unwrap_or_else(|| TokenKind::Ident(text.to_string()));
+        // Identifier bytes are ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
+        let kind = TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(Name::new(text)));
         self.push(kind, start);
     }
 

@@ -11,6 +11,9 @@
 //! * [`lexer`] / [`parser`] — classic Pascal syntax, including numeric
 //!   labels and `goto` (the transformation phase's raw material) and the
 //!   `in`/`out` parameter modes the transformation introduces;
+//! * [`name`] — [`name::Name`], the text of every identifier, label and
+//!   execution-tree name: stored inline up to 22 bytes, so copying a
+//!   program or its tables copies names without allocating;
 //! * [`sema`] — name resolution (with nested procedures and non-local
 //!   references) and type checking, producing a [`sema::Module`] whose
 //!   id-keyed side tables hash with [`idhash::IdHasher`];
@@ -50,6 +53,7 @@ pub mod error;
 pub mod idhash;
 pub mod interp;
 pub mod lexer;
+pub mod name;
 pub mod parser;
 pub mod pretty;
 pub mod sema;
@@ -60,5 +64,6 @@ pub mod types;
 pub mod value;
 
 pub use error::Diagnostic;
+pub use name::Name;
 pub use sema::{compile, Module};
 pub use value::Value;

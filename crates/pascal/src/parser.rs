@@ -14,6 +14,7 @@
 use crate::ast::*;
 use crate::error::{Diagnostic, Result, Stage};
 use crate::lexer::tokenize;
+use crate::name::Name;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -123,12 +124,11 @@ impl Parser {
         }
     }
 
-    /// Consumes an identifier or string literal, moving its text out.
-    fn bump_text(&mut self) -> (String, Span) {
-        let t = self.bump();
-        match t.kind {
-            TokenKind::Ident(text) | TokenKind::StrLit(text) => (text, t.span),
-            other => unreachable!("bump_text at {}", other.describe()),
+    /// Consumes a string literal, moving its text out.
+    fn bump_str(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::StrLit(text) => text,
+            other => unreachable!("bump_str at {}", other.describe()),
         }
     }
 
@@ -164,8 +164,11 @@ impl Parser {
     fn ident(&mut self) -> Result<Ident> {
         match self.peek() {
             TokenKind::Ident(_) => {
-                let (name, span) = self.bump_text();
-                Ok(Ident::new(name, span))
+                let t = self.bump();
+                match t.kind {
+                    TokenKind::Ident(name) => Ok(Ident::new(name, t.span)),
+                    other => unreachable!("ident at {}", other.describe()),
+                }
             }
             other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
         }
@@ -286,7 +289,7 @@ impl Parser {
         match self.peek() {
             &TokenKind::IntLit(n) => {
                 let t = self.bump();
-                Ok(Ident::new(n.to_string(), t.span))
+                Ok(Ident::new(Name::format(format_args!("{n}")), t.span))
             }
             TokenKind::Ident(_) => self.ident(),
             other => Err(self.err(format!("expected label, found {}", other.describe()))),
@@ -312,7 +315,7 @@ impl Parser {
                 self.bump();
                 Ok(ConstValue::Bool(false))
             }
-            TokenKind::StrLit(_) if !neg => Ok(ConstValue::Str(self.bump_text().0)),
+            TokenKind::StrLit(_) if !neg => Ok(ConstValue::Str(self.bump_str())),
             other => Err(self.err(format!(
                 "expected constant value, found {}",
                 other.describe()
@@ -879,7 +882,7 @@ impl Parser {
                 })
             }
             TokenKind::StrLit(_) => {
-                let (s, _) = self.bump_text();
+                let s = self.bump_str();
                 let id = self.expr_id();
                 Ok(Expr {
                     id,

@@ -8,6 +8,7 @@
 //! suite checks slice correctness end to end.
 
 use crate::ast::*;
+use crate::name::Name;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -45,7 +46,7 @@ struct Slice<'k> {
     keep: &'k dyn Fn(StmtId) -> bool,
     /// Normalized names referenced by kept statements; declarations of
     /// other names are dropped.
-    used: BTreeSet<String>,
+    used: BTreeSet<Name>,
 }
 
 /// Writes everything into one buffer, `out`.
@@ -631,12 +632,8 @@ fn write_expr(out: &mut String, e: &Expr, parent: u8) {
 /// Collects the identifier names (normalized) appearing in kept statements
 /// and in headers of procedures containing kept statements — the basis for
 /// declaration pruning in slice printing.
-fn collect_used_names(
-    program: &Program,
-    keep: &dyn Fn(StmtId) -> bool,
-    used: &mut BTreeSet<String>,
-) {
-    fn names_in_expr(e: &Expr, used: &mut BTreeSet<String>) {
+fn collect_used_names(program: &Program, keep: &dyn Fn(StmtId) -> bool, used: &mut BTreeSet<Name>) {
+    fn names_in_expr(e: &Expr, used: &mut BTreeSet<Name>) {
         match &e.kind {
             ExprKind::Name(n) => {
                 used.insert(n.key());
@@ -659,7 +656,7 @@ fn collect_used_names(
             _ => {}
         }
     }
-    fn names_in_stmt(s: &Stmt, keep: &dyn Fn(StmtId) -> bool, used: &mut BTreeSet<String>) {
+    fn names_in_stmt(s: &Stmt, keep: &dyn Fn(StmtId) -> bool, used: &mut BTreeSet<Name>) {
         // Structural statements contribute when any descendant is kept;
         // leaf statements contribute only when themselves kept.
         match &s.kind {
@@ -808,7 +805,7 @@ fn collect_used_names(
             StmtKind::Empty => {}
         }
     }
-    fn type_names(t: &TypeExpr, used: &mut BTreeSet<String>) {
+    fn type_names(t: &TypeExpr, used: &mut BTreeSet<Name>) {
         match t {
             TypeExpr::Named(n) => {
                 used.insert(n.key());
@@ -824,7 +821,7 @@ fn collect_used_names(
             }
         }
     }
-    fn proc_names(p: &ProcDecl, keep: &dyn Fn(StmtId) -> bool, used: &mut BTreeSet<String>) {
+    fn proc_names(p: &ProcDecl, keep: &dyn Fn(StmtId) -> bool, used: &mut BTreeSet<Name>) {
         let mut any = false;
         p.block.walk_stmts(&mut |s| {
             if keep(s.id) {
@@ -867,8 +864,8 @@ fn collect_used_names(
         proc_names(p, keep, used);
     }
     // Types referenced by used variables' declarations.
-    fn var_decl_types(block: &Block, used: &mut BTreeSet<String>) {
-        let snapshot: Vec<String> = used.iter().cloned().collect();
+    fn var_decl_types(block: &Block, used: &mut BTreeSet<Name>) {
+        let snapshot: Vec<Name> = used.iter().cloned().collect();
         for g in &block.vars {
             if g.names.iter().any(|n| snapshot.contains(&n.key())) {
                 type_names(&g.ty, used);

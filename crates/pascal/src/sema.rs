@@ -14,6 +14,7 @@
 use crate::ast::*;
 use crate::error::{Diagnostic, Result, Stage};
 use crate::idhash::IdMap;
+use crate::name::Name;
 use crate::span::Span;
 use crate::types::Type;
 use crate::value::Value;
@@ -68,7 +69,7 @@ pub struct VarInfo {
     /// The variable's id.
     pub id: VarId,
     /// Original spelling.
-    pub name: String,
+    pub name: Name,
     /// Resolved type.
     pub ty: Type,
     /// Storage kind.
@@ -102,7 +103,7 @@ pub struct ProcInfo {
     /// The procedure's id.
     pub id: ProcId,
     /// Original spelling (`"<main>"` for the program body).
-    pub name: String,
+    pub name: Name,
     /// Flattened formal parameters, in declaration order.
     pub params: Vec<VarId>,
     /// Return type for functions.
@@ -214,9 +215,9 @@ pub struct Module {
     /// Resolution of every `goto`: the procedure lexically owning the label
     /// and the normalized label name. A goto whose owner differs from the
     /// goto's own procedure is a *global goto* (§6).
-    pub goto_res: IdMap<StmtId, (ProcId, String)>,
+    pub goto_res: IdMap<StmtId, (ProcId, Name)>,
     /// Labels declared per procedure (normalized names).
-    pub labels_of_proc: IdMap<ProcId, Vec<String>>,
+    pub labels_of_proc: IdMap<ProcId, Vec<Name>>,
 }
 
 impl Module {
@@ -262,23 +263,21 @@ impl Module {
 
     /// Looks up a procedure by (case-insensitive) name.
     pub fn proc_by_name(&self, name: &str) -> Option<ProcId> {
-        let key = name.to_ascii_lowercase();
         self.procs
             .iter()
-            .find(|p| p.name.to_ascii_lowercase() == key)
+            .find(|p| p.name.eq_ignore_ascii_case(name))
             .map(|p| p.id)
     }
 
     /// Looks up a variable by (case-insensitive) name within a procedure,
     /// falling back through enclosing scopes to globals.
     pub fn var_in_scope(&self, proc: ProcId, name: &str) -> Option<VarId> {
-        let key = name.to_ascii_lowercase();
         let mut cur = Some(proc);
         while let Some(p) = cur {
             if let Some(v) = self
                 .vars
                 .iter()
-                .find(|v| v.owner == p && v.name.to_ascii_lowercase() == key)
+                .find(|v| v.owner == p && v.name.eq_ignore_ascii_case(name))
             {
                 return Some(v.id);
             }
@@ -370,7 +369,7 @@ enum ScopeEntry {
 
 #[derive(Default)]
 struct Scope {
-    entries: HashMap<String, ScopeEntry>,
+    entries: HashMap<Name, ScopeEntry>,
 }
 
 struct Checker {
@@ -382,8 +381,8 @@ struct Checker {
     for_temps: IdMap<StmtId, VarId>,
     case_temps: IdMap<StmtId, VarId>,
     proc_of_stmt: IdMap<StmtId, ProcId>,
-    goto_res: IdMap<StmtId, (ProcId, String)>,
-    labels_of_proc: IdMap<ProcId, Vec<String>>,
+    goto_res: IdMap<StmtId, (ProcId, Name)>,
+    labels_of_proc: IdMap<ProcId, Vec<Name>>,
     scopes: Vec<Scope>,
     /// Procedure whose body is currently being checked.
     current_proc: ProcId,
@@ -425,7 +424,7 @@ impl Checker {
         // Main body is procedure 0.
         self.procs.push(ProcInfo {
             id: MAIN_PROC,
-            name: "<main>".to_string(),
+            name: Name::new("<main>"),
             params: Vec::new(),
             return_type: None,
             result_var: None,
@@ -449,10 +448,11 @@ impl Checker {
     }
 
     /// Resolves `name` case-insensitively through the scope stack. Only a
-    /// name with an uppercase letter in it costs an allocation.
-    fn lookup(&self, name: &str) -> Option<&ScopeEntry> {
+    /// name with an uppercase letter in it is copied, lowercased, and
+    /// only a boxed one of those allocates.
+    fn lookup(&self, name: &Name) -> Option<&ScopeEntry> {
         let lower;
-        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        let key = if name.as_bytes().iter().any(u8::is_ascii_uppercase) {
             lower = name.to_ascii_lowercase();
             &lower
         } else {
@@ -463,7 +463,7 @@ impl Checker {
 
     fn new_var(
         &mut self,
-        name: String,
+        name: Name,
         span: Span,
         ty: Type,
         kind: VarKind,
@@ -784,7 +784,7 @@ impl Checker {
                 // Scrutinee temp (evaluated once).
                 let owner = self.current_proc;
                 let level = self.procs[owner.0 as usize].level;
-                let tmp_name = format!("case@{}", s.id.0);
+                let tmp_name = Name::format(format_args!("case@{}", s.id.0));
                 let tmp = self.new_var(tmp_name, Span::dummy(), sty, VarKind::Temp, owner, level);
                 self.case_temps.insert(s.id, tmp);
                 Ok(())
@@ -833,7 +833,7 @@ impl Checker {
                 // the final value once).
                 let owner = self.current_proc;
                 let level = self.procs[owner.0 as usize].level;
-                let tmp_name = format!("limit@{}", s.id.0);
+                let tmp_name = Name::format(format_args!("limit@{}", s.id.0));
                 let tmp = self.new_var(
                     tmp_name,
                     Span::dummy(),

@@ -1,5 +1,6 @@
 //! Token definitions for the Pascal subset.
 
+use crate::name::Name;
 use crate::span::Span;
 use std::fmt;
 
@@ -22,7 +23,7 @@ pub struct Token {
 pub enum TokenKind {
     // Literals and identifiers
     /// An identifier such as `arrsum`.
-    Ident(String),
+    Ident(Name),
     /// An unsigned integer literal.
     IntLit(i64),
     /// An unsigned real literal.

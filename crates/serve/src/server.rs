@@ -31,6 +31,7 @@ use gadt_analysis::slice_dynamic::dynamic_slice_output;
 use gadt_exec::BatchExecutor;
 use gadt_obs::Recorder;
 use gadt_pascal::interp::Limits;
+use gadt_pascal::name::Name;
 use gadt_pascal::value::Value;
 use gadt_store::{obj, value_from_json, value_to_json, Json, ShardedStore, StoredAnswer};
 use gadt_trace::NodeKind;
@@ -847,13 +848,13 @@ fn drain_pooled(state: &ServerState, sess: &mut ServeSession) {
     }
 }
 
-fn values_json(pairs: &[(String, Value)]) -> Json {
+fn values_json(pairs: &[(Name, Value)]) -> Json {
     Json::Array(
         pairs
             .iter()
             .map(|(name, v)| {
                 obj(vec![
-                    ("name", Json::Str(name.clone())),
+                    ("name", Json::Str(name.to_string())),
                     ("value", value_to_json(v)),
                 ])
             })

@@ -23,4 +23,4 @@
 
 pub mod tree;
 
-pub use tree::{build_tree, ExecNode, ExecTree, NodeId, NodeKind};
+pub use tree::{build_tree, ExecNode, ExecTree, NodeId, NodeKind, Preorder};

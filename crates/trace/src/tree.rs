@@ -2,8 +2,10 @@
 
 use gadt_analysis::dyntrace::DynTrace;
 use gadt_analysis::slice_dynamic::DynSlice;
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::{Module, ProcId, VarId, VarKind};
 use gadt_pascal::value::Value;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Index of a node within an [`ExecTree`].
@@ -39,15 +41,15 @@ pub struct ExecNode {
     /// Call or loop unit.
     pub kind: NodeKind,
     /// Display name (`computs`, `loop in arrsum`, …).
-    pub name: String,
+    pub name: Name,
     /// Named input values: parameters (with their incoming values) and
     /// non-local variables read before written.
-    pub ins: Vec<(String, Value)>,
+    pub ins: Vec<(Name, Value)>,
     /// Named output values: reference parameters' final values, the
     /// function result (named after the function), and written non-locals.
-    pub outs: Vec<(String, Value)>,
+    pub outs: Vec<(Name, Value)>,
     /// Per-iteration snapshots for loop nodes: `(iteration, values)`.
-    pub iterations: Vec<(u64, Vec<(String, Value)>)>,
+    pub iterations: Vec<(u64, Vec<(Name, Value)>)>,
     /// Children, in execution order.
     pub children: Vec<NodeId>,
     /// First trace-event index covered by this unit.
@@ -96,24 +98,26 @@ impl ExecTree {
     /// Nodes in pre-order (the paper's top-down traversal).
     pub fn preorder(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for c in self.node(n).children.iter().rev() {
-                stack.push(*c);
-            }
-        }
+        out.extend(self.preorder_iter());
         out
     }
 
-    /// Finds the first (pre-order) call node for a procedure name.
+    /// Nodes in pre-order, one at a time: a search that stops early
+    /// visits only the nodes before its hit and collects nothing.
+    pub fn preorder_iter(&self) -> Preorder<'_> {
+        Preorder {
+            tree: self,
+            stack: vec![self.root],
+        }
+    }
+
+    /// Finds the first (pre-order) call node for a procedure name,
+    /// compared ignoring ASCII case.
     pub fn find_call(&self, module: &Module, name: &str) -> Option<NodeId> {
-        let key = name.to_ascii_lowercase();
-        self.preorder().into_iter().find(|&n| {
+        self.preorder_iter().find(|&n| {
             matches!(
                 &self.node(n).kind,
-                NodeKind::Call { proc, .. }
-                    if module.proc(*proc).name.to_ascii_lowercase() == key
+                NodeKind::Call { proc, .. } if module.proc(*proc).name.eq_ignore_ascii_case(name)
             )
         })
     }
@@ -268,6 +272,37 @@ impl ExecTree {
     }
 }
 
+/// [`ExecTree::preorder_iter`]'s iterator.
+pub struct Preorder<'t> {
+    tree: &'t ExecTree,
+    stack: Vec<NodeId>,
+}
+
+impl Iterator for Preorder<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let n = self.stack.pop()?;
+        self.stack
+            .extend(self.tree.node(n).children.iter().rev().copied());
+        Some(n)
+    }
+}
+
+/// An oracle or session can judge against a tree it owns or one it
+/// borrows; both convert to a `Cow`.
+impl From<ExecTree> for Cow<'_, ExecTree> {
+    fn from(tree: ExecTree) -> Self {
+        Cow::Owned(tree)
+    }
+}
+
+impl<'t> From<&'t ExecTree> for Cow<'t, ExecTree> {
+    fn from(tree: &'t ExecTree) -> Self {
+        Cow::Borrowed(tree)
+    }
+}
+
 /// Builds the execution tree from a recorded trace.
 ///
 /// Loop instances become nodes nested inside their call's children;
@@ -294,7 +329,7 @@ pub fn build_tree(module: &Module, trace: &DynTrace) -> ExecTree {
     ExecTree { nodes, root }
 }
 
-fn var_display_name(module: &Module, var: VarId) -> String {
+fn var_display_name(module: &Module, var: VarId) -> Name {
     module.var(var).name.clone()
 }
 
@@ -309,7 +344,7 @@ fn build_call(
     let info = module.proc(rec.proc);
     let id = NodeId(nodes.len() as u32);
 
-    let mut ins: Vec<(String, Value)> = rec
+    let mut ins: Vec<(Name, Value)> = rec
         .args
         .iter()
         .filter(|(p, _)| {
@@ -329,7 +364,7 @@ fn build_call(
     for (v, val) in &rec.nonlocal_reads {
         ins.push((var_display_name(module, *v), val.clone()));
     }
-    let mut outs: Vec<(String, Value)> = rec
+    let mut outs: Vec<(Name, Value)> = rec
         .outs
         .iter()
         .map(|(p, v)| {
@@ -406,7 +441,7 @@ fn build_call(
             Item::Loop(li) => {
                 let l = &trace.loops[li];
                 let lid = NodeId(nodes.len() as u32);
-                let iterations: Vec<(u64, Vec<(String, Value)>)> = l
+                let iterations: Vec<(u64, Vec<(Name, Value)>)> = l
                     .snapshots
                     .iter()
                     .map(|(i, vars)| {
@@ -424,7 +459,7 @@ fn build_call(
                         instance: l.instance,
                         iterations: l.iterations,
                     },
-                    name: format!("loop in {}", module.proc(rec.proc).name),
+                    name: Name::format(format_args!("loop in {}", module.proc(rec.proc).name)),
                     ins: Vec::new(),
                     outs: iterations
                         .last()
@@ -510,7 +545,7 @@ mod tests {
     #[test]
     fn preorder_matches_execution_order_of_figure7() {
         let (_, _, tree) = tree_of(testprogs::SQRTEST);
-        let names: Vec<String> = tree
+        let names: Vec<Name> = tree
             .preorder()
             .into_iter()
             .map(|n| tree.node(n).name.clone())
@@ -553,7 +588,7 @@ mod tests {
         let slice = dynamic_slice_output(&m, &t, computs_call, 0);
         let computs_node = tree.find_call(&m, "computs").unwrap();
         let pruned = tree.prune(computs_node, &slice);
-        let names: Vec<String> = pruned
+        let names: Vec<Name> = pruned
             .preorder()
             .into_iter()
             .map(|n| pruned.node(n).name.clone())
@@ -586,7 +621,7 @@ mod tests {
         let slice = dynamic_slice_output(&m, &t, ps_call, 1);
         let ps_node = tree.find_call(&m, "partialsums").unwrap();
         let pruned = tree.prune(ps_node, &slice);
-        let names: Vec<String> = pruned
+        let names: Vec<Name> = pruned
             .preorder()
             .into_iter()
             .map(|n| pruned.node(n).name.clone())
@@ -685,7 +720,7 @@ mod tests {
         let slice = dynamic_slice_output(&m, &t, r_call, 0);
         let root = tree.find_call(&m, "p").unwrap();
         let pruned = tree.prune(root, &slice);
-        let names: Vec<String> = pruned
+        let names: Vec<Name> = pruned
             .preorder()
             .into_iter()
             .map(|n| pruned.node(n).name.clone())

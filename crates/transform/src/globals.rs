@@ -28,6 +28,7 @@ use crate::Rewrite;
 use gadt_analysis::effects::Effects;
 use gadt_pascal::ast::*;
 use gadt_pascal::error::{Diagnostic, Result, Stage};
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::{Module, NameRes, ProcId, VarId, MAIN_PROC};
 use gadt_pascal::span::Span;
 use gadt_pascal::types::Type;
@@ -85,12 +86,12 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
 
     // Choose parameter names per (proc, var), mangling on collision with
     // names already declared in that procedure.
-    let mut param_name: HashMap<(ProcId, VarId), String> = HashMap::new();
+    let mut param_name: HashMap<(ProcId, VarId), Name> = HashMap::new();
     for (&p, adds) in &additions {
         let decl = module.proc_decl(p).ok_or_else(|| {
             Diagnostic::new(Stage::Sema, "main cannot take additions", Span::dummy())
         })?;
-        let mut taken: BTreeSet<String> = BTreeSet::new();
+        let mut taken: BTreeSet<Name> = BTreeSet::new();
         for g in &decl.params {
             for n in &g.names {
                 taken.insert(n.key());
@@ -111,11 +112,11 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
             taken.insert(q.name.key());
         }
         for (v, _) in adds {
-            let base = module.var(*v).name.clone();
+            let base = &module.var(*v).name;
             let name = if taken.contains(&base.to_ascii_lowercase()) {
-                format!("{base}_g{}", v.0)
+                Name::format(format_args!("{base}_g{}", v.0))
             } else {
-                base
+                base.clone()
             };
             taken.insert(name.to_ascii_lowercase());
             param_name.insert((p, *v), name);
@@ -132,7 +133,7 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     for (&p, adds) in &additions {
         for (v, _mode) in adds {
             mapping.add_param(
-                &paths[&p],
+                &paths[p.0 as usize],
                 AddedParam {
                     name: param_name[&(p, v.to_owned())].clone(),
                     origin: ParamOrigin::Global(module.var(*v).name.clone()),
@@ -158,21 +159,18 @@ pub fn convert_globals(mut module: Module) -> Result<Rewrite> {
     Ok(Rewrite::Rewritten(reanalyze(program)?, mapping))
 }
 
-/// Lowercase `/`-joined path for every procedure (`""` for main).
-pub fn proc_paths(module: &Module) -> HashMap<ProcId, String> {
-    let mut out = HashMap::new();
+/// Lowercase `/`-joined path of every procedure (`""` for main),
+/// indexed by [`ProcId`].
+pub fn proc_paths(module: &Module) -> Vec<Name> {
+    let mut out: Vec<Name> = Vec::with_capacity(module.procs.len());
     for info in &module.procs {
-        let mut parts = Vec::new();
-        let mut cur = Some(info.id);
-        while let Some(p) = cur {
-            let pi = module.proc(p);
-            if p != MAIN_PROC {
-                parts.push(pi.name.to_ascii_lowercase());
-            }
-            cur = pi.parent;
-        }
-        parts.reverse();
-        out.insert(info.id, parts.join("/"));
+        let name = info.name.to_ascii_lowercase();
+        out.push(match info.parent {
+            None => Name::default(),
+            Some(MAIN_PROC) => name,
+            // Sema numbers a procedure after the one enclosing it.
+            Some(parent) => Name::format(format_args!("{}/{name}", out[parent.0 as usize])),
+        });
     }
     out
 }
@@ -193,13 +191,13 @@ struct RewriteCx<'a> {
     module: &'a Module,
     declared: &'a [Vec<ProcId>],
     additions: &'a BTreeMap<ProcId, Vec<(VarId, ParamMode)>>,
-    param_name: &'a HashMap<(ProcId, VarId), String>,
+    param_name: &'a HashMap<(ProcId, VarId), Name>,
 }
 
 impl RewriteCx<'_> {
     /// The name by which `v` is reachable inside procedure `p` (for call
     /// arguments): its own name at the owner, otherwise p's added param.
-    fn arg_name(&self, p: ProcId, v: VarId) -> String {
+    fn arg_name(&self, p: ProcId, v: VarId) -> Name {
         let var = self.module.var(v);
         if var.owner == p {
             var.name.clone()
@@ -450,8 +448,8 @@ mod tests {
         assert!(printed.contains("p(w, x, z)"), "{printed}");
         let p_added = &mapping.added_params["p"];
         assert_eq!(p_added.len(), 2);
-        assert_eq!(p_added[0].origin, ParamOrigin::Global("x".to_string()));
-        assert_eq!(p_added[1].origin, ParamOrigin::Global("z".to_string()));
+        assert_eq!(p_added[0].origin, ParamOrigin::Global("x".into()));
+        assert_eq!(p_added[1].origin, ParamOrigin::Global("z".into()));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::pipeline::reanalyze;
 use crate::Rewrite;
 use gadt_pascal::ast::*;
 use gadt_pascal::error::{Diagnostic, Result, Stage};
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::{Module, ProcId, MAIN_PROC};
 use gadt_pascal::span::Span;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -161,8 +162,8 @@ pub fn break_loop_gotos(module: Module) -> Result<Rewrite> {
         for p in &mut block.procs {
             do_block(&mut p.block, ids, mapping, counter);
         }
-        let mut new_vars: Vec<String> = Vec::new();
-        let mut new_labels: Vec<String> = Vec::new();
+        let mut new_vars: Vec<Name> = Vec::new();
+        let mut new_labels: Vec<Name> = Vec::new();
         let body = std::mem::take(&mut block.body);
         block.body = rewrite_seq(body, ids, mapping, counter, &mut new_vars, &mut new_labels);
         for v in new_vars {
@@ -200,7 +201,7 @@ fn has_loop_exit_goto(module: &Module) -> bool {
 
 /// The labels outside a `while`/`repeat` loop that gotos inside it
 /// target, in first-occurrence order (empty for other statements).
-fn loop_exits(s: &Stmt) -> Vec<String> {
+fn loop_exits(s: &Stmt) -> Vec<Name> {
     let mut exits = Vec::new();
     let body: &[Stmt] = match &s.kind {
         StmtKind::While { body, .. } => std::slice::from_ref(body),
@@ -216,7 +217,7 @@ fn loop_exits(s: &Stmt) -> Vec<String> {
 }
 
 /// Labels defined (as labeled statements) inside a statement.
-fn labels_defined_in(s: &Stmt, out: &mut BTreeSet<String>) {
+fn labels_defined_in(s: &Stmt, out: &mut BTreeSet<Name>) {
     s.walk(&mut |st| {
         if let StmtKind::Labeled { label, .. } = &st.kind {
             out.insert(label.key());
@@ -225,7 +226,7 @@ fn labels_defined_in(s: &Stmt, out: &mut BTreeSet<String>) {
 }
 
 /// Gotos inside `s` targeting labels outside `defined`.
-fn exiting_gotos(s: &Stmt, defined: &BTreeSet<String>, out: &mut Vec<String>) {
+fn exiting_gotos(s: &Stmt, defined: &BTreeSet<Name>, out: &mut Vec<Name>) {
     s.walk(&mut |st| {
         if let StmtKind::Goto(l) = &st.kind {
             if !defined.contains(&l.key()) && !out.contains(&l.key()) {
@@ -240,8 +241,8 @@ fn rewrite_seq(
     ids: &mut IdGen,
     mapping: &mut Mapping,
     counter: &mut usize,
-    new_vars: &mut Vec<String>,
-    new_labels: &mut Vec<String>,
+    new_vars: &mut Vec<Name>,
+    new_labels: &mut Vec<Name>,
 ) -> Vec<Stmt> {
     let mut out = Vec::new();
     for s in stmts {
@@ -255,8 +256,8 @@ fn rewrite_one(
     ids: &mut IdGen,
     mapping: &mut Mapping,
     counter: &mut usize,
-    new_vars: &mut Vec<String>,
-    new_labels: &mut Vec<String>,
+    new_vars: &mut Vec<Name>,
+    new_labels: &mut Vec<Name>,
     out: &mut Vec<Stmt>,
 ) {
     // First rewrite nested statements.
@@ -340,8 +341,8 @@ fn rewrite_one(
     }
     *counter += 1;
     let n = *counter;
-    let leave = format!("leave_{n}");
-    let whilelab = format!("whilelab_{n}");
+    let leave = Name::format(format_args!("leave_{n}"));
+    let whilelab = Name::format(format_args!("whilelab_{n}"));
     new_vars.push(leave.clone());
     new_labels.push(whilelab.clone());
 
@@ -438,8 +439,8 @@ fn nest_one(
     ids: &mut IdGen,
     mapping: &mut Mapping,
     counter: &mut usize,
-    new_vars: &mut Vec<String>,
-    new_labels: &mut Vec<String>,
+    new_vars: &mut Vec<Name>,
+    new_labels: &mut Vec<Name>,
 ) -> Stmt {
     let mut out = Vec::new();
     rewrite_one(s, ids, mapping, counter, new_vars, new_labels, &mut out);
@@ -479,7 +480,7 @@ fn labeled_empty(label: &str, ids: &mut IdGen) -> Stmt {
 /// `begin leave := j; goto whilelab end` throughout a statement.
 fn replace_exit_gotos(
     mut s: Stmt,
-    exits: &[String],
+    exits: &[Name],
     leave: &str,
     whilelab: &str,
     ids: &mut IdGen,
@@ -487,7 +488,7 @@ fn replace_exit_gotos(
 ) -> Stmt {
     fn rec(
         s: &mut Stmt,
-        exits: &[String],
+        exits: &[Name],
         leave: &str,
         whilelab: &str,
         ids: &mut IdGen,
@@ -578,13 +579,13 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     // recursion) assign the same exit-condition value to the same label
     // and already-generated plumbing can be reused verbatim.
     let paths = crate::globals::proc_paths(&module);
-    let mut all_labels: Vec<(String, ProcId, String)> = Vec::new();
+    let mut all_labels: Vec<(Name, ProcId, Name)> = Vec::new();
     for (proc, labels) in &module.labels_of_proc {
         for l in labels {
             if l.starts_with("exitlab_") || l.starts_with("whilelab_") {
                 continue;
             }
-            all_labels.push((paths[proc].clone(), *proc, l.clone()));
+            all_labels.push((paths[proc.0 as usize].clone(), *proc, l.clone()));
         }
     }
     all_labels.sort();
@@ -598,7 +599,7 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
 
     // Procedures with *direct* non-local gotos this round; targets carry
     // their stable codes.
-    let mut targets_of: BTreeMap<ProcId, Vec<(ProcId, String, i64)>> = BTreeMap::new();
+    let mut targets_of: BTreeMap<ProcId, Vec<(ProcId, Name, i64)>> = BTreeMap::new();
     let mut goto_stmts: BTreeMap<StmtId, (ProcId, i64)> = BTreeMap::new();
     for (stmt, (owner, label)) in &module.goto_res {
         let q = module.proc_of_stmt[stmt];
@@ -652,26 +653,27 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     };
 
     // Choose exit parameter / label names per transformed proc.
-    let mut exit_param: HashMap<ProcId, String> = HashMap::new();
-    let mut exit_label: HashMap<ProcId, String> = HashMap::new();
+    let mut exit_param: HashMap<ProcId, Name> = HashMap::new();
+    let mut exit_label: HashMap<ProcId, Name> = HashMap::new();
     for &q in targets_of.keys() {
         let qn = module.proc(q).name.to_ascii_lowercase();
-        exit_param.insert(q, format!("exitcond_{qn}"));
-        exit_label.insert(q, format!("exitlab_{qn}"));
+        let param = Name::format(format_args!("exitcond_{qn}"));
+        exit_param.insert(q, param.clone());
+        exit_label.insert(q, Name::format(format_args!("exitlab_{qn}")));
         mapping.add_param(
-            &paths[&q],
+            &paths[q.0 as usize],
             AddedParam {
-                name: format!("exitcond_{qn}"),
+                name: param.clone(),
                 origin: ParamOrigin::ExitCondition,
             },
         );
         mapping.exit_info.insert(
-            paths[&q].clone(),
+            paths[q.0 as usize].clone(),
             ExitInfo {
-                param_name: format!("exitcond_{qn}"),
+                param_name: param,
                 targets: targets_of[&q]
                     .iter()
-                    .map(|(o, l, code)| (*code, (paths[o].clone(), l.clone())))
+                    .map(|(o, l, code)| (*code, (paths[o.0 as usize].clone(), l.clone())))
                     .collect(),
             },
         );
@@ -687,13 +689,13 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
         .map(|(stmt, callee)| (*stmt, *callee))
         .collect();
     calls.sort_unstable();
-    let mut caller_vars: BTreeMap<(ProcId, ProcId), String> = BTreeMap::new();
+    let mut caller_vars: BTreeMap<(ProcId, ProcId), Name> = BTreeMap::new();
     for (stmt, callee) in &calls {
         let caller = module.proc_of_stmt[stmt];
         let cn = module.proc(*callee).name.to_ascii_lowercase();
         caller_vars
             .entry((caller, *callee))
-            .or_insert_with(|| format!("ec_{cn}"));
+            .or_insert_with(|| Name::format(format_args!("ec_{cn}")));
         // Label capture check: the dispatch `goto L` in the caller
         // must resolve to the original owner.
         for (owner, label, _) in &targets_of[callee] {
@@ -726,11 +728,11 @@ pub fn break_global_gotos(mut module: Module) -> Result<Rewrite> {
     struct Cx<'a> {
         module: &'a Module,
         declared: &'a [Vec<ProcId>],
-        targets_of: &'a BTreeMap<ProcId, Vec<(ProcId, String, i64)>>,
+        targets_of: &'a BTreeMap<ProcId, Vec<(ProcId, Name, i64)>>,
         goto_stmts: &'a BTreeMap<StmtId, (ProcId, i64)>,
-        exit_param: &'a HashMap<ProcId, String>,
-        exit_label: &'a HashMap<ProcId, String>,
-        caller_vars: &'a BTreeMap<(ProcId, ProcId), String>,
+        exit_param: &'a HashMap<ProcId, Name>,
+        exit_label: &'a HashMap<ProcId, Name>,
+        caller_vars: &'a BTreeMap<(ProcId, ProcId), Name>,
     }
 
     fn do_block(

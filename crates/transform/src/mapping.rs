@@ -7,13 +7,14 @@
 //! are synthetic, and which parameters encode exit conditions.
 
 use gadt_pascal::ast::StmtId;
+use gadt_pascal::name::Name;
 use std::collections::BTreeMap;
 
 /// Why a parameter exists in the transformed program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamOrigin {
     /// Converted from a non-local variable with this (original) name.
-    Global(String),
+    Global(Name),
     /// Encodes exit side-effects: value `0` means a normal return, value
     /// `k ≥ 1` means "perform the k-th non-local goto" listed in
     /// [`ExitInfo::targets`].
@@ -24,7 +25,7 @@ pub enum ParamOrigin {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddedParam {
     /// The parameter's name in the transformed program.
-    pub name: String,
+    pub name: Name,
     /// Where it came from.
     pub origin: ParamOrigin,
 }
@@ -33,12 +34,12 @@ pub struct AddedParam {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExitInfo {
     /// The exit-condition parameter's name.
-    pub param_name: String,
+    pub param_name: Name,
     /// Target labels keyed by the exit-condition value. Values are
     /// *globally stable* label codes (derived from the program's label
     /// inventory), so cascading transformation rounds assign the same
     /// code to the same label.
-    pub targets: BTreeMap<i64, (String, String)>,
+    pub targets: BTreeMap<i64, (Name, Name)>,
 }
 
 /// The complete mapping for one transformation run.
@@ -48,9 +49,9 @@ pub struct ExitInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Mapping {
     /// Parameters added per procedure path.
-    pub added_params: BTreeMap<String, Vec<AddedParam>>,
+    pub added_params: BTreeMap<Name, Vec<AddedParam>>,
     /// Exit-condition details per procedure path.
-    pub exit_info: BTreeMap<String, ExitInfo>,
+    pub exit_info: BTreeMap<Name, ExitInfo>,
     /// Statements synthesized by the transformation, with a description
     /// (e.g. `"exit dispatch for call of q"`).
     pub synthetic_stmts: BTreeMap<StmtId, String>,
@@ -69,7 +70,7 @@ impl Mapping {
 
     /// The exit-goto rendering for a procedure's exit-condition value:
     /// `None` for 0 (normal return), otherwise the `(owner, label)` pair.
-    pub fn exit_target(&self, proc_path: &str, value: i64) -> Option<&(String, String)> {
+    pub fn exit_target(&self, proc_path: &str, value: i64) -> Option<&(Name, Name)> {
         if value <= 0 {
             return None;
         }
@@ -79,9 +80,9 @@ impl Mapping {
     }
 
     /// Records an added parameter.
-    pub fn add_param(&mut self, proc_path: &str, param: AddedParam) {
+    pub fn add_param(&mut self, proc_path: impl Into<Name>, param: AddedParam) {
         self.added_params
-            .entry(proc_path.to_string())
+            .entry(proc_path.into())
             .or_default()
             .push(param);
     }
@@ -115,17 +116,14 @@ mod tests {
     fn exit_target_lookup() {
         let mut m = Mapping::default();
         m.exit_info.insert(
-            "p/q".to_string(),
+            "p/q".into(),
             ExitInfo {
-                param_name: "exitcond".to_string(),
-                targets: BTreeMap::from([(1, ("p".to_string(), "9".to_string()))]),
+                param_name: "exitcond".into(),
+                targets: BTreeMap::from([(1, ("p".into(), "9".into()))]),
             },
         );
         assert_eq!(m.exit_target("p/q", 0), None);
-        assert_eq!(
-            m.exit_target("p/q", 1),
-            Some(&("p".to_string(), "9".to_string()))
-        );
+        assert_eq!(m.exit_target("p/q", 1), Some(&("p".into(), "9".into())));
         assert_eq!(m.exit_target("p/q", 2), None);
         assert_eq!(m.exit_target("unknown", 1), None);
     }
@@ -136,15 +134,15 @@ mod tests {
         a.add_param(
             "p",
             AddedParam {
-                name: "x".to_string(),
-                origin: ParamOrigin::Global("x".to_string()),
+                name: "x".into(),
+                origin: ParamOrigin::Global("x".into()),
             },
         );
         let mut b = Mapping::default();
         b.add_param(
             "p",
             AddedParam {
-                name: "exitcond".to_string(),
+                name: "exitcond".into(),
                 origin: ParamOrigin::ExitCondition,
             },
         );

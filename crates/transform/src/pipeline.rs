@@ -6,6 +6,7 @@ use crate::mapping::Mapping;
 use crate::Rewrite;
 use gadt_pascal::ast::{Ident, ParamMode, ProcDecl, Stmt, StmtKind};
 use gadt_pascal::error::{Diagnostic, Result, Stage};
+use gadt_pascal::name::Name;
 use gadt_pascal::pretty::print_program;
 use gadt_pascal::sema::{analyze_or_else, Module};
 use gadt_pascal::span::Span;
@@ -166,7 +167,7 @@ pub fn instrumented_source(t: &Transformed) -> String {
     let mut next_stmt = program.next_stmt_id;
     let mut next_expr = program.next_expr_id;
 
-    fn pseudo_call(name: &str, args: &[String], next_stmt: &mut u32, next_expr: &mut u32) -> Stmt {
+    fn pseudo_call(name: &str, args: &[Name], next_stmt: &mut u32, next_expr: &mut u32) -> Stmt {
         let arg_exprs = args
             .iter()
             .map(|a| {
@@ -195,8 +196,8 @@ pub fn instrumented_source(t: &Transformed) -> String {
         for q in &mut decl.block.procs {
             instrument(q, next_stmt, next_expr);
         }
-        let mut ins: Vec<String> = Vec::new();
-        let mut outs: Vec<String> = Vec::new();
+        let mut ins: Vec<Name> = Vec::new();
+        let mut outs: Vec<Name> = Vec::new();
         for g in &decl.params {
             for n in &g.names {
                 match g.mode {
@@ -497,7 +498,7 @@ mod tests {
         let info = &t.mapping.exit_info["p/q"];
         assert_eq!(info.targets.len(), 1);
         let (&code, target) = info.targets.iter().next().unwrap();
-        assert_eq!(target, &("p".to_string(), "9".to_string()));
+        assert_eq!(target, &("p".into(), "9".into()));
         assert_eq!(t.mapping.exit_target("p/q", code).unwrap().1, "9");
     }
 }

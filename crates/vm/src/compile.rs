@@ -24,6 +24,7 @@
 use gadt_pascal::ast::{BinOp, StmtId, UnOp};
 use gadt_pascal::cfg::{BlockId, CallArg, InstrKind, LoopId, Place, ProgramCfg, RExpr, Terminator};
 use gadt_pascal::idhash::IdMap;
+use gadt_pascal::name::Name;
 use gadt_pascal::sema::{Intrinsic, Module, ProcId, VarId, VarKind, MAIN_PROC};
 use gadt_pascal::span::Span;
 use gadt_pascal::types::Type;
@@ -215,7 +216,7 @@ pub(crate) struct VmProc {
     pub store_tys: Vec<StoreTy>,
     /// For `MAIN_PROC` only: global variables as (lowercase name, slot),
     /// for capturing [`gadt_pascal::interp::Outcome::globals`].
-    pub globals: Vec<(String, u32)>,
+    pub globals: Vec<(Name, u32)>,
 }
 
 /// Precomputed per-loop data.

@@ -16,6 +16,7 @@ use gadt_repro::analysis::slice_static::SliceContext;
 use gadt_repro::corpus::{corpus_subjects, generate_batch, CorpusCampaignConfig, GenConfig, Lcg};
 use gadt_repro::debugging::session::{prepare, run_traced_limited};
 use gadt_repro::mutate::{apply, enumerate_sites, materialize};
+use gadt_repro::pascal::ast::StmtId;
 use gadt_repro::pascal::cfg::{lower, ProcCfg, Terminator};
 use gadt_repro::pascal::error::Result as PascalResult;
 use gadt_repro::pascal::interp::Limits;
@@ -215,8 +216,9 @@ fn reference_postdom(cfg: &ProcCfg) -> Vec<BTreeSet<u32>> {
 }
 
 /// Control dependence from the reference postdominators, by the same
-/// Ferrante–Ottenstein–Warren projection.
-fn reference_control_deps(cfg: &ProcCfg) -> ControlDeps {
+/// Ferrante–Ottenstein–Warren projection: the branch statements that
+/// control each statement.
+fn reference_control_deps(cfg: &ProcCfg) -> BTreeMap<StmtId, BTreeSet<StmtId>> {
     let sets = reference_postdom(cfg);
     let pd = |a: u32, b: u32| sets[b as usize].contains(&a);
     let mut block_deps: BTreeMap<_, BTreeSet<_>> = BTreeMap::new();
@@ -263,10 +265,7 @@ fn reference_control_deps(cfg: &ProcCfg) -> ControlDeps {
                 .extend(dep_stmts.iter().copied());
         }
     }
-    ControlDeps {
-        block_deps,
-        stmt_deps,
-    }
+    stmt_deps
 }
 
 fn check_control_deps(name: &str, module: &Module) {
@@ -284,16 +283,36 @@ fn check_control_deps(name: &str, module: &Module) {
                 );
             }
         }
+        // Every statement of the procedure, of its CFG and of the
+        // reference: each one's controlling set must equal the
+        // reference's, in the reference's order.
         let expected = reference_control_deps(pcfg);
         let actual = ControlDeps::compute(pcfg);
+        let mut stmts: BTreeSet<StmtId> = module
+            .proc_of_stmt
+            .iter()
+            .filter(|(_, p)| **p == pcfg.proc)
+            .map(|(s, _)| *s)
+            .collect();
+        for (_, blk) in pcfg.iter() {
+            stmts.extend(blk.instrs.iter().map(|i| i.stmt));
+            stmts.extend(blk.term.stmt());
+        }
+        stmts.extend(expected.keys().copied());
+        for s in stmts {
+            let want: Vec<StmtId> = expected.get(&s).into_iter().flatten().copied().collect();
+            let got: Vec<StmtId> = actual.controlling(s).collect();
+            assert_eq!(
+                got, want,
+                "{name}: statements controlling {s:?} in {:?}",
+                pcfg.proc
+            );
+        }
+        // No dependence of a statement outside that set either.
         assert_eq!(
-            actual.block_deps, expected.block_deps,
-            "{name}: block deps of {:?}",
-            pcfg.proc
-        );
-        assert_eq!(
-            actual.stmt_deps, expected.stmt_deps,
-            "{name}: stmt deps of {:?}",
+            actual.pairs().len(),
+            expected.values().map(BTreeSet::len).sum::<usize>(),
+            "{name}: control dependences of {:?}",
             pcfg.proc
         );
     }

@@ -135,7 +135,7 @@ fn e5_e6_pruned_trees() {
     let names_of = |t: &gadt_trace::ExecTree| -> Vec<String> {
         t.preorder()
             .into_iter()
-            .map(|n| t.node(n).name.clone())
+            .map(|n| t.node(n).name.to_string())
             .collect()
     };
 

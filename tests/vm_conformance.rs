@@ -83,7 +83,7 @@ fn traced_runs_and_slices_are_engine_identical() {
         let globals: Vec<String> = tm
             .vars_of(MAIN_PROC)
             .filter(|var| var.kind == VarKind::Global)
-            .map(|var| var.name.clone())
+            .map(|var| var.name.to_string())
             .collect();
         for g in globals {
             let a = dynamic_slice_final(tm, &t.trace, &g);
