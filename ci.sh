@@ -38,6 +38,17 @@ cargo test -q --test observability
 echo "==> mutation localization smoke (fixed seed, <=50 mutants)"
 cargo test -q --test mutation_conformance bounded_smoke_campaign_is_deterministic_and_accurate
 
+# Allocation-budget tier: the benchmark campaign's 883 mutants on one
+# thread under a counting global allocator, in release. The count
+# repeats exactly from run to run, so the test fails as soon as a mean
+# mutant allocates more than its budget; the tier prints the count.
+echo "==> allocation budget (campaign mutants, release)"
+ALLOC_OUT="$(cargo test -q --release --test allocation_budget -- --nocapture 2>&1)" || {
+    echo "$ALLOC_OUT"
+    exit 1
+}
+echo "$ALLOC_OUT" | grep "allocation budget:"
+
 # Knowledge-store tier: the crash/corruption fault-injection suite and
 # the cross-session §8 replay, run inside a throwaway TMPDIR sandbox
 # (gadt-store's TempDir honours TMPDIR). The sandbox must come back

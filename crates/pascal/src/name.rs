@@ -183,12 +183,6 @@ impl Deref for Name {
     }
 }
 
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl Borrow<str> for Name {
     fn borrow(&self) -> &str {
         self.as_str()
@@ -197,12 +191,6 @@ impl Borrow<str> for Name {
 
 impl From<&str> for Name {
     fn from(text: &str) -> Name {
-        Name::new(text)
-    }
-}
-
-impl From<&String> for Name {
-    fn from(text: &String) -> Name {
         Name::new(text)
     }
 }
@@ -217,15 +205,6 @@ impl From<String> for Name {
 impl From<&Name> for Name {
     fn from(name: &Name) -> Name {
         name.clone()
-    }
-}
-
-impl From<Name> for String {
-    fn from(name: Name) -> String {
-        match name.0 {
-            Repr::Inline { .. } => name.as_str().to_owned(),
-            Repr::Boxed(text) => text.into(),
-        }
     }
 }
 
@@ -264,12 +243,6 @@ macro_rules! eq_with {
         impl PartialEq<$other> for Name {
             fn eq(&self, other: &$other) -> bool {
                 self.as_bytes() == AsRef::<[u8]>::as_ref(other)
-            }
-        }
-
-        impl PartialEq<Name> for $other {
-            fn eq(&self, other: &Name) -> bool {
-                other == self
             }
         }
     )*};
@@ -370,7 +343,6 @@ mod tests {
         assert_eq!(empty, Name::default());
         assert_eq!(empty.as_str(), "");
         assert_eq!(format!("{empty}|{empty:?}"), "|\"\"");
-        assert_eq!(String::from(empty), "");
     }
 
     #[test]
@@ -384,7 +356,6 @@ mod tests {
             assert_eq!(format!("[{na:>40}]"), format!("[{a:>40}]"));
             assert_eq!(hash_of(&na), hash_of(a.as_str()));
             assert_eq!(na.to_ascii_lowercase(), a.to_ascii_lowercase());
-            assert_eq!(String::from(na.clone()), *a);
             for b in &texts {
                 let nb = Name::new(b);
                 assert_eq!(na == nb, a == b, "{a:?} == {b:?}");

@@ -23,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mean allocations per campaign mutant, golden set-up included.
-const BUDGET: u64 = 2_719;
+const BUDGET: u64 = 1_685;
 
 /// The system allocator, counting every allocation and reallocation.
 struct Counting;
