@@ -13,11 +13,9 @@ use gadt::oracle::{ChainOracle, GoldenOracle};
 use gadt::session::{prepare, run_traced};
 use gadt_pascal::ast::{Block, Program};
 use gadt_pascal::ast_mut::strip_spans;
-use gadt_pascal::lexer::tokenize;
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::pretty::print_program;
 use gadt_pascal::sema::{compile, VarKind};
-use gadt_pascal::token::TokenKind;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -116,23 +114,12 @@ fn lengthen_words(text: &str, names: &BTreeSet<String>) -> String {
     out
 }
 
-/// The source with every declared identifier lengthened, token by token.
+/// The source with every identifier it declares lengthened.
 fn lengthen(source: &str) -> String {
-    let names = declared_names(&parse_program(source).expect("parses"));
-    let mut out = String::new();
-    let mut at = 0;
-    for t in tokenize(source).expect("lexes") {
-        if let TokenKind::Ident(name) = &t.kind {
-            if names.contains(name.to_ascii_lowercase().as_str()) {
-                let end = t.span.end as usize;
-                out.push_str(&source[at..end]);
-                out.push_str(SUFFIX);
-                at = end;
-            }
-        }
-    }
-    out.push_str(&source[at..]);
-    out
+    lengthen_words(
+        source,
+        &declared_names(&parse_program(source).expect("parses")),
+    )
 }
 
 /// What one twin's pipeline produced.
