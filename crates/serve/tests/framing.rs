@@ -281,3 +281,159 @@ fn deeply_nested_frame_is_invalid_data() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("nesting deeper than"), "{err}");
 }
+
+/// A small seeded generator (SplitMix64), so the edits below repeat.
+struct Seeded(u64);
+
+impl Seeded {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A draw in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Bytes a replacement draws from: Pascal punctuation, digits, letters
+/// and a byte that is not UTF-8 on its own.
+const EDIT_BYTES: &[u8] = b";:=.,()[]+-*/<>' 019azAZ\n\xff";
+
+/// One seeded byte edit of `source`: replace a byte, delete a short
+/// span, duplicate a short span, or truncate.
+fn edit(source: &str, rng: &mut Seeded) -> String {
+    let mut bytes = source.as_bytes().to_vec();
+    let at = rng.below(bytes.len());
+    let span = (1 + rng.below(8)).min(bytes.len() - at);
+    match rng.below(4) {
+        0 => bytes[at] = EDIT_BYTES[rng.below(EDIT_BYTES.len())],
+        1 => {
+            bytes.drain(at..at + span);
+        }
+        2 => {
+            let copy = bytes[at..at + span].to_vec();
+            bytes.splice(at..at, copy);
+        }
+        _ => bytes.truncate(at),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Sends `msg` and checks the reply is a well-formed frame: a boolean
+/// `ok`, and a string `error` when `ok` is false. Returns the reply
+/// when `ok` is true.
+fn checked(client: &mut Client, msg: &Json) -> Option<Json> {
+    let reply = client
+        .exchange_raw(msg.to_string().as_bytes())
+        .unwrap_or_else(|e| panic!("no reply frame to {msg}: {e}"));
+    match reply.get("ok").and_then(Json::as_bool) {
+        Some(true) => Some(reply),
+        Some(false) => {
+            assert!(
+                reply.get("error").and_then(Json::as_str).is_some(),
+                "error frame without a string `error`: {reply}"
+            );
+            None
+        }
+        None => panic!("reply without a boolean `ok` to {msg}: {reply}"),
+    }
+}
+
+fn request(op: &str, fields: Vec<(&str, Json)>) -> Json {
+    let mut all = vec![("op", Json::Str(op.into()))];
+    all.extend(fields);
+    obj(all)
+}
+
+/// Edits of each fixture.
+const EDITS_PER_FIXTURE: usize = 400;
+
+/// Most answers one session gives: each is fsynced before its reply.
+const ANSWERS_PER_SESSION: usize = 3;
+
+/// Hostile `create` payloads: seeded byte edits of every paper fixture
+/// go through `create`, then `trace` on one input row, then `ask` and
+/// seeded `answer`s, some naming an output past the question's outputs.
+/// Every request gets a well-formed reply frame, and the server still
+/// pongs and shuts down cleanly afterwards.
+#[test]
+fn byte_edited_sources_get_reply_frames_through_a_whole_session() {
+    let dir = TempDir::new("serve-hostile-create");
+    let handle = start_server(&dir, 2);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut rng = Seeded(2026);
+    let (mut created, mut traced, mut answered) = (0, 0, 0);
+    for (_, fixture) in gadt_pascal::testprogs::ALL {
+        for _ in 0..EDITS_PER_FIXTURE {
+            let source = edit(fixture, &mut rng);
+            let Some(reply) = checked(
+                &mut client,
+                &request(
+                    "create",
+                    vec![
+                        ("source", Json::Str(source)),
+                        ("max_steps", Json::Int(100_000)),
+                        ("max_depth", Json::Int(64)),
+                        ("pool", Json::Bool(false)),
+                    ],
+                ),
+            ) else {
+                continue;
+            };
+            created += 1;
+            let sid = reply
+                .get("session")
+                .cloned()
+                .expect("create names a session");
+            let row = (0..rng.below(3))
+                .map(|_| Json::Int(rng.below(5) as i64))
+                .collect();
+            let inputs = Json::Array(vec![Json::Array(row)]);
+            let session = || ("session", sid.clone());
+            if checked(
+                &mut client,
+                &request("trace", vec![session(), ("inputs", inputs)]),
+            )
+            .is_none()
+            {
+                continue;
+            }
+            traced += 1;
+            let mut reply = checked(&mut client, &request("ask", vec![session()]));
+            for _ in 0..ANSWERS_PER_SESSION {
+                let Some(question) = reply.as_ref().and_then(|r| r.get("question")) else {
+                    break;
+                };
+                let outs = question
+                    .get("outs")
+                    .and_then(Json::as_array)
+                    .map_or(0, |o| o.len());
+                let mut fields = vec![session()];
+                match rng.below(4) {
+                    0 => fields.push(("verdict", Json::Str("yes".into()))),
+                    1 => fields.push(("verdict", Json::Str("no".into()))),
+                    2 => fields.push(("verdict", Json::Str("dont_know".into()))),
+                    _ => {
+                        fields.push(("verdict", Json::Str("no".into())));
+                        let past = outs + rng.below(3);
+                        fields.push(("wrong_output", Json::Int(past as i64)));
+                    }
+                }
+                reply = checked(&mut client, &request("answer", fields));
+                answered += 1;
+            }
+        }
+    }
+    assert!(
+        created > 0 && traced > 0 && answered > 0,
+        "the edits exercised every request: {created} created, {traced} traced, {answered} answered"
+    );
+    assert!(client.ping().unwrap());
+    drop(client);
+    handle.shutdown().unwrap();
+}
