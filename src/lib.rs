@@ -45,6 +45,11 @@
 
 pub mod facade;
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use gadt as debugging;
 pub use gadt_analysis as analysis;
 pub use gadt_corpus as corpus;
