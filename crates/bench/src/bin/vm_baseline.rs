@@ -27,6 +27,7 @@ use gadt_tgen::{cases, frames, spec};
 use gadt_vm::conformance::EventHasher;
 use gadt_vm::PreparedEngine;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 struct Workload {
     name: &'static str,
@@ -247,7 +248,7 @@ fn trace_hash_workload(h: &Harness) -> Workload {
         seed: 11,
     });
     let m = compile(&gp.source).unwrap();
-    let cfg = lower(&m);
+    let cfg = Arc::new(lower(&m));
     let units = 24usize;
 
     let tree = PreparedEngine::new(&m, &cfg, Engine::TreeWalker);
@@ -258,7 +259,7 @@ fn trace_hash_workload(h: &Harness) -> Workload {
         || {
             let mut hasher = EventHasher::new();
             for _ in 0..units {
-                tree.run_with(Vec::new(), Limits::default(), &mut hasher)
+                tree.run_with(&m, Vec::new(), Limits::default(), &mut hasher)
                     .unwrap();
             }
             hasher.digest()
@@ -266,7 +267,7 @@ fn trace_hash_workload(h: &Harness) -> Workload {
         || {
             let mut hasher = EventHasher::new();
             for _ in 0..units {
-                vm.run_with(Vec::new(), Limits::default(), &mut hasher)
+                vm.run_with(&m, Vec::new(), Limits::default(), &mut hasher)
                     .unwrap();
             }
             hasher.digest()

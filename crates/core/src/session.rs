@@ -22,12 +22,12 @@ use gadt_exec::BatchExecutor;
 use gadt_obs::Recorder;
 use gadt_pascal::cfg::{lower, ProgramCfg};
 use gadt_pascal::error::Result;
-use gadt_pascal::interp::{Interpreter, Limits, Monitor, Outcome};
+use gadt_pascal::interp::{Limits, Monitor, Outcome};
 use gadt_pascal::sema::Module;
 use gadt_pascal::value::Value;
 use gadt_trace::{build_tree, ExecTree};
 use gadt_transform::{transform_observed, Transformed};
-use gadt_vm::{Vm, VmProgram};
+use gadt_vm::PreparedEngine;
 use std::sync::{Arc, OnceLock};
 
 /// The per-phase wall-clock roll-up, re-exported from `gadt-obs` where
@@ -36,8 +36,7 @@ use std::sync::{Arc, OnceLock};
 pub use gadt_obs::PhaseTimings;
 
 /// The execution-engine selector, re-exported from `gadt-vm` (select one
-/// via [`PreparedProgram::with_engine`] or the facade's
-/// `Compiled::with_engine`).
+/// via [`PreparedProgram::with_engine`]).
 pub use gadt_vm::Engine;
 
 /// Phase I output: the transformed program, ready for tracing.
@@ -48,12 +47,9 @@ pub struct PreparedProgram {
     /// The transformed module's CFG, lowered once and shared by every
     /// run (including all batch workers — no per-run clone).
     pub cfg: Arc<ProgramCfg>,
-    /// Which engine executes traced runs.
-    engine: Engine,
-    /// The compiled bytecode program, present iff `engine` is
-    /// [`Engine::Vm`]. Compiled once, shared by every run (including all
-    /// batch workers).
-    vm: Option<Arc<VmProgram>>,
+    /// The engine every run executes on, prepared once and shared by
+    /// every run (including all batch workers).
+    engine: PreparedEngine,
     /// The transformed module's control dependences, computed on the
     /// first traced run and reused by every later one.
     control_deps: OnceLock<ProgramControlDeps>,
@@ -68,23 +64,15 @@ impl PreparedProgram {
     /// Traces, slices, and journals are byte-identical across engines.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        if engine == self.engine {
-            return self;
+        if engine != self.engine.engine() {
+            self.engine = PreparedEngine::new(&self.transformed.module, &self.cfg, engine);
         }
-        self.engine = engine;
-        self.vm = match engine {
-            Engine::TreeWalker => None,
-            Engine::Vm => Some(Arc::new(VmProgram::compile(
-                &self.transformed.module,
-                &self.cfg,
-            ))),
-        };
         self
     }
 
     /// The selected execution engine.
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.engine.engine()
     }
 
     /// The transformed module's control dependences, which every traced
@@ -105,21 +93,8 @@ impl PreparedProgram {
         limits: Limits,
         monitor: &mut dyn Monitor,
     ) -> Result<Outcome> {
-        let module = &self.transformed.module;
-        match &self.vm {
-            None => {
-                let mut interp = Interpreter::with_shared_cfg(module, Arc::clone(&self.cfg));
-                interp.set_limits(limits);
-                interp.set_input(input);
-                interp.run_with(monitor)
-            }
-            Some(program) => {
-                let mut vm = Vm::new(module, program);
-                vm.set_limits(limits);
-                vm.set_input(input);
-                vm.run_with(monitor)
-            }
-        }
+        self.engine
+            .run_with(&self.transformed.module, input, limits, monitor)
     }
 
     /// Monitor-free run: identical output, step count, final globals,
@@ -131,21 +106,8 @@ impl PreparedProgram {
     /// # Errors
     /// Same conditions as [`PreparedProgram::execute`].
     pub fn execute_fast(&self, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
-        let module = &self.transformed.module;
-        match &self.vm {
-            None => {
-                let mut interp = Interpreter::with_shared_cfg(module, Arc::clone(&self.cfg));
-                interp.set_limits(limits);
-                interp.set_input(input);
-                interp.run_with(&mut gadt_pascal::interp::NoopMonitor)
-            }
-            Some(program) => {
-                let mut vm = Vm::new(module, program);
-                vm.set_limits(limits);
-                vm.set_input(input);
-                vm.run()
-            }
-        }
+        self.engine
+            .run_fast(&self.transformed.module, input, limits)
     }
 }
 
@@ -181,18 +143,17 @@ pub fn prepare(module: &Module) -> Result<PreparedProgram> {
 /// Same as [`prepare`].
 pub fn prepare_observed(module: Module, rec: &mut Recorder) -> Result<PreparedProgram> {
     let transformed = transform_observed(module, rec)?;
-    let cfg = lower(&transformed.module);
-    let prepared = PreparedProgram {
-        transformed,
-        cfg: Arc::new(cfg),
-        engine: Engine::TreeWalker,
-        vm: None,
-        control_deps: OnceLock::new(),
-    };
-    // Select the workspace-wide default engine (the compiled VM); the
+    let cfg = Arc::new(lower(&transformed.module));
+    // The workspace-wide default engine (the compiled VM); the
     // tree-walker remains available via `with_engine` as the
     // differential reference.
-    Ok(prepared.with_engine(Engine::default()))
+    let engine = PreparedEngine::new(&transformed.module, &cfg, Engine::default());
+    Ok(PreparedProgram {
+        transformed,
+        cfg,
+        engine,
+        control_deps: OnceLock::new(),
+    })
 }
 
 /// Phase II output: the traced execution.
@@ -204,9 +165,6 @@ pub struct TracedRun {
     pub tree: ExecTree,
     /// The program's captured output.
     pub output: String,
-    /// Which engine produced this run (provenance: server responses echo
-    /// it without re-deriving it from the prepared program).
-    pub engine: Engine,
     /// The interpreter limits the run executed under.
     pub limits: Limits,
 }
@@ -245,7 +203,6 @@ pub fn run_traced_limited(
         trace,
         tree,
         output: outcome.output_text().to_string(),
-        engine: prepared.engine(),
         limits,
     })
 }
@@ -509,11 +466,10 @@ mod batch_session_tests {
     }
 
     #[test]
-    fn traced_runs_echo_engine_and_limits_provenance() {
+    fn traced_runs_echo_their_limits() {
         let m = compile(SUMMER).unwrap();
         let prepared = prepare(&m).unwrap();
         let run = run_traced(&prepared, vec![Value::Int(3)]).unwrap();
-        assert_eq!(run.engine, prepared.engine());
         assert_eq!(run.limits.max_steps, Limits::default().max_steps);
 
         let tight = Limits {
@@ -523,29 +479,23 @@ mod batch_session_tests {
         let limited = run_traced_limited(&prepared, vec![Value::Int(3)], tight).unwrap();
         assert_eq!(limited.limits.max_steps, 1_000);
         assert_eq!(limited.limits.max_depth, 32);
-
-        let tree = prepared.clone().with_engine(Engine::TreeWalker);
-        let batch = run_traced_batch(
-            &tree,
-            vec![vec![Value::Int(2)]],
-            1,
-            &mut Recorder::disabled(),
-        )
-        .unwrap();
-        assert_eq!(batch[0].engine, Engine::TreeWalker);
     }
 
     #[test]
     fn selecting_the_current_engine_keeps_its_compiled_program() {
+        let vm = |p: &PreparedProgram| match &p.engine {
+            PreparedEngine::Vm(program) => Arc::clone(program),
+            PreparedEngine::TreeWalker(_) => panic!("not on the VM"),
+        };
         let prepared = prepare(&compile(SUMMER).unwrap()).unwrap();
         assert_eq!(prepared.engine(), Engine::Vm);
-        let compiled = Arc::clone(prepared.vm.as_ref().unwrap());
+        let compiled = vm(&prepared);
         let same = prepared.with_engine(Engine::Vm);
-        assert!(Arc::ptr_eq(&compiled, same.vm.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(&compiled, &vm(&same)));
 
         // A real switch still recompiles.
         let back = same.with_engine(Engine::TreeWalker).with_engine(Engine::Vm);
-        assert!(!Arc::ptr_eq(&compiled, back.vm.as_ref().unwrap()));
+        assert!(!Arc::ptr_eq(&compiled, &vm(&back)));
         assert_eq!(
             run_traced(&back, vec![Value::Int(3)]).unwrap().output,
             "6\n"

@@ -44,6 +44,7 @@ use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Differential harness knobs.
 #[derive(Debug, Clone)]
@@ -210,14 +211,14 @@ fn guard<T>(stage: &str, f: impl FnOnce() -> Result<T, Divergence>) -> Result<T,
 /// engine diversity to the differential for free (errors are
 /// byte-identical across engines, so verdicts are unchanged).
 fn run_module(module: &Module, p: &GeneratedProgram, max_steps: u64) -> Result<Outcome, String> {
-    let cfg = lower(module);
+    let cfg = Arc::new(lower(module));
     let engine = PreparedEngine::new(module, &cfg, Engine::default());
     let limits = Limits {
         max_steps,
         ..Limits::default()
     };
     engine
-        .run_fast(p.input.clone(), limits)
+        .run_fast(module, p.input.clone(), limits)
         .map_err(|e| e.to_string())
 }
 
@@ -406,7 +407,7 @@ fn check_vm(
             stage: "run-vm".into(),
             detail,
         };
-        let cfg = lower(tmodule);
+        let cfg = Arc::new(lower(tmodule));
         let engine = PreparedEngine::new(tmodule, &cfg, Engine::Vm);
         let limits = Limits {
             max_steps: config.max_steps,
@@ -414,7 +415,7 @@ fn check_vm(
         };
         let mut vm_hash = EventHasher::new();
         let vm_out = engine
-            .run_with(p.input.clone(), limits, &mut vm_hash)
+            .run_with(tmodule, p.input.clone(), limits, &mut vm_hash)
             .map_err(|e| diverged(format!("vm failed where the tree-walker succeeded: {e}")))?;
         if vm_out.output_text() != tree_out.output_text() {
             return Err(diverged(format!(

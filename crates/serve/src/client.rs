@@ -44,12 +44,10 @@ impl Write for Transport {
 }
 
 /// Options for [`Client::create_session`]; `Default` matches the
-/// server's defaults (VM engine, top-down, slicing on, pooling on,
-/// default limits).
+/// server's defaults (top-down, slicing on, pooling on, default
+/// limits).
 #[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
-    /// `"vm"` or `"tree"` (server default: vm).
-    pub engine: Option<String>,
     /// `"top_down"`, `"divide_and_query"`, `"dq_opt"`, or
     /// `"knowledge_weighted"` (weighs pool-answerable nodes as free).
     pub strategy: Option<String>,
@@ -193,9 +191,6 @@ impl Client {
             ("op", Json::Str("create".into())),
             ("source", Json::Str(source.to_string())),
         ];
-        if let Some(e) = &opts.engine {
-            fields.push(("engine", Json::Str(e.clone())));
-        }
         if let Some(s) = &opts.strategy {
             fields.push(("strategy", Json::Str(s.clone())));
         }

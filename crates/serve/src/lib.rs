@@ -17,9 +17,9 @@
 //!   pooled-knowledge answering, journal streaming to subscribers,
 //!   batched fsynced store appends, and background WAL compaction;
 //! * `programs` — the compiled-program table: sessions of one exact
-//!   source text and engine share one Phase I result, and sessions of
-//!   that program that trace one input row under one set of limits
-//!   share one traced run;
+//!   source text share one Phase I result, and sessions of that
+//!   program that trace one input row under one set of limits share
+//!   one traced run;
 //! * [`client`] — a typed client used by the integration suite and the
 //!   `gadt-serve --selftest` CI smoke.
 //!

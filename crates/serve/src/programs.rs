@@ -1,18 +1,17 @@
 //! The compiled-program table, and in each program the traced-run
-//! table: every session of one source text on one engine shares a single
-//! Phase I result, and every session of that program that traces one
-//! input row under one set of limits shares a single Phase II run.
+//! table: every session of one source text shares a single Phase I
+//! result, and every session of that program that traces one input row
+//! under one set of limits shares a single Phase II run.
 //!
 //! The paper's pipeline (Figure 3) transforms a program once and traces
 //! it once per input; only querying happens per session. A `create`
-//! therefore looks its exact source text and engine up here and
-//! compiles (parse, sema, §6 transform, CFG lowering, VM compile) only
+//! therefore looks its exact source text up here and compiles (parse, sema, §6 transform, CFG lowering, VM compile) only
 //! on a miss, and a `trace` looks each input row up in its program and
 //! runs only the misses. Entries in both tables are [`Weak`]: a program
 //! or a run lives exactly as long as some session holds it, so neither
 //! table needs a capacity bound of its own.
 
-use gadt::session::{prepare_observed, run_traced_limited, Engine, PreparedProgram, TracedRun};
+use gadt::session::{prepare_observed, run_traced_limited, PreparedProgram, TracedRun};
 use gadt_obs::{Journal, Recorder};
 use gadt_pascal::interp::Limits;
 use gadt_pascal::value::Value;
@@ -20,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-/// Phase I of one source on one engine, and the runs traced from it.
+/// Phase I of one source, and the runs traced from it.
 #[derive(Debug)]
 pub(crate) struct Program {
     /// The transformed, lowered and compiled program.
@@ -48,16 +47,14 @@ pub(crate) struct Run {
 /// text (which tells `0.0` from `-0.0`), and the limits it ran under.
 type RunKey = (String, Limits);
 
-/// Compiles `source` for `engine`, journaling into an untimed recorder.
+/// Compiles `source`, journaling into an untimed recorder.
 ///
 /// # Errors
 /// The error frame's message: `compile: …` or `transform: …`.
-pub(crate) fn compile(source: &str, engine: Engine) -> Result<Program, String> {
+fn compile(source: &str) -> Result<Program, String> {
     let module = gadt_pascal::sema::compile(source).map_err(|e| format!("compile: {e}"))?;
     let mut rec = Recorder::untimed();
-    let prepared = prepare_observed(module, &mut rec)
-        .map_err(|e| format!("transform: {e}"))?
-        .with_engine(engine);
+    let prepared = prepare_observed(module, &mut rec).map_err(|e| format!("transform: {e}"))?;
     Ok(Program {
         prepared,
         journal: rec.finish(),
@@ -91,20 +88,12 @@ impl Program {
     }
 }
 
-/// Shared programs keyed by exact source text, one slot per engine.
+/// Shared programs keyed by exact source text.
 #[derive(Default)]
 pub(crate) struct ProgramTable {
-    entries: Mutex<HashMap<String, Vec<Weak<Program>>>>,
+    entries: Mutex<HashMap<String, Weak<Program>>>,
     compiles: AtomicU64,
     traces: AtomicU64,
-}
-
-/// The live program among `slots` that runs on `engine`.
-fn live_on(slots: &[Weak<Program>], engine: Engine) -> Option<Arc<Program>> {
-    slots
-        .iter()
-        .filter_map(Weak::upgrade)
-        .find(|p| p.prepared.engine() == engine)
 }
 
 fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -112,37 +101,27 @@ fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl ProgramTable {
-    /// The shared program for `source` on `engine`. A miss compiles
-    /// outside the lock, so two concurrent misses of one key may both
-    /// compile; the first to insert wins and the other's copy is
-    /// dropped. Sources that fail to compile never enter the table.
+    /// The shared program for `source`. A miss compiles outside the
+    /// lock, so two concurrent misses of one key may both compile; the
+    /// first to insert wins and the other's copy is dropped. Sources
+    /// that fail to compile never enter the table.
     ///
     /// # Errors
     /// See [`compile`].
-    pub(crate) fn get_or_compile(
-        &self,
-        source: &str,
-        engine: Engine,
-    ) -> Result<Arc<Program>, String> {
-        if let Some(p) = lock(&self.entries)
-            .get(source)
-            .and_then(|slots| live_on(slots, engine))
-        {
+    pub(crate) fn get_or_compile(&self, source: &str) -> Result<Arc<Program>, String> {
+        if let Some(p) = lock(&self.entries).get(source).and_then(Weak::upgrade) {
             return Ok(p);
         }
-        let built = Arc::new(compile(source, engine)?);
+        let built = Arc::new(compile(source)?);
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut entries = lock(&self.entries);
         // Forget programs whose last session is gone.
-        entries.retain(|_, slots| {
-            slots.retain(|w| w.strong_count() > 0);
-            !slots.is_empty()
-        });
-        let slots = entries.entry(source.to_string()).or_default();
-        if let Some(first) = live_on(slots, engine) {
+        entries.retain(|_, w| w.strong_count() > 0);
+        let slot = entries.entry(source.to_string()).or_default();
+        if let Some(first) = slot.upgrade() {
             return Ok(first);
         }
-        slots.push(Arc::downgrade(&built));
+        *slot = Arc::downgrade(&built);
         Ok(built)
     }
 
@@ -179,7 +158,6 @@ impl ProgramTable {
     pub(crate) fn live(&self) -> usize {
         lock(&self.entries)
             .values()
-            .flatten()
             .filter(|w| w.strong_count() > 0)
             .count()
     }
@@ -188,7 +166,6 @@ impl ProgramTable {
     pub(crate) fn live_runs(&self) -> usize {
         lock(&self.entries)
             .values()
-            .flatten()
             .filter_map(Weak::upgrade)
             .map(|p| p.live_runs())
             .sum()
@@ -213,12 +190,8 @@ mod tests {
     #[test]
     fn hits_share_one_program_until_its_last_holder_drops() {
         let table = ProgramTable::default();
-        let first = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
-        let second = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
+        let first = table.get_or_compile(testprogs::SQRTEST).unwrap();
+        let second = table.get_or_compile(testprogs::SQRTEST).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!((table.live(), table.compiles()), (1, 1));
 
@@ -229,40 +202,28 @@ mod tests {
 
         // The next request compiles afresh, and the miss clears the dead
         // slot.
-        let third = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
+        let third = table.get_or_compile(testprogs::SQRTEST).unwrap();
         assert_eq!((table.live(), table.compiles()), (1, 2));
-        assert_eq!(lock(&table.entries).values().flatten().count(), 1);
+        assert_eq!(lock(&table.entries).len(), 1);
         drop(third);
     }
 
     #[test]
-    fn keys_are_the_exact_source_text_and_the_engine() {
+    fn keys_are_the_exact_source_text() {
         let table = ProgramTable::default();
-        let vm = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
-        let tree = table
-            .get_or_compile(testprogs::SQRTEST, Engine::TreeWalker)
-            .unwrap();
-        assert!(!Arc::ptr_eq(&vm, &tree));
-        assert_eq!(tree.prepared.engine(), Engine::TreeWalker);
-        assert_eq!(vm.journal.fingerprint(), tree.journal.fingerprint());
+        let first = table.get_or_compile(testprogs::SQRTEST).unwrap();
 
         // One byte more is another program.
         let spaced = format!("{} ", testprogs::SQRTEST);
-        let other = table.get_or_compile(&spaced, Engine::Vm).unwrap();
-        assert!(!Arc::ptr_eq(&vm, &other));
-        assert_eq!((table.live(), table.compiles()), (3, 3));
+        let other = table.get_or_compile(&spaced).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!((table.live(), table.compiles()), (2, 2));
     }
 
     #[test]
     fn a_shared_run_lives_until_its_last_holder_drops() {
         let table = ProgramTable::default();
-        let program = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
+        let program = table.get_or_compile(testprogs::SQRTEST).unwrap();
         let limits = Limits::default();
         let first = table.get_or_trace(&program, vec![], limits).unwrap();
         let second = table.get_or_trace(&program, vec![], limits).unwrap();
@@ -296,9 +257,7 @@ mod tests {
     #[test]
     fn failed_runs_never_enter_the_table() {
         let table = ProgramTable::default();
-        let program = table
-            .get_or_compile(testprogs::SQRTEST, Engine::Vm)
-            .unwrap();
+        let program = table.get_or_compile(testprogs::SQRTEST).unwrap();
         let starved = Limits {
             max_steps: 1,
             ..Limits::default()

@@ -20,11 +20,10 @@
 //! sessions; store bytes are invariant for workloads whose per-unit
 //! append sequences are fixed (appends are idempotent and canonical).
 
-use crate::programs::{self, Program, ProgramTable, Run};
+use crate::programs::{Program, ProgramTable, Run};
 use crate::proto::{bool_field, int_field, read_frame, str_field, write_frame, MAX_FRAME};
 use gadt::debugger::{DebugConfig, DebugResult, Strategy};
 use gadt::handle::{DebugState, Verdict};
-use gadt::session::Engine;
 use gadt::stored::{answer_from_stored, answer_to_stored, STORED_SOURCE};
 use gadt::strategy::AnswerProbe;
 use gadt_analysis::slice_dynamic::dynamic_slice_output;
@@ -185,8 +184,7 @@ impl Acceptor {
 
 /// One parked debugging/testing session. It owns no program artifact:
 /// the program and its runs are shared with every session of the same
-/// source, engine, inputs and limits, and `debug` borrows them on each
-/// request.
+/// source, inputs and limits, and `debug` borrows them on each request.
 struct ServeSession {
     program: Arc<Program>,
     limits: Limits,
@@ -232,7 +230,7 @@ impl ConnQueue {
 struct ServerState {
     store: ShardedStore,
     sessions: Mutex<BTreeMap<u64, Arc<Mutex<ServeSession>>>>,
-    /// Compiled programs shared by the sessions of one source + engine.
+    /// Compiled programs shared by the sessions of one source text.
     programs: ProgramTable,
     subscribers: Mutex<Vec<Subscriber>>,
     queue: ConnQueue,
@@ -650,24 +648,11 @@ fn with_session(
     }
 }
 
-fn parse_engine(name: &str) -> Result<Engine, String> {
-    match name {
-        "vm" => Ok(Engine::Vm),
-        "tree" | "tree_walker" => Ok(Engine::TreeWalker),
-        other => Err(format!("unknown engine `{other}` (vm | tree)")),
-    }
-}
-
 fn op_create(state: &ServerState, msg: &Json) -> Json {
     let Some(source) = str_field(msg, "source") else {
         return err_resp("missing `source` field");
     };
-    let program = match str_field(msg, "engine").map_or(Ok(Engine::default()), parse_engine) {
-        Ok(engine) => state.programs.get_or_compile(source, engine),
-        // A bad source's error wins over an unknown engine's.
-        Err(e) => programs::compile(source, Engine::default()).and(Err(e)),
-    };
-    let program = match program {
+    let program = match state.programs.get_or_compile(source) {
         Ok(p) => p,
         Err(e) => return err_resp(e),
     };
@@ -695,7 +680,6 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
     if let Some(n) = int_field(msg, "max_depth") {
         limits.max_depth = n.max(0) as usize;
     }
-    let engine = program.prepared.engine();
     let sid = state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
     state.sessions_created.fetch_add(1, Ordering::Relaxed);
     state.sessions.lock().expect("sessions poisoned").insert(
@@ -712,7 +696,6 @@ fn op_create(state: &ServerState, msg: &Json) -> Json {
     );
     ok_resp(vec![
         ("session", Json::Int(sid as i64)),
-        ("engine", Json::Str(engine.name().to_string())),
         ("limits", limits_json(limits)),
     ])
 }
@@ -776,16 +759,10 @@ fn op_trace(state: &ServerState, sess: &mut ServeSession, _sid: u64, msg: &Json)
         .map(|r| Json::Str(r.traced.output.clone()))
         .collect();
     sess.runs.extend(runs);
-    let (engine, limits) = sess
-        .runs
-        .last()
-        .map_or((sess.program.prepared.engine(), sess.limits), |r| {
-            (r.traced.engine, r.traced.limits)
-        });
+    let limits = sess.runs.last().map_or(sess.limits, |r| r.traced.limits);
     ok_resp(vec![
         ("runs", Json::Int(sess.runs.len() as i64)),
         ("outputs", Json::Array(outputs)),
-        ("engine", Json::Str(engine.name().to_string())),
         ("limits", limits_json(limits)),
     ])
 }

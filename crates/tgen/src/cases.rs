@@ -26,6 +26,7 @@ use gadt_pascal::sema::{Module, ProcId};
 use gadt_pascal::value::Value;
 use gadt_vm::PreparedEngine;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 pub use gadt_vm::Engine;
 
@@ -258,13 +259,13 @@ pub fn run_cases_batch(
     rec: &mut gadt_obs::Recorder,
 ) -> Result<TestDb> {
     let proc = resolve_unit(module, unit)?;
-    let cfg = lower(module);
+    let cfg = Arc::new(lower(module));
     let prepared = PreparedEngine::new(module, &cfg, engine);
     let span = gadt_obs::span!(rec, "tgen_cases", unit = unit, cases = cases.len());
     let mut append_err: Option<std::io::Error> = None;
     let reports = gadt_exec::BatchExecutor::new(threads).run_with_sink(
         cases.to_vec(),
-        |_, case| run_case(&prepared, proc, oracle, case),
+        |_, case| run_case(&prepared, module, proc, oracle, case),
         |_, result| {
             // Successful reports only, and none after an append failed.
             let (Some(store), Ok(report), None) = (store, result, &append_err) else {
@@ -322,12 +323,13 @@ fn resolve_unit(module: &Module, unit: &str) -> Result<ProcId> {
 /// batches never need the event stream: the monitor-free fast path
 /// returns identical `ProcRun`s and errors on both engines.
 fn run_case(
-    engine: &PreparedEngine<'_>,
+    engine: &PreparedEngine,
+    module: &Module,
     proc: ProcId,
     oracle: &(dyn Fn(&[Value], &ProcRun) -> bool + Sync),
     case: TestCase,
 ) -> Result<TestReport> {
-    let run = engine.run_proc_fast(proc, case.inputs.clone(), Limits::default())?;
+    let run = engine.run_proc_fast(module, proc, case.inputs.clone(), Limits::default())?;
     let passed = oracle(&case.inputs, &run);
     let mut outputs: Vec<Value> = run.outs.iter().map(|(_, v)| v.clone()).collect();
     if let Some(r) = &run.result {

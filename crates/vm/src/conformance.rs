@@ -483,13 +483,13 @@ mod tests {
              writeln(s) end.",
         )
         .unwrap();
-        let cfg = gadt_pascal::cfg::lower(&module);
+        let cfg = std::sync::Arc::new(gadt_pascal::cfg::lower(&module));
         let mut digests = Vec::new();
         for engine in [Engine::TreeWalker, Engine::Vm] {
             let prepared = PreparedEngine::new(&module, &cfg, engine);
             let mut h = EventHasher::new();
             prepared
-                .run_with(Vec::new(), Limits::default(), &mut h)
+                .run_with(&module, Vec::new(), Limits::default(), &mut h)
                 .unwrap();
             digests.push(h.digest());
         }

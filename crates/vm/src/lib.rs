@@ -15,30 +15,33 @@
 //!
 //! # Engine selection
 //!
-//! [`Engine`] names an execution strategy; [`PreparedEngine`] pairs a
-//! module with a ready-to-run backend and exposes both entry points
-//! (the whole program, or one procedure in isolation):
+//! [`Engine`] names an execution strategy; [`PreparedEngine`] holds one
+//! engine's ready-to-run state and exposes both entry points (the whole
+//! program, or one procedure in isolation). It is the only code that
+//! dispatches between the two engines; everything above it (sessions,
+//! campaigns, T-GEN batches, the corpus differential) runs through it.
 //!
 //! ```
 //! use gadt_pascal::{parser::parse_program, sema::analyze, cfg::lower};
 //! use gadt_pascal::interp::{Limits, NoopMonitor};
 //! use gadt_vm::{Engine, PreparedEngine};
+//! use std::sync::Arc;
 //!
 //! let module = analyze(parse_program(
 //!     "program P; var x: integer; begin x := 2 + 2; writeln(x) end.",
 //! ).unwrap()).unwrap();
-//! let cfg = lower(&module);
+//! let cfg = Arc::new(lower(&module));
 //! let engine = PreparedEngine::new(&module, &cfg, Engine::Vm);
 //! let out = engine
-//!     .run_with(Vec::new(), Limits::default(), &mut NoopMonitor)
+//!     .run_with(&module, Vec::new(), Limits::default(), &mut NoopMonitor)
 //!     .unwrap();
 //! assert_eq!(out.output_text(), "4\n");
 //! ```
 //!
-//! A `PreparedEngine` borrows the module and CFG immutably and keeps all
-//! mutable run state per call, so one compiled program can serve any
-//! number of concurrent runs (mutation campaigns share one across worker
-//! threads).
+//! A `PreparedEngine` owns its compiled state behind an `Arc` and keeps
+//! all mutable run state per call, so one prepared program can serve
+//! any number of concurrent runs (mutation campaigns share one across
+//! worker threads), and cloning it shares that state.
 
 pub mod compile;
 pub mod conformance;
@@ -82,50 +85,38 @@ impl std::fmt::Display for Engine {
     }
 }
 
-enum Backend {
-    /// Tree-walker: one shared lowering, handed by `Arc` to a fresh
-    /// interpreter per run (no per-run CFG clone).
-    Tree(Arc<ProgramCfg>),
-    /// Bytecode VM: compiled once, shared by every run.
-    Vm(VmProgram),
+/// One engine's ready-to-run state, prepared from a module and its CFG.
+/// It runs the whole program, or one top-level procedure in isolation,
+/// feeding events to a monitor. Each run is handed the module the
+/// engine was prepared from. Every run method takes `&self` — all
+/// per-run state is internal to the call — so one prepared engine
+/// serves concurrent callers.
+#[derive(Clone)]
+pub enum PreparedEngine {
+    /// The tree-walker over the shared lowering, handed by `Arc` to a
+    /// fresh interpreter per run (no CFG clone).
+    TreeWalker(Arc<ProgramCfg>),
+    /// The bytecode VM: compiled once, shared by every run.
+    Vm(Arc<VmProgram>),
 }
 
-/// A module paired with a ready-to-run execution backend: it runs the
-/// whole program, or one top-level procedure in isolation, feeding
-/// events to a monitor. Every run method takes `&self` — all per-run
-/// state is internal to the call — so one prepared engine serves
-/// concurrent callers.
-pub struct PreparedEngine<'m> {
-    module: &'m Module,
-    engine: Engine,
-    backend: Backend,
-}
-
-impl<'m> PreparedEngine<'m> {
-    /// Prepares an engine over an already-lowered CFG. For
-    /// [`Engine::Vm`] this compiles the bytecode program (one-time
-    /// cost, amortized over every subsequent run).
-    pub fn new(module: &'m Module, cfg: &'m ProgramCfg, engine: Engine) -> Self {
-        let backend = match engine {
-            // One clone total at preparation time; every run shares it.
-            Engine::TreeWalker => Backend::Tree(Arc::new(cfg.clone())),
-            Engine::Vm => Backend::Vm(VmProgram::compile(module, cfg)),
-        };
-        PreparedEngine {
-            module,
-            engine,
-            backend,
+impl PreparedEngine {
+    /// Prepares `engine` over a module's lowered CFG. For [`Engine::Vm`]
+    /// this compiles the bytecode program (one-time cost, amortized
+    /// over every subsequent run); the tree-walker shares `cfg`.
+    pub fn new(module: &Module, cfg: &Arc<ProgramCfg>, engine: Engine) -> Self {
+        match engine {
+            Engine::TreeWalker => PreparedEngine::TreeWalker(Arc::clone(cfg)),
+            Engine::Vm => PreparedEngine::Vm(Arc::new(VmProgram::compile(module, cfg))),
         }
     }
 
-    /// Which engine this backend runs on.
+    /// Which engine this is.
     pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// The underlying module.
-    pub fn module(&self) -> &'m Module {
-        self.module
+        match self {
+            PreparedEngine::TreeWalker(_) => Engine::TreeWalker,
+            PreparedEngine::Vm(_) => Engine::Vm,
+        }
     }
 
     /// Runs the whole program with the given input queue.
@@ -134,19 +125,20 @@ impl<'m> PreparedEngine<'m> {
     /// Runtime errors (identical across engines, message and span).
     pub fn run_with(
         &self,
+        module: &Module,
         input: Vec<Value>,
         limits: Limits,
         monitor: &mut dyn Monitor,
     ) -> Result<Outcome> {
-        match &self.backend {
-            Backend::Tree(cfg) => {
-                let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
+        match self {
+            PreparedEngine::TreeWalker(cfg) => {
+                let mut interp = Interpreter::with_shared_cfg(module, Arc::clone(cfg));
                 interp.set_limits(limits);
                 interp.set_input(input);
                 interp.run_with(monitor)
             }
-            Backend::Vm(program) => {
-                let mut vm = Vm::new(self.module, program);
+            PreparedEngine::Vm(program) => {
+                let mut vm = Vm::new(module, program);
                 vm.set_limits(limits);
                 vm.set_input(input);
                 vm.run_with(monitor)
@@ -162,19 +154,20 @@ impl<'m> PreparedEngine<'m> {
     /// errors of [`Interpreter::run_proc_with`].
     pub fn run_proc_with(
         &self,
+        module: &Module,
         proc: ProcId,
         args: Vec<Value>,
         limits: Limits,
         monitor: &mut dyn Monitor,
     ) -> Result<ProcRun> {
-        match &self.backend {
-            Backend::Tree(cfg) => {
-                let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
+        match self {
+            PreparedEngine::TreeWalker(cfg) => {
+                let mut interp = Interpreter::with_shared_cfg(module, Arc::clone(cfg));
                 interp.set_limits(limits);
                 interp.run_proc_with(proc, args, monitor)
             }
-            Backend::Vm(program) => {
-                let mut vm = Vm::new(self.module, program);
+            PreparedEngine::Vm(program) => {
+                let mut vm = Vm::new(module, program);
                 vm.set_limits(limits);
                 vm.run_proc_with(proc, args, monitor)
             }
@@ -183,23 +176,18 @@ impl<'m> PreparedEngine<'m> {
 
     /// Monitor-free whole-program run: identical output, step count,
     /// final globals, and errors to [`PreparedEngine::run_with`] with a
-    /// no-op monitor, but engines may skip all observation machinery.
+    /// no-op monitor, but the VM skips all observation machinery.
     /// Use when only the *result* matters (kill checks, differential
     /// output comparison). On the VM a run whose machine state repeats
     /// returns its step-limit error early, as soon as the repeat shows.
     ///
     /// # Errors
     /// Same conditions as [`PreparedEngine::run_with`].
-    pub fn run_fast(&self, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
-        match &self.backend {
-            Backend::Tree(cfg) => {
-                let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
-                interp.set_limits(limits);
-                interp.set_input(input);
-                interp.run_with(&mut NoopMonitor)
-            }
-            Backend::Vm(program) => {
-                let mut vm = Vm::new(self.module, program);
+    pub fn run_fast(&self, module: &Module, input: Vec<Value>, limits: Limits) -> Result<Outcome> {
+        match self {
+            PreparedEngine::TreeWalker(_) => self.run_with(module, input, limits, &mut NoopMonitor),
+            PreparedEngine::Vm(program) => {
+                let mut vm = Vm::new(module, program);
                 vm.set_limits(limits);
                 vm.set_input(input);
                 vm.run()
@@ -214,15 +202,19 @@ impl<'m> PreparedEngine<'m> {
     ///
     /// # Errors
     /// Same conditions as [`PreparedEngine::run_proc_with`].
-    pub fn run_proc_fast(&self, proc: ProcId, args: Vec<Value>, limits: Limits) -> Result<ProcRun> {
-        match &self.backend {
-            Backend::Tree(cfg) => {
-                let mut interp = Interpreter::with_shared_cfg(self.module, Arc::clone(cfg));
-                interp.set_limits(limits);
-                interp.run_proc_with(proc, args, &mut NoopMonitor)
+    pub fn run_proc_fast(
+        &self,
+        module: &Module,
+        proc: ProcId,
+        args: Vec<Value>,
+        limits: Limits,
+    ) -> Result<ProcRun> {
+        match self {
+            PreparedEngine::TreeWalker(_) => {
+                self.run_proc_with(module, proc, args, limits, &mut NoopMonitor)
             }
-            Backend::Vm(program) => {
-                let mut vm = Vm::new(self.module, program);
+            PreparedEngine::Vm(program) => {
+                let mut vm = Vm::new(module, program);
                 vm.set_limits(limits);
                 vm.run_proc(proc, args)
             }
@@ -230,10 +222,10 @@ impl<'m> PreparedEngine<'m> {
     }
 }
 
-impl std::fmt::Debug for PreparedEngine<'_> {
+impl std::fmt::Debug for PreparedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedEngine")
-            .field("engine", &self.engine)
+            .field("engine", &self.engine())
             .finish()
     }
 }

@@ -16,6 +16,7 @@ use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use gadt_vm::conformance::EventLog;
 use gadt_vm::{Engine, PreparedEngine};
+use std::sync::Arc;
 
 fn compile(src: &str) -> Module {
     analyze(parse_program(src).expect("parse")).expect("analyze")
@@ -64,17 +65,17 @@ fn run_with_is_byte_identical_across_engines() {
     let input: Vec<Value> = [3, 5, 2, 7, 1, 4, 6, 8].map(Value::Int).to_vec();
     for (name, src) in testprogs::ALL {
         let module = compile(src);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
 
         let mut tree_log = EventLog::new();
-        let mut interp = Interpreter::with_cfg(&module, cfg.clone());
+        let mut interp = Interpreter::with_shared_cfg(&module, Arc::clone(&cfg));
         interp.set_input(input.iter().cloned());
         let tree_out = interp.run_with(&mut tree_log).expect(name);
 
         let engine = PreparedEngine::new(&module, &cfg, Engine::Vm);
         let mut vm_log = EventLog::new();
         let vm_out = engine
-            .run_with(input.clone(), Limits::default(), &mut vm_log)
+            .run_with(&module, input.clone(), Limits::default(), &mut vm_log)
             .expect(name);
 
         assert_same_events(name, "run", &tree_log, &vm_log);
@@ -102,7 +103,7 @@ fn run_proc_is_byte_identical_across_engines() {
     let mut covered = 0usize;
     for (name, src) in testprogs::ALL {
         let module = compile(src);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         let engine = PreparedEngine::new(&module, &cfg, Engine::Vm);
 
         for info in &module.procs {
@@ -112,12 +113,13 @@ fn run_proc_is_byte_identical_across_engines() {
             let args = sample_args(&module, &info.params);
 
             let mut tree_log = EventLog::new();
-            let mut interp = Interpreter::with_cfg(&module, cfg.clone());
+            let mut interp = Interpreter::with_shared_cfg(&module, Arc::clone(&cfg));
             let tree_run: Result<ProcRun, _> =
                 interp.run_proc_with(info.id, args.clone(), &mut tree_log);
 
             let mut vm_log = EventLog::new();
-            let vm_run = engine.run_proc_with(info.id, args, Limits::default(), &mut vm_log);
+            let vm_run =
+                engine.run_proc_with(&module, info.id, args, Limits::default(), &mut vm_log);
 
             let what = format!("run_proc {}", info.name);
             assert_same_events(name, &what, &tree_log, &vm_log);

@@ -33,7 +33,7 @@ use gadt::debugger::{DebugConfig, DebugOutcome, Strategy};
 use gadt::error::{Error, Phase, Result};
 use gadt::handle::DebugHandle;
 use gadt::oracle::ChainOracle;
-use gadt::session::{self, Engine, PreparedProgram, TracedRun};
+use gadt::session::{self, PreparedProgram, TracedRun};
 use gadt::stored::{StoreProbe, StoredKnowledgeOracle};
 use gadt::strategy::AnswerProbe;
 use gadt_obs::{Journal, Recorder};
@@ -56,7 +56,6 @@ impl Gadt {
         Ok(Compiled {
             module,
             threads: 0,
-            engine: Engine::default(),
             strategy: Strategy::default(),
             rec: Recorder::new(),
             store: None,
@@ -68,7 +67,6 @@ impl Gadt {
         Compiled {
             module,
             threads: 0,
-            engine: Engine::default(),
             strategy: Strategy::default(),
             rec: Recorder::new(),
             store: None,
@@ -82,7 +80,6 @@ pub struct Compiled {
     /// The compiled module.
     pub module: Module,
     threads: usize,
-    engine: Engine,
     strategy: Strategy,
     rec: Recorder,
     store: Option<SharedStore>,
@@ -94,17 +91,6 @@ impl Compiled {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the execution engine for the trace phase:
-    /// [`Engine::Vm`] (the compiled bytecode VM, the default — compiled
-    /// once and shared across batch workers) or [`Engine::TreeWalker`]
-    /// (the tree-walking reference interpreter, retained for
-    /// differential verification — same traces, slices, and journals).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -157,8 +143,7 @@ impl Compiled {
     /// not converge.
     pub fn transform(mut self) -> Result<Prepared> {
         let prepared = session::prepare_observed(self.module.clone(), &mut self.rec)
-            .map_err(|e| Error::from_diagnostic(Phase::Transform, e))?
-            .with_engine(self.engine);
+            .map_err(|e| Error::from_diagnostic(Phase::Transform, e))?;
         Ok(Prepared {
             module: self.module,
             prepared,
@@ -348,19 +333,6 @@ pub struct Session {
     pub store: Option<SharedStore>,
 }
 
-impl Session {
-    /// The engine that executed the traced runs (provenance echo).
-    pub fn engine(&self) -> Engine {
-        self.prepared.engine()
-    }
-
-    /// The interpreter limits each traced run executed under, in run
-    /// order (provenance echo for server responses).
-    pub fn limits(&self) -> Vec<gadt_pascal::interp::Limits> {
-        self.runs.iter().map(|r| r.limits).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,12 +474,10 @@ mod tests {
             .collect();
         assert_eq!(p, s, "handle pump must render the same transparent queries");
 
-        // Provenance echo: engine and limits without re-deriving them.
-        assert_eq!(session.engine(), Engine::default());
-        assert_eq!(session.runs[0].engine, Engine::default());
-        assert_eq!(session.limits().len(), 1);
+        // Provenance echo: each run's limits without re-deriving them.
+        assert_eq!(session.runs.len(), 1);
         assert_eq!(
-            session.limits()[0].max_steps,
+            session.runs[0].limits.max_steps,
             gadt_pascal::interp::Limits::default().max_steps
         );
     }

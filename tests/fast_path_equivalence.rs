@@ -26,6 +26,7 @@ use gadt_pascal::value::Value;
 use gadt_transform::transform;
 use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Shared input queue: enough values to satisfy any fixture's `read`s.
 fn input() -> Vec<Value> {
@@ -62,12 +63,13 @@ fn subjects() -> Vec<(String, String)> {
 /// returns the fast result as text, for comparisons across engines.
 fn assert_fast_matches_monitored(
     name: &str,
-    engine: &PreparedEngine<'_>,
+    module: &Module,
+    engine: &PreparedEngine,
     input: &[Value],
     limits: Limits,
 ) -> String {
-    let fast = engine.run_fast(input.to_vec(), limits);
-    let slow = engine.run_with(input.to_vec(), limits, &mut NoopMonitor);
+    let fast = engine.run_fast(module, input.to_vec(), limits);
+    let slow = engine.run_with(module, input.to_vec(), limits, &mut NoopMonitor);
     match (&fast, &slow) {
         (Ok(f), Ok(s)) => {
             let tag = format!("{name} [{}]", engine.engine());
@@ -104,10 +106,10 @@ fn result_text(o: &Outcome) -> String {
 fn fast_path_matches_monitored_on_fixtures() {
     for (name, src) in subjects() {
         let module = compile(&src).expect(&name);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         for eng in [Engine::TreeWalker, Engine::Vm] {
             let engine = PreparedEngine::new(&module, &cfg, eng);
-            assert_fast_matches_monitored(&name, &engine, &input(), Limits::default());
+            assert_fast_matches_monitored(&name, &module, &engine, &input(), Limits::default());
         }
     }
 }
@@ -118,14 +120,14 @@ fn fast_path_matches_monitored_on_fixtures() {
 fn fast_path_matches_monitored_on_limit_exhaustion() {
     for (name, src) in subjects() {
         let module = compile(&src).expect(&name);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         let tight = Limits {
             max_steps: 7,
             ..Limits::default()
         };
         for eng in [Engine::TreeWalker, Engine::Vm] {
             let engine = PreparedEngine::new(&module, &cfg, eng);
-            assert_fast_matches_monitored(&name, &engine, &input(), tight);
+            assert_fast_matches_monitored(&name, &module, &engine, &input(), tight);
         }
     }
 }
@@ -149,7 +151,7 @@ fn fast_proc_runs_match_monitored() {
     let mut covered = 0usize;
     for (name, src) in subjects() {
         let module = compile(&src).expect(&name);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         for eng in [Engine::TreeWalker, Engine::Vm] {
             let engine = PreparedEngine::new(&module, &cfg, eng);
             for info in &module.procs {
@@ -157,8 +159,14 @@ fn fast_proc_runs_match_monitored() {
                     continue;
                 }
                 let args = sample_args(&module, &info.params);
-                let fast = engine.run_proc_fast(info.id, args.clone(), Limits::default());
-                let slow = engine.run_proc_with(info.id, args, Limits::default(), &mut NoopMonitor);
+                let fast = engine.run_proc_fast(&module, info.id, args.clone(), Limits::default());
+                let slow = engine.run_proc_with(
+                    &module,
+                    info.id,
+                    args,
+                    Limits::default(),
+                    &mut NoopMonitor,
+                );
                 let tag = format!("{name} [{eng}] proc {}", info.name);
                 match (&fast, &slow) {
                     (Ok(f), Ok(s)) => assert_eq!(format!("{f:?}"), format!("{s:?}"), "{tag}"),
@@ -182,11 +190,12 @@ fn fast_path_matches_monitored_on_generated_corpus() {
     for seed in 0..2000u64 {
         let p = generate(seed, &config);
         let module = compile(&p.source).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         for eng in [Engine::TreeWalker, Engine::Vm] {
             let engine = PreparedEngine::new(&module, &cfg, eng);
             assert_fast_matches_monitored(
                 &format!("seed {seed}"),
+                &module,
                 &engine,
                 &p.input,
                 Limits::default(),
@@ -238,11 +247,11 @@ fn fast_path_matches_monitored_on_campaign_mutants() {
             (" (transformed)", transformed.as_ref()),
         ] {
             let Some(m) = m else { continue };
-            let cfg = lower(m);
+            let cfg = Arc::new(lower(m));
             let name = format!("{name}{tag}");
             let [tree, vm] = [Engine::TreeWalker, Engine::Vm].map(|eng| {
                 let engine = PreparedEngine::new(m, &cfg, eng);
-                assert_fast_matches_monitored(&name, &engine, &input, limits)
+                assert_fast_matches_monitored(&name, m, &engine, &input, limits)
             });
             assert_eq!(tree, vm, "{name}: engines diverge");
             runs += 1;

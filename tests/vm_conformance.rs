@@ -14,6 +14,7 @@ use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
 use gadt_vm::conformance::EventLog;
 use gadt_vm::PreparedEngine;
+use std::sync::Arc;
 
 /// Shared input queue: enough values to satisfy any fixture's `read`s;
 /// both engines always see the same stream.
@@ -125,7 +126,7 @@ fn isolated_procedure_runs_are_engine_identical() {
     let mut covered = 0usize;
     for (name, src) in subjects() {
         let module = compile(&src).expect(&name);
-        let cfg = lower(&module);
+        let cfg = Arc::new(lower(&module));
         let engine = PreparedEngine::new(&module, &cfg, Engine::Vm);
         for info in &module.procs {
             if info.id == MAIN_PROC || info.parent != Some(MAIN_PROC) {
@@ -134,11 +135,12 @@ fn isolated_procedure_runs_are_engine_identical() {
             let args = sample_args(&module, &info.params);
 
             let mut tree_log = EventLog::new();
-            let mut interp = Interpreter::with_cfg(&module, cfg.clone());
+            let mut interp = Interpreter::with_shared_cfg(&module, Arc::clone(&cfg));
             let tree_run = interp.run_proc_with(info.id, args.clone(), &mut tree_log);
 
             let mut vm_log = EventLog::new();
             let vm_run = engine.run_proc_with(
+                &module,
                 info.id,
                 args,
                 gadt_pascal::interp::Limits::default(),
