@@ -1,4 +1,4 @@
-//! Static call graph construction.
+//! Static call sites.
 //!
 //! Built from the lowered CFG, so calls inside expressions are included.
 //! The static slicer's context ([`crate::slice_static::SliceContext`])
@@ -8,8 +8,7 @@
 
 use gadt_pascal::ast::StmtId;
 use gadt_pascal::cfg::{CallArg, InstrKind, ProgramCfg, RExpr, Terminator};
-use gadt_pascal::sema::{Module, ProcId};
-use std::collections::BTreeSet;
+use gadt_pascal::sema::ProcId;
 
 /// One syntactic call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,13 +22,9 @@ pub struct CallSite {
     pub stmt: StmtId,
 }
 
-/// The program's static call graph.
+/// The program's static call graph, as its call sites.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    /// Per caller: set of direct callees.
-    callees: Vec<BTreeSet<ProcId>>,
-    /// Per callee: set of direct callers.
-    callers: Vec<BTreeSet<ProcId>>,
     /// All call sites.
     sites: Vec<CallSite>,
 }
@@ -47,22 +42,18 @@ impl CallGraph {
     ///      procedure p; begin x := 1 end;
     ///      begin p end.",
     /// )?;
-    /// let cg = CallGraph::build(&m, &lower(&m));
+    /// let cg = CallGraph::build(&lower(&m));
     /// let p = m.proc_by_name("p").unwrap();
-    /// assert!(cg.callees_of(gadt_pascal::sema::MAIN_PROC).contains(&p));
+    /// assert_eq!(cg.sites()[0].caller, gadt_pascal::sema::MAIN_PROC);
+    /// assert_eq!(cg.sites()[0].callee, p);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn build(module: &Module, cfg: &ProgramCfg) -> Self {
-        let n = module.procs.len();
-        let mut callees = vec![BTreeSet::new(); n];
-        let mut callers = vec![BTreeSet::new(); n];
+    pub fn build(cfg: &ProgramCfg) -> Self {
         let mut sites = Vec::new();
         for pcfg in &cfg.procs {
             let caller = pcfg.proc;
             let mut add = |callee: ProcId, stmt: StmtId| {
-                callees[caller.0 as usize].insert(callee);
-                callers[callee.0 as usize].insert(caller);
                 sites.push(CallSite {
                     caller,
                     callee,
@@ -101,70 +92,12 @@ impl CallGraph {
                 }
             }
         }
-        CallGraph {
-            callees,
-            callers,
-            sites,
-        }
-    }
-
-    /// Direct callees of a procedure.
-    pub fn callees_of(&self, p: ProcId) -> &BTreeSet<ProcId> {
-        &self.callees[p.0 as usize]
-    }
-
-    /// Direct callers of a procedure.
-    pub fn callers_of(&self, p: ProcId) -> &BTreeSet<ProcId> {
-        &self.callers[p.0 as usize]
+        CallGraph { sites }
     }
 
     /// All call sites, in CFG order.
     pub fn sites(&self) -> &[CallSite] {
         &self.sites
-    }
-
-    /// Procedures reachable from `root` (including `root`).
-    pub fn reachable_from(&self, root: ProcId) -> BTreeSet<ProcId> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![root];
-        while let Some(p) = stack.pop() {
-            if seen.insert(p) {
-                stack.extend(self.callees_of(p).iter().copied());
-            }
-        }
-        seen
-    }
-
-    /// A bottom-up ordering: callees before callers where possible
-    /// (cycles broken arbitrarily). Useful for one-pass summaries of
-    /// non-recursive programs; recursive programs need the fixpoint in
-    /// [`crate::effects`].
-    pub fn bottom_up_order(&self) -> Vec<ProcId> {
-        let n = self.callees.len();
-        let mut order = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = visiting, 2 = done
-        fn visit(
-            p: usize,
-            callees: &[BTreeSet<ProcId>],
-            state: &mut [u8],
-            order: &mut Vec<ProcId>,
-        ) {
-            if state[p] != 0 {
-                return;
-            }
-            state[p] = 1;
-            for c in &callees[p] {
-                if state[c.0 as usize] == 0 {
-                    visit(c.0 as usize, callees, state, order);
-                }
-            }
-            state[p] = 2;
-            order.push(ProcId(p as u32));
-        }
-        for p in 0..n {
-            visit(p, &self.callees, &mut state, &mut order);
-        }
-        order
     }
 }
 
@@ -189,14 +122,19 @@ fn collect_expr_calls(e: Option<&RExpr>, add: &mut dyn FnMut(ProcId)) {
 mod tests {
     use super::*;
     use gadt_pascal::cfg::lower;
-    use gadt_pascal::sema::{compile, MAIN_PROC};
+    use gadt_pascal::sema::{compile, Module, MAIN_PROC};
     use gadt_pascal::testprogs;
 
     fn graph(src: &str) -> (Module, CallGraph) {
         let m = compile(src).expect("compile");
-        let cfg = lower(&m);
-        let cg = CallGraph::build(&m, &cfg);
+        let cg = CallGraph::build(&lower(&m));
         (m, cg)
+    }
+
+    fn calls(cg: &CallGraph, caller: ProcId, callee: ProcId) -> bool {
+        cg.sites()
+            .iter()
+            .any(|s| s.caller == caller && s.callee == callee)
     }
 
     #[test]
@@ -207,47 +145,22 @@ mod tests {
         let comput1 = m.proc_by_name("comput1").unwrap();
         let sum2 = m.proc_by_name("sum2").unwrap();
         let decrement = m.proc_by_name("decrement").unwrap();
-        assert!(cg.callees_of(MAIN_PROC).contains(&sqrtest));
-        assert!(cg.callees_of(sqrtest).contains(&computs));
-        assert!(cg.callees_of(computs).contains(&comput1));
+        assert!(calls(&cg, MAIN_PROC, sqrtest));
+        assert!(calls(&cg, sqrtest, computs));
+        assert!(calls(&cg, computs, comput1));
         // decrement is called inside an expression in sum2.
-        assert!(cg.callees_of(sum2).contains(&decrement));
-        assert_eq!(cg.callers_of(decrement), &[sum2].into_iter().collect());
+        assert!(calls(&cg, sum2, decrement));
+        let callers: Vec<ProcId> = cg
+            .sites()
+            .iter()
+            .filter(|s| s.callee == decrement)
+            .map(|s| s.caller)
+            .collect();
+        assert!(!callers.is_empty() && callers.iter().all(|&c| c == sum2));
     }
 
     #[test]
-    fn reachability_covers_whole_paper_program() {
-        let (m, cg) = graph(testprogs::SQRTEST);
-        let reach = cg.reachable_from(MAIN_PROC);
-        assert_eq!(reach.len(), m.procs.len());
-    }
-
-    #[test]
-    fn unreachable_proc_not_reported() {
-        let (m, cg) = graph(
-            "program t; var x: integer;
-             procedure dead; begin x := 0 end;
-             procedure live; begin x := 1 end;
-             begin live end.",
-        );
-        let dead = m.proc_by_name("dead").unwrap();
-        let reach = cg.reachable_from(MAIN_PROC);
-        assert!(!reach.contains(&dead));
-    }
-
-    #[test]
-    fn bottom_up_order_puts_callees_first() {
-        let (m, cg) = graph(testprogs::SQRTEST);
-        let order = cg.bottom_up_order();
-        let pos = |p: ProcId| order.iter().position(|&q| q == p).unwrap();
-        let sum2 = m.proc_by_name("sum2").unwrap();
-        let decrement = m.proc_by_name("decrement").unwrap();
-        assert!(pos(decrement) < pos(sum2));
-        assert_eq!(order.len(), m.procs.len());
-    }
-
-    #[test]
-    fn recursion_forms_cycle_but_terminates() {
+    fn recursion_is_a_site_of_its_own() {
         let (m, cg) = graph(
             "program t;
              function f(n: integer): integer;
@@ -255,8 +168,7 @@ mod tests {
              begin writeln(f(3)) end.",
         );
         let f = m.proc_by_name("f").unwrap();
-        assert!(cg.callees_of(f).contains(&f));
-        assert_eq!(cg.bottom_up_order().len(), m.procs.len());
+        assert!(calls(&cg, f, f));
     }
 
     #[test]

@@ -140,18 +140,6 @@ impl DynTrace {
         &self.calls[id as usize]
     }
 
-    /// Finds the last event at or before `at` that defines the location of
-    /// variable `var` in the frame of call `call` (looking through
-    /// reference-parameter bindings is the caller's responsibility — pass
-    /// the resolved location's frame via `frame`).
-    pub fn last_def_of(&self, frame: u64, var: VarId, before: usize) -> Option<usize> {
-        self.events[..before.min(self.events.len())]
-            .iter()
-            .rev()
-            .find(|e| e.defs.iter().any(|d| d.frame == frame && d.var == var))
-            .map(|e| e.idx)
-    }
-
     /// Records this trace's sizes on `rec` as the counters
     /// `trace.events`, `trace.calls` and `trace.loops`, plus one
     /// `trace.runs` tick so merged journals count traced executions.
@@ -645,19 +633,6 @@ mod tests {
         assert_eq!(l.iterations, 4);
         assert!(l.exit_idx > l.enter_idx);
         assert!(!l.snapshots.is_empty());
-    }
-
-    #[test]
-    fn last_def_lookup() {
-        let (m, t) = trace_of(
-            "program t; var x: integer; begin x := 1; x := 2 end.",
-            vec![],
-        );
-        let x = m.var_in_scope(MAIN_PROC, "x").unwrap();
-        let frame = t.events[0].frame;
-        assert_eq!(t.last_def_of(frame, x, 1), Some(0));
-        assert_eq!(t.last_def_of(frame, x, 2), Some(1));
-        assert_eq!(t.last_def_of(frame, x, 0), None);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! * [`callgraph`] — static call graph (expression calls included);
 //! * [`effects`] — Banning-style MOD/REF and exit-effect summaries;
 //! * [`controldep`] — postdominators and control dependence;
-//! * [`dataflow`] — reaching definitions and liveness;
 //! * [`slice_static`] — Weiser's static interprocedural slicing;
 //! * [`dyntrace`] — dynamic traces with resolved data/control dependences
 //!   and the dynamic call tree (execution-tree raw material);
@@ -46,7 +45,6 @@
 
 pub mod callgraph;
 pub mod controldep;
-pub mod dataflow;
 pub mod dyntrace;
 pub mod effects;
 pub mod slice_dynamic;

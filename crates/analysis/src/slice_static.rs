@@ -111,7 +111,7 @@ pub struct SliceContext<'m> {
 impl<'m> SliceContext<'m> {
     /// Builds the analysis context for a module.
     pub fn new(module: &'m Module, cfg: &'m ProgramCfg) -> Self {
-        let cg = CallGraph::build(module, cfg);
+        let cg = CallGraph::build(cfg);
         let fx = Effects::compute(module);
         let cd = ProgramControlDeps::compute(module, cfg);
         SliceContext {

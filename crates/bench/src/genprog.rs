@@ -235,113 +235,3 @@ pub fn mutate(prog: &GeneratedProgram, seed: u64) -> Option<Mutation> {
         in_proc,
     })
 }
-
-/// Generates a random program exercising the *transformation* pipeline:
-/// nested procedures touching enclosing-scope variables and globals, a
-/// `while` loop with a goto out of it, and (optionally) a non-local goto
-/// from a nested procedure — the §6 constructs, combined randomly.
-pub fn generate_effectful(cfg: &GenConfig) -> GeneratedProgram {
-    let mut rng = Lcg::new(cfg.seed.wrapping_add(0xeffec7));
-    let mut src = String::new();
-    let _ = writeln!(src, "program fx{};", cfg.seed);
-    let _ = writeln!(src, "var g1, g2: integer;");
-
-    let use_nonlocal_goto = rng.coin();
-    let use_loop_goto = rng.coin();
-    let c1 = rng.range_i64(1, 7);
-    let c2 = rng.range_i64(1, 5);
-
-    let _ = writeln!(src, "procedure outer(n: integer);");
-    if use_nonlocal_goto {
-        let _ = writeln!(src, "label 9;");
-    }
-    let _ = writeln!(src, "var x: integer;");
-
-    // Nested procedure with mixed effects.
-    let _ = writeln!(src, "  procedure inner(k: integer);");
-    let _ = writeln!(src, "  begin");
-    let _ = writeln!(src, "    g1 := g1 + k * {c1};");
-    let _ = writeln!(src, "    x := x + g2;");
-    if use_nonlocal_goto {
-        let _ = writeln!(src, "    if g1 > 40 then goto 9;");
-    }
-    let _ = writeln!(src, "    g2 := g2 + 1;");
-    let _ = writeln!(src, "  end;");
-
-    let _ = writeln!(src, "begin");
-    let _ = writeln!(src, "  x := {c2};");
-    if use_loop_goto {
-        let _ = writeln!(src, "  while x < 50 do begin");
-        let _ = writeln!(src, "    inner(x);");
-        let _ = writeln!(src, "    x := x + {c1};");
-        let _ = writeln!(src, "  end;");
-    } else {
-        let _ = writeln!(src, "  inner(n);");
-        let _ = writeln!(src, "  inner(n + 1);");
-    }
-    let _ = writeln!(src, "  g2 := g2 + x;");
-    if use_nonlocal_goto {
-        let _ = writeln!(src, "  9: g1 := g1 + 1000;");
-    }
-    let _ = writeln!(src, "end;");
-
-    // A loop-exit goto in main when requested.
-    let _ = writeln!(src, "begin");
-    let _ = writeln!(src, "  g1 := 0; g2 := 1;");
-    let _ = writeln!(src, "  outer({});", rng.range_i64(1, 6));
-    let _ = writeln!(src, "  writeln(g1, ' ', g2);");
-    let _ = writeln!(src, "end.");
-
-    GeneratedProgram {
-        source: src,
-        proc_names: vec!["outer".to_string(), "inner".to_string()],
-    }
-}
-
-#[cfg(test)]
-mod effectful_tests {
-    use super::*;
-    use gadt_pascal::interp::Interpreter;
-    use gadt_pascal::sema::compile;
-
-    #[test]
-    fn effectful_programs_transform_and_preserve_semantics() {
-        for seed in 0..30u64 {
-            let g = generate_effectful(&GenConfig {
-                procs: 2,
-                max_calls: 1,
-                seed,
-            });
-            let m = compile(&g.source).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", g.source));
-            let t = gadt_transform::transform(&m)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", g.source));
-            let o1 = Interpreter::new(&m)
-                .run()
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", g.source));
-            let o2 = Interpreter::new(&t.module).run().unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed}: transformed run failed: {e}\n{}",
-                    gadt_pascal::pretty::print_program(&t.module.program)
-                )
-            });
-            assert_eq!(
-                o1.output_text(),
-                o2.output_text(),
-                "seed {seed}\noriginal:\n{}\ntransformed:\n{}",
-                g.source,
-                gadt_pascal::pretty::print_program(&t.module.program)
-            );
-            // Postcondition: side-effect free at the procedure level.
-            let fx = gadt_analysis::effects::Effects::compute(&t.module);
-            for p in &t.module.procs {
-                if p.id != gadt_pascal::sema::MAIN_PROC {
-                    assert!(
-                        !fx.has_global_side_effects(p.id),
-                        "seed {seed}: {} dirty",
-                        p.name
-                    );
-                }
-            }
-        }
-    }
-}

@@ -86,22 +86,6 @@ pub struct Program {
     pub next_expr_id: u32,
 }
 
-impl Program {
-    /// Allocates a fresh statement id (used by program transformations).
-    pub fn fresh_stmt_id(&mut self) -> StmtId {
-        let id = StmtId(self.next_stmt_id);
-        self.next_stmt_id += 1;
-        id
-    }
-
-    /// Allocates a fresh expression id.
-    pub fn fresh_expr_id(&mut self) -> ExprId {
-        let id = ExprId(self.next_expr_id);
-        self.next_expr_id += 1;
-        id
-    }
-}
-
 /// A declaration part plus a body: the contents of a program, procedure, or
 /// function.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -230,11 +214,6 @@ impl ParamMode {
     /// Whether the caller observes writes through this parameter.
     pub fn passes_back(self) -> bool {
         matches!(self, ParamMode::Var | ParamMode::Out)
-    }
-
-    /// Whether the callee may read the incoming value.
-    pub fn passes_in(self) -> bool {
-        !matches!(self, ParamMode::Out)
     }
 }
 
@@ -682,27 +661,11 @@ mod tests {
         assert!(ParamMode::Out.is_reference());
         assert!(!ParamMode::Value.is_reference());
         assert!(!ParamMode::In.is_reference());
-        assert!(ParamMode::In.passes_in());
-        assert!(!ParamMode::Out.passes_in());
         assert!(ParamMode::Out.passes_back());
     }
 
     #[test]
     fn ident_key_normalizes_case() {
         assert_eq!(Ident::synthetic("ArrSum").key(), "arrsum");
-    }
-
-    #[test]
-    fn fresh_ids_are_monotonic() {
-        let mut p = Program {
-            name: Ident::synthetic("t"),
-            block: Block::default(),
-            span: Span::dummy(),
-            next_stmt_id: 5,
-            next_expr_id: 7,
-        };
-        assert_eq!(p.fresh_stmt_id(), StmtId(5));
-        assert_eq!(p.fresh_stmt_id(), StmtId(6));
-        assert_eq!(p.fresh_expr_id(), ExprId(7));
     }
 }

@@ -252,17 +252,6 @@ impl ProcCfg {
             .enumerate()
             .map(|(i, b)| (BlockId(i as u32), b))
     }
-
-    /// Predecessor map (successor edges reversed).
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (id, b) in self.iter() {
-            for s in b.term.successors() {
-                preds[s.0 as usize].push(id);
-            }
-        }
-        preds
-    }
 }
 
 /// Metadata about one loop unit.

@@ -290,13 +290,6 @@ impl Module {
     pub fn vars_of(&self, proc: ProcId) -> impl Iterator<Item = &VarInfo> {
         self.vars.iter().filter(move |v| v.owner == proc)
     }
-
-    /// Whether `var` is non-local to `proc` (declared in an enclosing
-    /// scope, including program level). Such variables are the subject of
-    /// the paper's side-effect analysis.
-    pub fn is_nonlocal(&self, proc: ProcId, var: VarId) -> bool {
-        self.var(var).owner != proc
-    }
 }
 
 /// Runs name resolution and type checking over a parsed program.
@@ -1260,8 +1253,6 @@ mod tests {
         let l = m.var_in_scope(p, "l").unwrap();
         assert_eq!(m.var(g).kind, VarKind::Global);
         assert_eq!(m.var(l).kind, VarKind::Local);
-        assert!(m.is_nonlocal(p, g));
-        assert!(!m.is_nonlocal(p, l));
     }
 
     #[test]

@@ -46,14 +46,6 @@ impl Type {
     pub fn assignable_from(&self, from: &Type) -> bool {
         self == from || (matches!(self, Type::Real) && matches!(from, Type::Integer))
     }
-
-    /// Number of scalar elements an array type holds (1 for scalars).
-    pub fn element_count(&self) -> i64 {
-        match self {
-            Type::Array { lo, hi, .. } => (hi - lo + 1).max(0),
-            _ => 1,
-        }
-    }
 }
 
 impl fmt::Display for Type {
@@ -89,16 +81,5 @@ mod tests {
             elem: Box::new(Type::Integer),
         };
         assert_eq!(t.to_string(), "array[1..10] of integer");
-        assert_eq!(t.element_count(), 10);
-    }
-
-    #[test]
-    fn empty_array_has_zero_elements() {
-        let t = Type::Array {
-            lo: 5,
-            hi: 4,
-            elem: Box::new(Type::Integer),
-        };
-        assert_eq!(t.element_count(), 0);
     }
 }

@@ -116,18 +116,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Coerces `self` to match the shape of `ty` (integer→real widening
-    /// only); returns `None` when incompatible.
-    pub fn coerce_to(&self, ty: &Type) -> Option<Value> {
-        match (self, ty) {
-            (Value::Int(n), Type::Real) => Some(Value::Real(*n as f64)),
-            (v, t) if v.type_of().assignable_from(t) || t.assignable_from(&v.type_of()) => {
-                Some(v.clone())
-            }
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -225,7 +213,6 @@ mod tests {
     #[test]
     fn widening_coercion() {
         assert_eq!(Value::Int(3).as_real(), Some(3.0));
-        assert_eq!(Value::Int(3).coerce_to(&Type::Real), Some(Value::Real(3.0)));
         assert_eq!(Value::Real(3.5).as_int(), None);
     }
 

@@ -430,13 +430,6 @@ impl KnowledgeStore {
         self.state.answers.get(&key).map(|(a, _)| a.clone())
     }
 
-    /// The source that produced a stored answer, if present (does not
-    /// count as a hit or miss).
-    pub fn answer_source(&self, unit: &str, ins: &[Value]) -> Option<&str> {
-        let key = crate::record::answer_key(unit, ins);
-        self.state.answers.get(&key).map(|(_, s)| s.as_str())
-    }
-
     /// Looks up a campaign verdict, counting a hit or miss.
     pub fn lookup_verdict(&mut self, key: &str) -> Option<Json> {
         match self.state.verdicts.get(key) {
@@ -662,7 +655,6 @@ mod tests {
             store.lookup_answer("P", &[Value::Int(5)]),
             Some(StoredAnswer::Correct)
         );
-        assert_eq!(store.answer_source("p", &[Value::Int(5)]), Some("user"));
         assert!(store.lookup_verdict("m:1").is_some());
         assert_eq!(store.lookup_verdict("m:2"), None);
         assert_eq!((store.verdict_hits(), store.verdict_misses()), (1, 1));

@@ -173,30 +173,6 @@ impl ExecTree {
         s
     }
 
-    /// Renders a loop node's per-iteration variable values — the paper's
-    /// §6.1 loop query ("are these iteration variables correct for
-    /// iteration 1, iteration 2 etc."). Returns one line per recorded
-    /// iteration boundary; empty for call nodes.
-    pub fn render_loop_iterations(&self, id: NodeId) -> String {
-        let n = self.node(id);
-        if !matches!(n.kind, NodeKind::Loop { .. }) {
-            return String::new();
-        }
-        let mut out = String::new();
-        for (iter, vars) in &n.iterations {
-            let vals: Vec<String> = vars
-                .iter()
-                .map(|(name, v)| format!("{name} = {v}"))
-                .collect();
-            out.push_str(&format!(
-                "after iteration {}: {}\n",
-                iter.saturating_sub(1),
-                vals.join(", ")
-            ));
-        }
-        out
-    }
-
     /// Renders the whole tree (or a subtree) as an indented listing, one
     /// node per line — the textual analogue of the paper's Figure 7.
     pub fn render(&self, root: NodeId) -> String {
@@ -777,34 +753,5 @@ mod tests {
         assert!(!slice.keeps_call(q_call), "q must be sliced out");
         let pruned = tree.prune(q_node, &slice);
         assert!(pruned.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod loop_render_tests {
-    use super::*;
-    use gadt_analysis::dyntrace::record_trace;
-    use gadt_pascal::cfg::lower;
-    use gadt_pascal::sema::compile;
-
-    #[test]
-    fn loop_iterations_render_per_iteration_values() {
-        let m = compile(
-            "program t; var i, s: integer;
-             begin s := 0; for i := 1 to 3 do s := s + i end.",
-        )
-        .unwrap();
-        let cfg = lower(&m);
-        let trace = record_trace(&m, &cfg, []).unwrap();
-        let tree = build_tree(&m, &trace);
-        let root = tree.node(tree.root);
-        let loop_node = root.children[0];
-        let rendered = tree.render_loop_iterations(loop_node);
-        assert!(rendered.contains("after iteration 1: "), "{rendered}");
-        assert!(rendered.contains("s = 1"), "{rendered}");
-        assert!(rendered.contains("s = 3"), "{rendered}");
-        assert!(rendered.contains("s = 6"), "{rendered}");
-        // Call nodes render nothing.
-        assert_eq!(tree.render_loop_iterations(tree.root), "");
     }
 }

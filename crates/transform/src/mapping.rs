@@ -58,11 +58,6 @@ pub struct Mapping {
 }
 
 impl Mapping {
-    /// Whether a statement was synthesized by the transformation.
-    pub fn is_synthetic(&self, s: StmtId) -> bool {
-        self.synthetic_stmts.contains_key(&s)
-    }
-
     /// Description of a synthetic statement, if any.
     pub fn describe(&self, s: StmtId) -> Option<&str> {
         self.synthetic_stmts.get(&s).map(String::as_str)
@@ -149,6 +144,6 @@ mod tests {
         b.add_synthetic(StmtId(99), "exit dispatch");
         a.merge(b);
         assert_eq!(a.added_params["p"].len(), 2);
-        assert!(a.is_synthetic(StmtId(99)));
+        assert_eq!(a.describe(StmtId(99)), Some("exit dispatch"));
     }
 }
