@@ -36,6 +36,7 @@
 
 use crate::lcg::Lcg;
 use gadt_exec::BatchExecutor;
+use gadt_pascal::idhash::{fnv1a, FNV1A_OFFSET};
 use gadt_pascal::value::Value;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -367,18 +368,12 @@ pub fn generate_batch(
 /// FNV-1a fingerprint of a corpus: hashes every program's source and
 /// input stream. Pinned by the determinism tests.
 pub fn corpus_fingerprint(programs: &[GeneratedProgram]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut hash = FNV1A_OFFSET;
     for p in programs {
-        eat(p.source.as_bytes());
+        hash = fnv1a(hash, p.source.as_bytes());
         for v in &p.input {
-            eat(v.to_string().as_bytes());
-            eat(&[0]);
+            hash = fnv1a(hash, v.to_string().as_bytes());
+            hash = fnv1a(hash, &[0]);
         }
     }
     format!("{hash:016x}")

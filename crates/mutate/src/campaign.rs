@@ -18,6 +18,7 @@ use gadt::session::{self, Engine, PreparedProgram, TracedRun};
 use gadt_exec::BatchExecutor;
 use gadt_obs::{Journal, Recorder};
 use gadt_pascal::ast::Program;
+use gadt_pascal::idhash::{fnv1a, FNV1A_OFFSET};
 use gadt_pascal::interp::Limits;
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::sema::{analyze, Module};
@@ -193,16 +194,6 @@ fn plan(programs: &[CampaignProgram], config: &CampaignConfig) -> Result<Plan, E
     Ok((contexts, work, limits))
 }
 
-/// FNV-1a over a byte string — used to keep campaign verdict keys short.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The store key of one mutant's golden-reference verdict. A verdict is
 /// only reusable while everything that determined it is unchanged, so
 /// the key fingerprints the golden source, the input stream and the step
@@ -222,7 +213,7 @@ fn verdict_key(
     let mut key = format!(
         "campaign/{}/{:016x}/{}#{}@{}",
         p.name,
-        fnv(&ident),
+        fnv1a(FNV1A_OFFSET, &ident),
         site.op,
         site.ordinal,
         site.unit

@@ -1,4 +1,5 @@
-//! A fast hasher for maps keyed by sequentially issued ids.
+//! A fast hasher for maps keyed by sequentially issued ids, and the
+//! workspace's one FNV-1a step for digests that must stay stable.
 //!
 //! The parser, sema and the VM hand out statement, expression, variable,
 //! procedure and frame ids as small consecutive integers, and the side
@@ -11,6 +12,11 @@
 //! Maps keyed by identifier text (scopes, CFG labels) or by runtime
 //! values (array indices) keep SipHash: source text and program inputs
 //! may come from untrusted clients, and those keys are theirs to choose.
+//!
+//! Digests that are pinned, persisted or compared across runs (corpus
+//! and store fingerprints, campaign verdict keys, shard routing, event
+//! stream digests) fold their bytes with [`fnv1a`], starting from
+//! [`FNV1A_OFFSET`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -61,6 +67,22 @@ impl Hasher for IdHasher {
 /// A `HashMap` keyed by ids, hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// The FNV-1a offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime.
+const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a `hash`: an xor and a multiply by the
+/// FNV prime per byte. Feeding a byte string in pieces gives the same
+/// hash as feeding it whole.
+#[inline]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +114,16 @@ mod tests {
         assert_eq!(m.len(), 1000);
         assert_eq!(m[&(3, StmtId(10))], 10);
         assert_eq!(m.get(&(4, StmtId(10))), None);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_in_any_split() {
+        // The published FNV-1a 64-bit vectors for "" and "a".
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let whole = fnv1a(FNV1A_OFFSET, b"foobar");
+        assert_eq!(whole, 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"), whole);
     }
 
     #[test]

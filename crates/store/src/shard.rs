@@ -17,21 +17,13 @@
 
 use crate::record::StoredAnswer;
 use crate::store::{KnowledgeStore, SharedStore};
+use gadt_pascal::idhash::{fnv1a, FNV1A_OFFSET};
 use gadt_pascal::value::Value;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// One pending answer append: `(unit, In-values, answer, source)`.
 pub type AnswerAppend = (String, Vec<Value>, StoredAnswer, String);
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A fixed-width shard directory name (`shard-007`).
 fn shard_dir_name(i: usize) -> String {
@@ -98,7 +90,8 @@ impl ShardedStore {
     /// Which shard a unit's knowledge lives in (stable: FNV-1a of the
     /// case-folded name, modulo the shard count).
     pub fn shard_index(&self, unit: &str) -> usize {
-        (fnv1a(unit.to_ascii_lowercase().as_bytes()) % self.shards.len() as u64) as usize
+        (fnv1a(FNV1A_OFFSET, unit.to_ascii_lowercase().as_bytes()) % self.shards.len() as u64)
+            as usize
     }
 
     /// The shard holding a unit's knowledge.
@@ -216,7 +209,7 @@ impl ShardedStore {
             combined.push_str(&fp);
             combined.push('/');
         }
-        Ok(format!("{:016x}", fnv1a(combined.as_bytes())))
+        Ok(format!("{:016x}", fnv1a(FNV1A_OFFSET, combined.as_bytes())))
     }
 }
 

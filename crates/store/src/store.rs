@@ -41,6 +41,7 @@
 
 use crate::record::{Record, StoredAnswer, StoredReport, VERSION};
 use crate::Json;
+use gadt_pascal::idhash::{fnv1a, FNV1A_OFFSET};
 use gadt_pascal::value::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -563,20 +564,14 @@ impl KnowledgeStore {
     /// # Errors
     /// I/O errors reading the files back.
     pub fn disk_fingerprint(&self) -> io::Result<String> {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut hash = FNV1A_OFFSET;
         for name in [SNAPSHOT, WAL] {
             match std::fs::read(self.dir.join(name)) {
                 Ok(bytes) => {
-                    eat(&(bytes.len() as u64).to_le_bytes());
-                    eat(&bytes);
+                    hash = fnv1a(hash, &(bytes.len() as u64).to_le_bytes());
+                    hash = fnv1a(hash, &bytes);
                 }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => eat(&[0xFF]),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => hash = fnv1a(hash, &[0xFF]),
                 Err(e) => return Err(e),
             }
         }

@@ -11,6 +11,7 @@
 
 use gadt_pascal::ast::StmtId;
 use gadt_pascal::cfg::{BlockId, LoopId};
+use gadt_pascal::idhash::{fnv1a, FNV1A_OFFSET};
 use gadt_pascal::interp::{Event, MemLoc, Monitor};
 use gadt_pascal::sema::{Module, ProcId, VarId};
 use gadt_pascal::value::Value;
@@ -197,9 +198,6 @@ impl Monitor for EventLog {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Folds every event's fields directly into one 64-bit FNV-1a hash —
 /// no intermediate `Debug` rendering. Both engines feed the hasher the
 /// same field values in the same order, so equal event streams produce
@@ -214,7 +212,7 @@ pub struct EventHasher {
 impl Default for EventHasher {
     fn default() -> Self {
         EventHasher {
-            hash: FNV_OFFSET,
+            hash: FNV1A_OFFSET,
             count: 0,
         }
     }
@@ -230,11 +228,7 @@ impl EventHasher {
     pub fn digest(&self) -> u64 {
         // Mix in the count so a truncated stream can't collide with its
         // own prefix.
-        let mut h = self.hash;
-        for b in self.count.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a(self.hash, &self.count.to_le_bytes())
     }
 
     /// Number of events hashed.
@@ -243,9 +237,7 @@ impl EventHasher {
     }
 
     fn absorb(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.hash = fnv1a(self.hash, bytes);
     }
 
     #[inline]
@@ -255,7 +247,7 @@ impl EventHasher {
 
     #[inline]
     fn byte(&mut self, b: u8) {
-        self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        self.absorb(&[b]);
     }
 
     fn value(&mut self, v: &Value) {
