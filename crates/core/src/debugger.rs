@@ -257,8 +257,8 @@ impl<'a> Debugger<'a> {
         let rec = self.obs.unwrap_or(&mut disabled);
         while let Some(q) = state.next_question() {
             let answer = oracle.judge(self.module, state.tree(), q.node);
-            let source = oracle.last_source().to_string();
-            state.answer(self.module, self.trace, self.mapping, answer, &source, rec);
+            let source = oracle.last_source();
+            state.answer(self.module, self.trace, self.mapping, answer, source, rec);
         }
         state.into_outcome()
     }

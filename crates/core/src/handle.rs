@@ -219,9 +219,10 @@ impl DebugState {
         if let Some(done) = &self.done {
             return Step::Done(done.clone());
         }
+        // The question leaves `pending` here; `settle` below sets the next.
         let q = self
             .pending
-            .as_ref()
+            .take()
             .expect("unfinished session always has a pending question");
         let node = q.node;
         if rec.is_enabled() {
@@ -243,8 +244,8 @@ impl DebugState {
             );
         }
         self.transcript.push(TranscriptEntry {
-            query: q.query.clone(),
-            unit: q.unit.clone(),
+            query: q.query,
+            unit: q.unit,
             answer: verdict.clone(),
             source: source.to_string(),
         });
