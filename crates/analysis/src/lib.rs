@@ -11,7 +11,8 @@
 //! side-effects" (§5.1) as the basis for the program transformations.
 //! This crate implements all of that machinery:
 //!
-//! * [`callgraph`] — static call graph (expression calls included);
+//! * [`callgraph`] — static call sites (expression calls included), for
+//!   the static slicer;
 //! * [`effects`] — Banning-style MOD/REF and exit-effect summaries;
 //! * [`controldep`] — postdominators and control dependence;
 //! * [`slice_static`] — Weiser's static interprocedural slicing;
