@@ -2,14 +2,22 @@
 //! slicing (Kamkar's method, which the paper's §9 reports as "under
 //! implementation" — here it is implemented).
 //!
-//! A [`DependenceRecorder`] is an interpreter [`Monitor`] that captures
-//! every step with resolved dynamic data dependences (use → the event
-//! that last defined the used location) and dynamic control dependences
-//! (event → the most recent branch instance its statement is statically
-//! control-dependent on, or the call event that created its frame).
-//! It also records the dynamic call tree — one [`CallRecord`] per
-//! invocation with In/Out values — which the `gadt-trace` crate renders
-//! as the paper's execution tree.
+//! Two interpreter [`Monitor`]s record a run:
+//!
+//! * A [`CallTreeRecorder`] records the dynamic call tree and nothing
+//!   else: one [`CallRecord`] per invocation with In/Out values, one
+//!   [`LoopRecord`] per loop instance, and the number of steps. That is
+//!   all the paper's execution tree is built from (§5.2); the
+//!   `gadt-trace` crate renders it. A campaign's kill check runs every
+//!   mutant whose output matches its golden's under this monitor alone.
+//! * A [`DependenceRecorder`] also captures every step with resolved
+//!   dynamic data dependences (use → the event that last defined the
+//!   used location) and dynamic control dependences (event → the most
+//!   recent branch instance its statement is statically
+//!   control-dependent on, or the call event that created its frame),
+//!   which slicing a wrong output needs (§5.3.3). It owns a
+//!   [`CallTreeRecorder`] and hands it every event, so both monitors
+//!   record calls and loops through one body.
 
 use crate::controldep::ProgramControlDeps;
 use gadt_pascal::ast::StmtId;
@@ -144,10 +152,196 @@ impl DynTrace {
     /// `trace.events`, `trace.calls` and `trace.loops`, plus one
     /// `trace.runs` tick so merged journals count traced executions.
     pub fn observe(&self, rec: &mut gadt_obs::Recorder) {
-        rec.incr("trace.runs");
-        rec.add("trace.events", self.events.len() as u64);
-        rec.add("trace.calls", self.calls.len() as u64);
-        rec.add("trace.loops", self.loops.len() as u64);
+        observe_run(rec, self.events.len(), &self.calls, &self.loops);
+    }
+}
+
+/// A run's dynamic call tree without its step events: what a
+/// [`CallTreeRecorder`] records, and all [`DynTrace`] holds besides its
+/// events.
+#[derive(Debug, Clone, Default)]
+pub struct CallTree {
+    /// All invocations, indexed by call id.
+    pub calls: Vec<CallRecord>,
+    /// All loop instances, indexed by instance id.
+    pub loops: Vec<LoopRecord>,
+    /// Steps executed. The event indices of the call and loop records
+    /// count steps, so they equal a [`DynTrace`]'s event indices.
+    pub steps: usize,
+}
+
+impl CallTree {
+    /// Records the same counters as [`DynTrace::observe`], counting
+    /// steps as `trace.events`.
+    pub fn observe(&self, rec: &mut gadt_obs::Recorder) {
+        observe_run(rec, self.steps, &self.calls, &self.loops);
+    }
+}
+
+fn observe_run(
+    rec: &mut gadt_obs::Recorder,
+    events: usize,
+    calls: &[CallRecord],
+    loops: &[LoopRecord],
+) {
+    rec.incr("trace.runs");
+    rec.add("trace.events", events as u64);
+    rec.add("trace.calls", calls.len() as u64);
+    rec.add("trace.loops", loops.len() as u64);
+}
+
+/// Records a run's [`CallTree`] while the interpreter runs, with no
+/// dependence bookkeeping and no per-step record.
+///
+/// # Examples
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use gadt_pascal::{sema::compile, interp::Interpreter, testprogs};
+/// use gadt_analysis::dyntrace::CallTreeRecorder;
+/// let m = compile(testprogs::SQRTEST)?;
+/// let mut rec = CallTreeRecorder::new();
+/// Interpreter::new(&m).run_with(&mut rec)?;
+/// let tree = rec.finish();
+/// assert_eq!(tree.calls.len(), 14); // main and 13 invocations
+/// assert_eq!(tree.loops.len(), 1);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Default)]
+pub struct CallTreeRecorder {
+    tree: CallTree,
+    /// Call stack of (call id).
+    call_stack: Vec<u64>,
+    /// Open loop instances: instance id → index in `tree.loops`.
+    open_loops: IdMap<u64, usize>,
+}
+
+impl CallTreeRecorder {
+    /// Creates an empty recorder.
+    pub fn new() -> Self {
+        CallTreeRecorder::default()
+    }
+
+    /// Consumes the recorder, returning the call tree.
+    pub fn finish(self) -> CallTree {
+        self.tree
+    }
+
+    /// The innermost open call (main before the first call).
+    fn current_call(&self) -> u64 {
+        self.call_stack.last().copied().unwrap_or(0)
+    }
+}
+
+impl Monitor for CallTreeRecorder {
+    fn on_event(&mut self, _module: &Module, event: &Event<'_>) {
+        let tree = &mut self.tree;
+        match event {
+            Event::Step { .. } => tree.steps += 1,
+            Event::CallEnter {
+                call,
+                frame,
+                proc,
+                site_stmt,
+                args,
+                bindings,
+                depth,
+            } => {
+                let parent = self.call_stack.last().copied();
+                if let Some(p) = parent {
+                    tree.calls[p as usize].children.push(*call);
+                }
+                // The caller's step that performed the call is the
+                // latest one.
+                let call_event = if *depth == 0 {
+                    None
+                } else {
+                    tree.steps.checked_sub(1)
+                };
+                debug_assert_eq!(*call as usize, tree.calls.len());
+                tree.calls.push(CallRecord {
+                    id: *call,
+                    frame: *frame,
+                    proc: *proc,
+                    parent,
+                    site_stmt: *site_stmt,
+                    depth: *depth,
+                    args: args.to_vec(),
+                    bindings: bindings.to_vec(),
+                    outs: Vec::new(),
+                    nonlocal_reads: Vec::new(),
+                    nonlocal_writes: Vec::new(),
+                    ref_params_read: Vec::new(),
+                    enter_idx: tree.steps,
+                    exit_idx: usize::MAX,
+                    via_goto: false,
+                    children: Vec::new(),
+                    call_event,
+                });
+                self.call_stack.push(*call);
+            }
+            Event::CallExit {
+                call,
+                outs,
+                nonlocal_reads,
+                nonlocal_writes,
+                param_reads,
+                via_goto,
+                ..
+            } => {
+                let rec = &mut tree.calls[*call as usize];
+                rec.outs = outs.to_vec();
+                rec.nonlocal_reads = nonlocal_reads.to_vec();
+                rec.nonlocal_writes = nonlocal_writes.to_vec();
+                rec.ref_params_read = param_reads.to_vec();
+                rec.exit_idx = tree.steps;
+                rec.via_goto = *via_goto;
+                self.call_stack.pop();
+            }
+            Event::LoopEnter {
+                loop_id,
+                frame,
+                instance,
+            } => {
+                let pos = tree.loops.len();
+                tree.loops.push(LoopRecord {
+                    instance: *instance,
+                    loop_id: *loop_id,
+                    frame: *frame,
+                    call: self.call_stack.last().copied().unwrap_or(0),
+                    enter_idx: tree.steps,
+                    exit_idx: usize::MAX,
+                    iterations: 1,
+                    snapshots: Vec::new(),
+                });
+                self.open_loops.insert(*instance, pos);
+            }
+            Event::LoopIter {
+                instance,
+                iteration,
+                vars,
+                ..
+            } => {
+                if let Some(&pos) = self.open_loops.get(instance) {
+                    let rec = &mut tree.loops[pos];
+                    rec.iterations = *iteration;
+                    rec.snapshots.push((*iteration, vars.to_vec()));
+                }
+            }
+            Event::LoopExit {
+                instance,
+                iterations,
+                vars,
+                ..
+            } => {
+                if let Some(pos) = self.open_loops.remove(instance) {
+                    let rec = &mut tree.loops[pos];
+                    rec.iterations = *iterations;
+                    rec.exit_idx = tree.steps;
+                    rec.snapshots.push((*iterations, vars.to_vec()));
+                }
+            }
+        }
     }
 }
 
@@ -172,22 +366,17 @@ impl DynTrace {
 /// ```
 pub struct DependenceRecorder<'a> {
     cd: &'a ProgramControlDeps,
-    trace: DynTrace,
+    /// The call and loop records, which every event also goes to.
+    call_tree: CallTreeRecorder,
+    events: Vec<TraceEvent>,
     // Frame, loop-instance, variable and statement ids are issued
     // sequentially by the engine, so their maps use `IdMap`.
     /// Last definition per whole location.
     last_def: IdMap<(u64, VarId), WholeAndElems>,
-    /// Call stack of (call id).
-    call_stack: Vec<u64>,
     /// Per frame: the call event that created it.
     frame_call_event: IdMap<u64, Option<usize>>,
     /// Per frame: last branch event per branch statement.
     frame_branches: IdMap<u64, IdMap<StmtId, usize>>,
-    /// The index of the most recent step event (used to attribute
-    /// parameter binding at CallEnter).
-    last_step: Option<usize>,
-    /// Open loop instances: instance id → index in trace.loops.
-    open_loops: IdMap<u64, usize>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -203,19 +392,22 @@ impl<'a> DependenceRecorder<'a> {
     pub fn new(cd: &'a ProgramControlDeps) -> Self {
         DependenceRecorder {
             cd,
-            trace: DynTrace::default(),
+            call_tree: CallTreeRecorder::new(),
+            events: Vec::new(),
             last_def: IdMap::default(),
-            call_stack: Vec::new(),
             frame_call_event: IdMap::default(),
             frame_branches: IdMap::default(),
-            last_step: None,
-            open_loops: IdMap::default(),
         }
     }
 
     /// Consumes the recorder, returning the trace.
     pub fn finish(self) -> DynTrace {
-        self.trace
+        let CallTree { calls, loops, .. } = self.call_tree.finish();
+        DynTrace {
+            events: self.events,
+            calls,
+            loops,
+        }
     }
 
     /// Appends the events that last defined `u` to `deps` (the caller
@@ -267,6 +459,7 @@ impl<'a> DependenceRecorder<'a> {
 
 impl Monitor for DependenceRecorder<'_> {
     fn on_event(&mut self, module: &Module, event: &Event<'_>) {
+        self.call_tree.on_event(module, event);
         match event {
             Event::Step {
                 frame,
@@ -278,7 +471,7 @@ impl Monitor for DependenceRecorder<'_> {
                 branch_taken,
                 ..
             } => {
-                let idx = self.trace.events.len();
+                let idx = self.events.len();
                 let mut data_deps: Vec<usize> = Vec::new();
                 let mut unresolved_uses: Vec<MemLoc> = Vec::new();
                 for u in *uses {
@@ -298,8 +491,7 @@ impl Monitor for DependenceRecorder<'_> {
                         .or_default()
                         .insert(*stmt, idx);
                 }
-                let call = self.call_stack.last().copied().unwrap_or(0);
-                self.trace.events.push(TraceEvent {
+                self.events.push(TraceEvent {
                     idx,
                     frame: *frame,
                     proc: *proc,
@@ -310,24 +502,13 @@ impl Monitor for DependenceRecorder<'_> {
                     unresolved_uses,
                     control_dep,
                     branch_taken: *branch_taken,
-                    call,
+                    call: self.call_tree.current_call(),
                 });
-                self.last_step = Some(idx);
             }
             Event::CallEnter {
-                call,
-                frame,
-                proc,
-                site_stmt,
-                args,
-                bindings,
-                depth,
+                call, frame, proc, ..
             } => {
-                let parent = self.call_stack.last().copied();
-                if let Some(p) = parent {
-                    self.trace.calls[p as usize].children.push(*call);
-                }
-                let call_event = if *depth == 0 { None } else { self.last_step };
+                let call_event = self.call_tree.tree.calls[*call as usize].call_event;
                 self.frame_call_event.insert(*frame, call_event);
                 // Parameter values are defined "by the call": attribute
                 // their definitions to the caller's call step so data flows
@@ -345,90 +526,8 @@ impl Monitor for DependenceRecorder<'_> {
                         );
                     }
                 }
-                debug_assert_eq!(*call as usize, self.trace.calls.len());
-                self.trace.calls.push(CallRecord {
-                    id: *call,
-                    frame: *frame,
-                    proc: *proc,
-                    parent,
-                    site_stmt: *site_stmt,
-                    depth: *depth,
-                    args: args.to_vec(),
-                    bindings: bindings.to_vec(),
-                    outs: Vec::new(),
-                    nonlocal_reads: Vec::new(),
-                    nonlocal_writes: Vec::new(),
-                    ref_params_read: Vec::new(),
-                    enter_idx: self.trace.events.len(),
-                    exit_idx: usize::MAX,
-                    via_goto: false,
-                    children: Vec::new(),
-                    call_event,
-                });
-                self.call_stack.push(*call);
             }
-            Event::CallExit {
-                call,
-                outs,
-                nonlocal_reads,
-                nonlocal_writes,
-                param_reads,
-                via_goto,
-                ..
-            } => {
-                let rec = &mut self.trace.calls[*call as usize];
-                rec.outs = outs.to_vec();
-                rec.nonlocal_reads = nonlocal_reads.to_vec();
-                rec.nonlocal_writes = nonlocal_writes.to_vec();
-                rec.ref_params_read = param_reads.to_vec();
-                rec.exit_idx = self.trace.events.len();
-                rec.via_goto = *via_goto;
-                self.call_stack.pop();
-            }
-            Event::LoopEnter {
-                loop_id,
-                frame,
-                instance,
-            } => {
-                let call = self.call_stack.last().copied().unwrap_or(0);
-                let pos = self.trace.loops.len();
-                self.trace.loops.push(LoopRecord {
-                    instance: *instance,
-                    loop_id: *loop_id,
-                    frame: *frame,
-                    call,
-                    enter_idx: self.trace.events.len(),
-                    exit_idx: usize::MAX,
-                    iterations: 1,
-                    snapshots: Vec::new(),
-                });
-                self.open_loops.insert(*instance, pos);
-            }
-            Event::LoopIter {
-                instance,
-                iteration,
-                vars,
-                ..
-            } => {
-                if let Some(&pos) = self.open_loops.get(instance) {
-                    let rec = &mut self.trace.loops[pos];
-                    rec.iterations = *iteration;
-                    rec.snapshots.push((*iteration, vars.to_vec()));
-                }
-            }
-            Event::LoopExit {
-                instance,
-                iterations,
-                vars,
-                ..
-            } => {
-                if let Some(pos) = self.open_loops.remove(instance) {
-                    let rec = &mut self.trace.loops[pos];
-                    rec.iterations = *iterations;
-                    rec.exit_idx = self.trace.events.len();
-                    rec.snapshots.push((*iterations, vars.to_vec()));
-                }
-            }
+            _ => {}
         }
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! A campaign takes a set of known-good programs, enumerates every
 //! mutation site, (optionally) subsamples them with a seeded LCG, and
-//! runs each mutant through transform → trace → debug twice — once with
-//! slicing, once without — judged by the golden-reference oracle
+//! runs each mutant through transform → crash screen → kill check, and
+//! each killed mutant through trace → debug twice — once with slicing,
+//! once without — judged by the golden-reference oracle
 //! ([`gadt::oracle::GoldenOracle`]). Per-mutant work is fully
 //! independent, so results are byte-identical at any thread count; only
 //! the journals' wall-clock fields differ.
@@ -15,6 +16,7 @@ use gadt::debugger::{DebugConfig, DebugOutcome, DebugResult, Strategy};
 use gadt::error::{Error, Phase};
 use gadt::oracle::{ChainOracle, CountingOracle, GoldenOracle};
 use gadt::session::{self, Engine, PreparedProgram, TracedRun};
+use gadt_analysis::dyntrace::CallTreeRecorder;
 use gadt_exec::BatchExecutor;
 use gadt_obs::{Journal, Recorder};
 use gadt_pascal::ast::Program;
@@ -23,6 +25,7 @@ use gadt_pascal::interp::Limits;
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::sema::{analyze, Module};
 use gadt_pascal::value::Value;
+use gadt_trace::build_call_tree;
 use std::sync::Arc;
 
 /// Campaign parameters.
@@ -94,26 +97,13 @@ struct GoldenCtx {
     golden_run: TracedRun,
     /// Full execution-tree rendering — detects *any* behavioral divergence.
     golden_render: String,
-    /// Top-level interface rendering — what a user of algorithmic
-    /// debugging can actually observe (see [`interface_render`]).
+    /// Top-level interface rendering
+    /// ([`gadt_trace::ExecTree::render_interface`]) — what a user of
+    /// algorithmic debugging can actually observe besides the output.
     golden_interface: String,
     input: Vec<Value>,
     sites: Vec<MutationSite>,
     strategy: Strategy,
-}
-
-/// The observable top level of a run: the root node plus the In/Out line
-/// of each top-level invocation. Algorithmic debugging starts from a
-/// user-visible wrong result; a mutant whose program output and top-level
-/// interfaces all match the golden run presents no such result, however
-/// much its internals diverge.
-fn interface_render(tree: &gadt_trace::ExecTree) -> String {
-    let mut out = tree.render_node(tree.root);
-    for &c in &tree.node(tree.root).children {
-        out.push('\n');
-        out.push_str(&tree.render_node(c));
-    }
-    out
 }
 
 fn golden_ctx(p: &CampaignProgram, config: &CampaignConfig) -> Result<GoldenCtx, Error> {
@@ -126,7 +116,7 @@ fn golden_ctx(p: &CampaignProgram, config: &CampaignConfig) -> Result<GoldenCtx,
     let golden_run =
         session::run_traced(&prepared, p.input.iter().cloned()).map_err(|e| ctx(e.into()))?;
     let golden_render = golden_run.tree.render(golden_run.tree.root);
-    let golden_interface = interface_render(&golden_run.tree);
+    let golden_interface = golden_run.tree.render_interface();
     let sites = enumerate_sites(&ast);
     Ok(GoldenCtx {
         name: p.name.clone(),
@@ -327,13 +317,25 @@ pub fn run_campaign_with_store(
 }
 
 /// The full pipeline on one mutant: materialize → analyze → transform
-/// → monitor-free crash screen → trace (bounded) → kill check → debug
-/// twice (slicing on/off) against the golden oracle.
+/// → monitor-free crash screen → kill check → debug twice (slicing
+/// on/off) against the golden oracle. Each status pays only for what
+/// decides it:
+///
+/// * a mutant that does not compile is `Stillborn` before it runs;
+/// * one that fails on the crash screen is `Crashed`;
+/// * one whose output matches the golden's runs again under a
+///   [`CallTreeRecorder`] and is judged `Equivalent` or `Masked` from
+///   its execution tree, with no dependences computed or recorded;
+/// * a killed one — its output or, found from that call tree, its
+///   top-level interface differs — is traced with dependences and
+///   debugged twice, ending `Localized`.
 ///
 /// Every step journals into a per-mutant [`Recorder`]: a `mutant` root
 /// span tagged with program/operator/ordinal, the standard
 /// transform/trace/debug phase spans, and the two debug sessions adopted
-/// under the `with_slicing.` / `without_slicing.` counter prefixes.
+/// under the `with_slicing.` / `without_slicing.` counter prefixes. The
+/// `trace` span records the `trace.*` and `tree.*` counters of one run,
+/// whichever monitor recorded it.
 fn run_mutant(ctx: &GoldenCtx, site: &MutationSite, limits: Limits) -> LocalizationReport {
     let mut rec = Recorder::new();
     let mspan = gadt_obs::span!(
@@ -385,13 +387,43 @@ fn run_mutant_status(
     let tspan = gadt_obs::span!(rec, "trace", inputs = 1u64);
     // Monitor-free crash screen: runaway mutants — the common kill mode,
     // and the most expensive to trace — burn their step budget here
-    // without paying for dependence recording or tree building. The fast
-    // path is result-identical to the traced run (same error, message
-    // and span), so the Crashed classification is byte-for-byte what the
-    // traced pipeline would have produced.
-    if let Err(e) = prepared.execute_fast(ctx.input.clone(), limits) {
-        rec.exit(tspan);
-        return MutantStatus::Crashed { error: e.message };
+    // without paying for a monitor. The fast path is result-identical to
+    // a monitored run (same output, and the same error, message and
+    // span), so the Crashed classification is byte-for-byte what the
+    // traced pipeline would have produced, and the screen's output is
+    // the one a traced run would print.
+    let screened = match prepared.execute_fast(ctx.input.clone(), limits) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            rec.exit(tspan);
+            return MutantStatus::Crashed { error: e.message };
+        }
+    };
+
+    // Killed means *observably* killed: the program output or a top-level
+    // invocation's In/Out interface differs. Internal-only divergence is
+    // masked — no symptom a user could hand to the debugger. The
+    // execution tree alone decides the rest, so a mutant with the
+    // golden's output is judged from a run that records calls and loops
+    // but no dependences; only a killed mutant is sliced.
+    if screened.output_text() == ctx.golden_run.output {
+        let mut calls = CallTreeRecorder::new();
+        if let Err(e) = prepared.execute(ctx.input.clone(), limits, &mut calls) {
+            rec.exit(tspan);
+            return MutantStatus::Crashed { error: e.message };
+        }
+        let calls = calls.finish();
+        let tree = build_call_tree(&prepared.transformed.module, &calls);
+        if tree.render_interface() == ctx.golden_interface {
+            calls.observe(rec);
+            tree.observe(rec);
+            rec.exit(tspan);
+            return if tree.render(tree.root) == ctx.golden_render {
+                MutantStatus::Equivalent
+            } else {
+                MutantStatus::Masked
+            };
+        }
     }
     let run = session::run_traced_limited(&prepared, ctx.input.iter().cloned(), limits);
     let run = match run {
@@ -406,20 +438,6 @@ fn run_mutant_status(
             return MutantStatus::Crashed { error: e.message };
         }
     };
-
-    // Killed means *observably* killed: the program output or a top-level
-    // invocation's In/Out interface differs. Internal-only divergence is
-    // masked — no symptom a user could hand to the debugger.
-    let observable =
-        run.output != ctx.golden_run.output || interface_render(&run.tree) != ctx.golden_interface;
-    if !observable {
-        let diverged = run.tree.render(run.tree.root) != ctx.golden_render;
-        return if diverged {
-            MutantStatus::Masked
-        } else {
-            MutantStatus::Equivalent
-        };
-    }
 
     let dspan = gadt_obs::span!(rec, "debug");
     let mut with_rec = rec.child();

@@ -23,4 +23,4 @@
 
 pub mod tree;
 
-pub use tree::{build_tree, ExecNode, ExecTree, NodeId, NodeKind, Preorder};
+pub use tree::{build_call_tree, build_tree, ExecNode, ExecTree, NodeId, NodeKind, Preorder};

@@ -1,6 +1,6 @@
 //! Execution-tree construction, rendering, and pruning.
 
-use gadt_analysis::dyntrace::DynTrace;
+use gadt_analysis::dyntrace::{CallRecord, CallTree, DynTrace, LoopRecord};
 use gadt_analysis::slice_dynamic::DynSlice;
 use gadt_pascal::name::Name;
 use gadt_pascal::sema::{Module, ProcId, VarId, VarKind};
@@ -126,8 +126,15 @@ impl ExecTree {
     /// `sqrtest(In ary: [1,2], In n: 2, Out isok: false)` or
     /// `decrement(In y: 3) = 4` for functions.
     pub fn render_node(&self, id: NodeId) -> String {
-        let n = self.node(id);
         let mut s = String::new();
+        self.write_node(id, &mut s);
+        s
+    }
+
+    /// Appends [`ExecTree::render_node`]'s text to `s`: every
+    /// rendering writes its nodes through here, into one buffer.
+    fn write_node(&self, id: NodeId, s: &mut String) {
+        let n = self.node(id);
         match &n.kind {
             NodeKind::Call { is_function, .. } => {
                 let _ = write!(s, "{}(", n.name);
@@ -170,7 +177,6 @@ impl ExecTree {
                 }
             }
         }
-        s
     }
 
     /// Renders the whole tree (or a subtree) as an indented listing, one
@@ -185,11 +191,25 @@ impl ExecTree {
         for _ in 0..depth {
             out.push_str("  ");
         }
-        out.push_str(&self.render_node(id));
+        self.write_node(id, out);
         out.push('\n');
         for c in &self.node(id).children {
             self.render_rec(*c, depth + 1, out);
         }
+    }
+
+    /// Renders the run's top-level interface: the root's line, then one
+    /// line per child of the root, joined by newlines. This is all of a
+    /// run a user can observe besides its output, and what a mutant
+    /// campaign compares to decide whether a mutant is killed.
+    pub fn render_interface(&self) -> String {
+        let mut out = String::new();
+        self.write_node(self.root, &mut out);
+        for &c in &self.node(self.root).children {
+            out.push('\n');
+            self.write_node(c, &mut out);
+        }
+        out
     }
 
     /// Prunes the tree against a dynamic slice: keeps call nodes whose
@@ -300,8 +320,20 @@ impl<'t> From<&'t ExecTree> for Cow<'t, ExecTree> {
 /// # }
 /// ```
 pub fn build_tree(module: &Module, trace: &DynTrace) -> ExecTree {
+    build(module, &trace.calls, &trace.loops)
+}
+
+/// Builds the execution tree of a run recorded by a
+/// [`gadt_analysis::dyntrace::CallTreeRecorder`]: the same tree
+/// [`build_tree`] builds from the same run's [`DynTrace`], since the
+/// tree reads only the call and loop records.
+pub fn build_call_tree(module: &Module, tree: &CallTree) -> ExecTree {
+    build(module, &tree.calls, &tree.loops)
+}
+
+fn build(module: &Module, calls: &[CallRecord], loops: &[LoopRecord]) -> ExecTree {
     let mut nodes: Vec<ExecNode> = Vec::new();
-    let root = build_call(module, trace, 0, 0, &mut nodes);
+    let root = build_call(module, calls, loops, 0, 0, &mut nodes);
     ExecTree { nodes, root }
 }
 
@@ -311,12 +343,13 @@ fn var_display_name(module: &Module, var: VarId) -> Name {
 
 fn build_call(
     module: &Module,
-    trace: &DynTrace,
+    calls: &[CallRecord],
+    loops: &[LoopRecord],
     call: u64,
     depth: usize,
     nodes: &mut Vec<ExecNode>,
 ) -> NodeId {
-    let rec = trace.call(call);
+    let rec = &calls[call as usize];
     let info = module.proc(rec.proc);
     let id = NodeId(nodes.len() as u32);
 
@@ -386,10 +419,10 @@ fn build_call(
     }
     let mut items: Vec<(usize, usize, Item)> = Vec::new();
     for &c in &rec.children {
-        let cr = trace.call(c);
+        let cr = &calls[c as usize];
         items.push((cr.enter_idx, cr.exit_idx, Item::Call(c)));
     }
-    for (li, l) in trace.loops.iter().enumerate() {
+    for (li, l) in loops.iter().enumerate() {
         if l.call == call {
             items.push((l.enter_idx, l.exit_idx, Item::Loop(li)));
         }
@@ -411,11 +444,11 @@ fn build_call(
         let parent_depth = nodes[parent.0 as usize].depth;
         match item {
             Item::Call(c) => {
-                let child = build_call(module, trace, c, parent_depth + 1, nodes);
+                let child = build_call(module, calls, loops, c, parent_depth + 1, nodes);
                 nodes[parent.0 as usize].children.push(child);
             }
             Item::Loop(li) => {
-                let l = &trace.loops[li];
+                let l = &loops[li];
                 let lid = NodeId(nodes.len() as u32);
                 let iterations: Vec<(u64, Vec<(Name, Value)>)> = l
                     .snapshots

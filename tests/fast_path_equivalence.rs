@@ -6,16 +6,27 @@
 //! Subjects: every curated paper fixture, every committed
 //! corpus-regression reproducer, a 2000-seed generated-corpus sweep,
 //! every mutant of the benchmark campaign's subjects (runaways
-//! included), and isolated procedure runs. A separate test pins
-//! campaign invariance:
-//! the two-stage kill check (fast crash screen → traced run) must leave
-//! kill verdicts and `CampaignSummary` fingerprints unchanged at 1, 2,
-//! and 8 worker threads.
+//! included), and isolated procedure runs.
+//!
+//! A call-tree leg covers the same programs and inputs (isolated
+//! procedure runs aside) on both engines: a run under a
+//! `CallTreeRecorder`, which the campaign's kill check uses for mutants
+//! with the golden's output, must build the same execution tree, node
+//! for node and field for field, as a run under a `DependenceRecorder`,
+//! and both must record the same `trace.*` and `tree.*` counters.
+//!
+//! A separate test pins campaign invariance: the staged kill check
+//! (fast crash screen → call-tree run → traced run) must leave kill
+//! verdicts and `CampaignSummary` fingerprints unchanged at 1, 2, and 8
+//! worker threads.
 
+use gadt_analysis::controldep::ProgramControlDeps;
+use gadt_analysis::dyntrace::{CallTreeRecorder, DependenceRecorder};
 use gadt_corpus::gen::{generate, GenConfig};
 use gadt_corpus::{corpus_subjects, CorpusCampaignConfig};
 use gadt_mutate::{apply, enumerate_sites, run_campaign, CampaignConfig, CampaignProgram};
-use gadt_pascal::cfg::lower;
+use gadt_obs::Recorder;
+use gadt_pascal::cfg::{lower, ProgramCfg};
 use gadt_pascal::interp::{Limits, NoopMonitor, Outcome};
 use gadt_pascal::parser::parse_program;
 use gadt_pascal::pretty::print_program;
@@ -23,6 +34,7 @@ use gadt_pascal::sema::{compile, Module, MAIN_PROC};
 use gadt_pascal::testprogs;
 use gadt_pascal::types::Type;
 use gadt_pascal::value::Value;
+use gadt_trace::{build_call_tree, build_tree};
 use gadt_transform::transform;
 use gadt_vm::{Engine, PreparedEngine};
 use std::collections::BTreeMap;
@@ -96,6 +108,50 @@ fn assert_fast_matches_monitored(
     }
 }
 
+/// The call-tree leg on one module: on each engine, a run under a
+/// `CallTreeRecorder` and one under a `DependenceRecorder` build equal
+/// execution trees, node for node with every field compared, and record
+/// equal `trace.*` and `tree.*` counters. Runs that fail must fail with
+/// the same error; the campaign builds no tree for those.
+fn assert_call_tree_matches_traced(name: &str, module: &Module, input: &[Value], limits: Limits) {
+    let cfg: Arc<ProgramCfg> = Arc::new(lower(module));
+    let cd = ProgramControlDeps::compute(module, &cfg);
+    for eng in [Engine::TreeWalker, Engine::Vm] {
+        let tag = format!("{name} [{eng}]");
+        let engine = PreparedEngine::new(module, &cfg, eng);
+        let mut deps = DependenceRecorder::new(&cd);
+        let traced = engine.run_with(module, input.to_vec(), limits, &mut deps);
+        let mut calls = CallTreeRecorder::new();
+        let untraced = engine.run_with(module, input.to_vec(), limits, &mut calls);
+        match (&traced, &untraced) {
+            (Ok(_), Ok(_)) => {}
+            (Err(t), Err(u)) => {
+                assert_eq!(t.to_string(), u.to_string(), "{tag}: error text");
+                continue;
+            }
+            _ => panic!("{tag}: outcome kind diverges: {traced:?} vs {untraced:?}"),
+        }
+        let (trace, calls) = (deps.finish(), calls.finish());
+        let (full, light) = (build_tree(module, &trace), build_call_tree(module, &calls));
+        assert_eq!(full.root, light.root, "{tag}: root");
+        assert_eq!(full.len(), light.len(), "{tag}: node count");
+        for (f, l) in full.nodes.iter().zip(&light.nodes) {
+            assert_eq!(format!("{f:?}"), format!("{l:?}"), "{tag}: node {}", f.id.0);
+        }
+        let mut from_trace = Recorder::new();
+        trace.observe(&mut from_trace);
+        full.observe(&mut from_trace);
+        let mut from_calls = Recorder::new();
+        calls.observe(&mut from_calls);
+        light.observe(&mut from_calls);
+        assert_eq!(
+            from_trace.finish().counters,
+            from_calls.finish().counters,
+            "{tag}: counters"
+        );
+    }
+}
+
 /// An outcome as text, globals in name order.
 fn result_text(o: &Outcome) -> String {
     let globals: BTreeMap<_, _> = o.globals.iter().collect();
@@ -111,6 +167,14 @@ fn fast_path_matches_monitored_on_fixtures() {
             let engine = PreparedEngine::new(&module, &cfg, eng);
             assert_fast_matches_monitored(&name, &module, &engine, &input(), Limits::default());
         }
+    }
+}
+
+#[test]
+fn call_tree_matches_traced_on_fixtures() {
+    for (name, src) in subjects() {
+        let module = compile(&src).expect(&name);
+        assert_call_tree_matches_traced(&name, &module, &input(), Limits::default());
     }
 }
 
@@ -204,6 +268,17 @@ fn fast_path_matches_monitored_on_generated_corpus() {
     }
 }
 
+#[test]
+fn call_tree_matches_traced_on_generated_corpus() {
+    let config = GenConfig::default();
+    for seed in 0..2000u64 {
+        let p = generate(seed, &config);
+        let module = compile(&p.source).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let name = format!("seed {seed}");
+        assert_call_tree_matches_traced(&name, &module, &p.input, Limits::default());
+    }
+}
+
 /// Every mutant of the benchmark campaign's subjects (generator seeds
 /// 5–7), printed and compiled as the campaign does, with its subject's
 /// input. Stillborn mutants are left out.
@@ -262,10 +337,34 @@ fn fast_path_matches_monitored_on_campaign_mutants() {
     assert!(runaways >= 42, "only {runaways} runaway runs");
 }
 
-/// The campaign's two-stage kill check (monitor-free crash screen, then
-/// the traced pipeline) must leave verdicts and fingerprints exactly
-/// where they were: identical across 1, 2, and 8 worker threads, with
-/// crashed mutants actually classified (the screen must not eat them).
+/// Every mutant of the benchmark campaign, as compiled and after its §6
+/// transform (what the campaign's kill check runs), under the crash
+/// screen test's budget.
+#[test]
+fn call_tree_matches_traced_on_campaign_mutants() {
+    let limits = Limits {
+        max_steps: 20_000,
+        max_depth: 64,
+    };
+    let mut runs = 0;
+    for (name, src, input) in campaign_mutants() {
+        let Ok(module) = compile(&src) else { continue };
+        if let Ok(t) = transform(&module) {
+            let name = format!("{name} (transformed)");
+            assert_call_tree_matches_traced(&name, &t.module, &input, limits);
+            runs += 1;
+        }
+        assert_call_tree_matches_traced(&name, &module, &input, limits);
+        runs += 1;
+    }
+    assert!(runs > 1700, "only {runs} mutant runs");
+}
+
+/// The campaign's staged kill check (monitor-free crash screen, then a
+/// call-tree run or the traced pipeline) must leave verdicts and
+/// fingerprints exactly where they were: identical across 1, 2, and 8
+/// worker threads, with crashed mutants actually classified (the screen
+/// must not eat them).
 #[test]
 fn campaign_verdicts_and_fingerprints_are_thread_invariant() {
     let programs = vec![
