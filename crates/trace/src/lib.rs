@@ -7,7 +7,9 @@
 //! transformed program … containing trace information about each unit of
 //! the original program, such as parameter values and value of variables
 //! which cause global side-effects within the unit". This crate turns a
-//! recorded [`gadt_analysis::dyntrace::DynTrace`] into that tree:
+//! recorded [`gadt_analysis::dyntrace::DynTrace`] ([`build_tree`]), or
+//! a [`gadt_analysis::dyntrace::CallTree`] recorded without dependences
+//! ([`build_call_tree`]), into that tree:
 //!
 //! * one node per procedure/function invocation with named In/Out values
 //!   (parameters, function results, and non-local reads/writes);
